@@ -15,8 +15,10 @@ import json
 import random
 import sys
 
-from .covering import KummerData, validate
-from .errors import ExactArithError, InternalInvariant, ModelRejection
+from .covering import (
+    KummerData, cocycle_from_column, forward_decompose, kummer_form, support_places, validate,
+)
+from .errors import ExactArithError, InternalInvariant, ModelRejection, UnsupportedDecomposition
 from .fppoly import Place, Poly
 from .gorenstein import (
     derive_sign,
@@ -39,7 +41,7 @@ from .randgen import (
     random_normal_cyclic_kummer,
     random_phi,
 )
-from .rh_genus import GlobalModel, predict_genus
+from .rh_genus import GlobalModel, check_chart_consistency, gorenstein_places, predict_genus
 from .serialize import (
     SCHEMA_VERSION,
     covering_from_obj,
@@ -108,12 +110,11 @@ def _cmd_ramify(args):
 
 
 def _cmd_oracle(args):
-    cov, _, _ = _load_covering(args.input)
-    if not isinstance(cov, KummerData):
-        from .covering import forward_decompose
-
-        _, f = forward_decompose(cov)
-        cov = KummerData(cov.group, (f,))
+    cov = kummer_form(_load_covering(args.input)[0])
+    if cov is None:
+        raise UnsupportedDecomposition(
+            "only cyclic tables decompose; present product data as KummerData"
+        )
     place = _parse_place(args.place, cov.group.p)
     model = normalize_local_model(cov, place)
     formula = model.q - 1 if model.c else 0
@@ -158,31 +159,25 @@ def _cmd_gorenstein(args):
     if args.search:
         return _gorenstein_search(args)
     cov, degrees, _ = _load_covering(args.input)
-    cocycle = cov.to_cocycle() if isinstance(cov, KummerData) else cov
+    if isinstance(cov, KummerData):
+        cov.check_integral()
     divisor, reports = ramification_divisor(
         cov, include_infinity=args.include_infinity, infinity_degrees=degrees
     )
+    gm = GlobalModel(cov, degrees)
+    if args.include_infinity:
+        check_chart_consistency(gm)
     out = _report_base("gorenstein")
-    rows = []
-    bad = []
-    gm = GlobalModel(cov, degrees) if args.include_infinity else None
-    for r in reports:
-        if r.place.is_infinity:
-            chart = gm.infinity_chart()
-            ok, witness = gorenstein_at(chart, Place.finite(Poly.x(cov.group.p)))
-        else:
-            ok, witness = gorenstein_at(cocycle, r.place)
-        rows.append(
-            {
-                "place": place_to_obj(r.place),
-                "gorenstein": ok,
-                "witness": None if witness is None else elt_to_obj(witness),
-            }
-        )
-        if not ok:
-            bad.append(place_to_obj(r.place))
-    out["places"] = rows
-    out["non_gorenstein_places"] = bad
+    verdicts = gorenstein_places(gm, [r.place for r in reports])
+    out["places"] = rows = [
+        {
+            "place": place_to_obj(r.place),
+            "gorenstein": ok,
+            "witness": None if witness is None else elt_to_obj(witness),
+        }
+        for r, (ok, witness) in zip(reports, verdicts)
+    ]
+    out["non_gorenstein_places"] = [row["place"] for row in rows if not row["gorenstein"]]
     if cov.group.is_cyclic:
         p, n = cov.group.p, cov.group.exponents[0]
         out["sign"] = derive_sign(p, n)
@@ -204,16 +199,12 @@ def _gorenstein_search(args):
     for _ in range(args.count):
         p, exps = shapes[rng.randrange(len(shapes))]
         group = PGroup(p, exps)
-        factors = tuple(
-            f for f in (random_normal_cyclic_kummer(rng, p, n, max_deg=3).factors[0] for n in exps)
-        )
+        factors = tuple(random_normal_cyclic_kummer(rng, p, n, max_deg=3).factors[0] for n in exps)
         kd = KummerData(group, factors, random_integral_twist(rng, group))
         try:
             cocycle = kd.to_cocycle()
         except ModelRejection:
             continue
-        from .covering import support_places
-
         for v in support_places(cocycle):
             checked += 1
             ok, _ = gorenstein_at(cocycle, v)
@@ -305,8 +296,6 @@ def _cmd_fuzz(args):
                 if not dev.equal:
                     failures.append(f"devissage failed for {kd.factors[0]} (p^n={q})")
             if q >= 2:
-                from .covering import cocycle_from_column, forward_decompose
-
                 col = random_integral_column(rng, p, n)
                 checked["columns"] += 1
                 c = cocycle_from_column(PGroup(p, (n,)), col)

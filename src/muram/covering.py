@@ -15,6 +15,11 @@ be polynomials; columns that force denominators are rejected.
 
 KummerData is the normal form: one chart equation per invariant factor
 plus an optional coboundary twist.
+
+A table is anything with ``group``, ``entry(m, n)`` and
+``entry_valuation(m, n, place)``: Cocycle stores its entries, KummerData
+adds the valuations of its chart equations and twist without building
+any entry, and InfinityChart is a view of either on the chart at infinity.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     CharMismatch,
+    InternalInvariant,
     NonIntegralCocycle,
     UnsupportedDecomposition,
     ZeroEntry,
@@ -73,6 +79,9 @@ class Cocycle:
     def entry(self, m: GElt, n: GElt) -> Poly:
         return self._entries[(m, n)]
 
+    def entry_valuation(self, m: GElt, n: GElt, v: Place) -> int:
+        return valuation(self.entry(m, n), v)
+
     def pairs(self):
         """Canonically ordered (m, n, alpha(m,n)) with m <= n."""
         elements = list(self.group.elements())
@@ -107,36 +116,26 @@ class ValidationReport:
 def validate(c: Cocycle) -> ValidationReport:
     """Check normalization, symmetry, and the associativity relation,
     reporting the first violating tuple per invariant."""
-    failures = []
     group = c.group
     elements = list(group.elements())
     one = Poly.one(group.p)
-    zero_elt = group.zero()
-    for m in elements:
-        if c.entry(zero_elt, m) != one or c.entry(m, zero_elt) != one:
-            failures.append(("normalization", (str(zero_elt), str(m))))
-            break
-    for i, m in enumerate(elements):
-        done = False
-        for n in elements[i:]:
-            if c.entry(m, n) != c.entry(n, m):
-                failures.append(("symmetry", (str(m), str(n))))
-                done = True
-                break
-        if done:
-            break
-    for l in elements:
-        done = False
-        for m in elements:
-            for n in elements:
-                if c.entry(l, m) * c.entry(l + m, n) != c.entry(m, n) * c.entry(l, m + n):
-                    failures.append(("cocycle identity", (str(l), str(m), str(n))))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+    zero = group.zero()
+    e = c.entry
+    scans = [
+        ("normalization", ((zero, m) for m in elements if e(zero, m) != one or e(m, zero) != one)),
+        ("symmetry", (
+            (m, n) for i, m in enumerate(elements) for n in elements[i:] if e(m, n) != e(n, m)
+        )),
+        ("cocycle identity", (
+            (l, m, n) for l in elements for m in elements for n in elements
+            if e(l, m) * e(l + m, n) != e(m, n) * e(l, m + n)
+        )),
+    ]
+    failures = []
+    for name, scan in scans:
+        first = next(scan, None)
+        if first is not None:
+            failures.append((name, tuple(map(str, first))))
     return ValidationReport(ok=not failures, failures=failures)
 
 
@@ -168,10 +167,7 @@ class KummerData:
             b0 = self.twist.get(self.group.zero())
             if b0 is not None and not _as_rf(b0).is_one():
                 raise ValueError("twist must send 0 to 1")
-
-    @property
-    def is_cyclic(self):
-        return self.group.is_cyclic
+        object.__setattr__(self, "_valuations", {})  # place -> _valuations_at(place)
 
     def twist_at(self, m: GElt) -> RatFun:
         """Twist value at m; elements without an explicit value twist by 1."""
@@ -193,17 +189,54 @@ class KummerData:
             out = out * self.twist_at(m) * self.twist_at(n) / self.twist_at(m + n)
         return out
 
+    def entry(self, m: GElt, n: GElt) -> Poly:
+        a = self.raw_entry(m, n)
+        if not a.is_poly():
+            raise NonIntegralCocycle(f"entry ({m},{n}) = {a} is not a polynomial")
+        return a.as_poly()
+
+    def entry_valuation(self, m: GElt, n: GElt, v: Place) -> int:
+        """v(alpha(m,n)) = sum_i sigma_i(m,n) v(f_i) + v(b(m)) + v(b(n)) - v(b(m+n))."""
+        vf, vb = self._valuations_at(v)
+        out = sum(e for s, e in zip(sigma(m, n), vf) if s)
+        if vb:
+            out += vb.get(m, 0) + vb.get(n, 0) - vb.get(m + n, 0)
+        return out
+
+    def _valuations_at(self, v: Place):
+        """(v(f_i) per factor, {m: v(b(m))} where nonzero), once per place."""
+        if v not in self._valuations:
+            vb = {m: valuation(self.twist_at(m), v) for m in self.twist or ()}
+            self._valuations[v] = (
+                tuple(valuation(f, v) for f in self.factors),
+                {m: e for m, e in vb.items() if e},
+            )
+        return self._valuations[v]
+
+    def check_integral(self) -> None:
+        """Raise what to_cocycle() raises, at the same first pair, without
+        keeping the table.  Untwisted entries are products of the f_i and
+        integral by construction."""
+        if self.twist:
+            elements = list(self.group.elements())
+            for m in elements:
+                for n in elements:
+                    self.entry(m, n)
+
     def to_cocycle(self) -> Cocycle:
-        entries = {}
-        for m in self.group.elements():
-            for n in self.group.elements():
-                a = self.raw_entry(m, n)
-                if not a.is_poly():
-                    raise NonIntegralCocycle(
-                        f"entry ({m},{n}) = {a} is not a polynomial"
-                    )
-                entries[(m, n)] = a.as_poly()
-        return Cocycle(self.group, entries)
+        elements = list(self.group.elements())
+        return Cocycle(self.group, {(m, n): self.entry(m, n) for m in elements for n in elements})
+
+
+def kummer_form(cov) -> KummerData | None:
+    """KummerData as given; a cyclic raw table as z^q = f through
+    forward_decompose; None for a raw product table."""
+    if isinstance(cov, KummerData):
+        return cov
+    if not cov.group.is_cyclic:
+        return None
+    _, f = forward_decompose(cov)
+    return KummerData(cov.group, (f,))
 
 
 def _as_rf(v) -> RatFun:
@@ -241,10 +274,12 @@ def cocycle_from_column(group: PGroup, column) -> Cocycle:
             entries[(m, n)] = a.as_poly()
     c = Cocycle(group, entries)
     report = validate(c)
-    assert report.ok, f"reconstructed table failed validation: {report.failures}"
+    if not report.ok:
+        raise InternalInvariant(f"reconstructed table failed validation: {report.failures}")
     one = group.elt(1)
     for i in range(1, q):
-        assert c.entry(group.elt(i), one) == col[i]
+        if c.entry(group.elt(i), one) != col[i]:
+            raise InternalInvariant(f"reconstructed table does not slice back at ({i},1)")
     return c
 
 
@@ -317,32 +352,56 @@ def twist(c: Cocycle, b: dict) -> Cocycle:
     return Cocycle(group, entries)
 
 
-def chart_at_infinity(c: Cocycle, degrees: dict) -> Cocycle:
-    """Transport the table to the chart at infinity.
+class InfinityChart:
+    """A table transported to the chart at infinity, entry by entry.
 
-    Substitutes x = 1/u into every entry and twists by b(m) = u^{d(m)}:
-    the entry of degree e becomes rev(entry) * u^{d(m)+d(n)-d(m+n)-e},
-    which must have a nonnegative u-exponent to stay a polynomial in u.
+    Substituting x = 1/u and twisting by b(m) = u^{d(m)} turns alpha(m, n)
+    into rev(alpha) * u^e, e = d(m) + d(n) - d(m+n) - deg alpha, a polynomial
+    in u when e >= 0.  rev(alpha) has a nonzero constant term, so e is the
+    u-valuation; it is read off the table's valuation at infinity.
     """
-    group = c.group
-    p = group.p
-    for m in group.elements():
-        if not m.is_zero() and m not in degrees:
-            raise ValueError(f"no chart degree given for {m}")
-    d = {m: (0 if m.is_zero() else degrees[m]) for m in group.elements()}
-    entries = {}
-    for m in group.elements():
-        for n in group.elements():
-            a = c.entry(m, n)
-            exponent = d[m] + d[n] - d[m + n] - a.degree()
-            if exponent < 0:
-                raise NonIntegralCocycle(
-                    f"entry ({m},{n}) needs u-exponent {exponent}; "
-                    "increase the chart degrees"
-                )
-            u_pow = Poly(p, [0] * exponent + [1])
-            entries[(m, n)] = a.reversed_coeffs() * u_pow
-    return Cocycle(group, entries)
+
+    def __init__(self, table, degrees: dict):
+        self.table = table
+        self.group = group = table.group
+        for m in group.elements():
+            if not m.is_zero() and m not in degrees:
+                raise ValueError(f"no chart degree given for {m}")
+        self._d = {m: (0 if m.is_zero() else degrees[m]) for m in group.elements()}
+        self._infinity = Place.infinity(group.p)
+        self.u_place = Place.finite(Poly.x(group.p))
+
+    def u_exponent(self, m: GElt, n: GElt) -> int:
+        d = self._d
+        exponent = d[m] + d[n] - d[m + n] + self.table.entry_valuation(m, n, self._infinity)
+        if exponent < 0:
+            raise NonIntegralCocycle(
+                f"entry ({m},{n}) needs u-exponent {exponent}; increase the chart degrees"
+            )
+        return exponent
+
+    def entry(self, m: GElt, n: GElt) -> Poly:
+        u_pow = Poly(self.group.p, [0] * self.u_exponent(m, n) + [1])
+        return self.table.entry(m, n).reversed_coeffs() * u_pow
+
+    def entry_valuation(self, m: GElt, n: GElt, v: Place) -> int:
+        if v == self.u_place:
+            return self.u_exponent(m, n)
+        return valuation(self.entry(m, n), v)
+
+    def check_integral(self) -> None:
+        """NonIntegralCocycle at the first pair with a negative u-exponent."""
+        elements = list(self.group.elements())
+        for m in elements:
+            for n in elements:
+                self.u_exponent(m, n)
+
+
+def chart_at_infinity(c, degrees: dict) -> Cocycle:
+    """The dense table of InfinityChart(c, degrees)."""
+    chart = InfinityChart(c, degrees)
+    elements = list(c.group.elements())
+    return Cocycle(c.group, {(m, n): chart.entry(m, n) for m in elements for n in elements})
 
 
 def canonical_infinity_degrees(kd: KummerData) -> dict:
@@ -360,12 +419,10 @@ def canonical_infinity_degrees(kd: KummerData) -> dict:
     return degs
 
 
-def torsor_at(c: Cocycle, v: Place) -> bool:
+def torsor_at(c, v: Place) -> bool:
     """Freeness test at v: every alpha(m, -m) is a unit there."""
     return all(
-        valuation(c.entry(m, -m), v) == 0
-        for m in c.group.elements()
-        if not m.is_zero()
+        c.entry_valuation(m, -m, v) == 0 for m in c.group.elements() if not m.is_zero()
     )
 
 

@@ -19,8 +19,9 @@ compared as exact polynomials.
 from __future__ import annotations
 
 from .covering import Cocycle, KummerData
-from .errors import NoConsistentSign, NotGorensteinHere, SizeLimit, UnsupportedGroup
-from .fppoly import Place, Poly, valuation
+from .errors import InternalInvariant, NoConsistentSign, NotGorensteinHere, SizeLimit
+from .errors import UnsupportedGroup
+from .fppoly import Place, Poly
 from .pgroup import GElt
 
 BRUTE_FORCE_LIMIT = 16
@@ -28,13 +29,12 @@ BRUTE_FORCE_LIMIT = 16
 _SIGN_CACHE: dict[tuple[int, int], int] = {}
 
 
-def gorenstein_at(c: Cocycle, v: Place):
+def gorenstein_at(c, v: Place):
     """(verdict, witness): smallest l in canonical order with all
     alpha(i, j), i + j = l, units at v; witness None when there is none."""
-    for l in c.group.elements():
-        if all(
-            valuation(c.entry(i, l - i), v) == 0 for i in c.group.elements()
-        ):
+    elements = list(c.group.elements())
+    for l in elements:
+        if all(c.entry_valuation(i, l - i, v) == 0 for i in elements):
             return True, l
     return False, None
 
@@ -79,7 +79,8 @@ def _det_bareiss(rows: list[list[Poly]], p: int) -> Poly:
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 quo, rem = divmod(num, prev)
-                assert rem.is_zero(), "fraction-free step produced a remainder"
+                if not rem.is_zero():
+                    raise InternalInvariant("fraction-free step produced a remainder")
                 m[i][j] = quo
         prev = m[k][k]
     det = m[n - 1][n - 1]

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 
 from .covering import (
     Cocycle,
+    InfinityChart,
     KummerData,
-    forward_decompose,
+    kummer_form,
     support_places,
 )
 from .divisors import Divisor, SymbolicPlace, pullback
 from .errors import (
+    InternalInvariant,
     ModelRejection,
     NonIntegralModel,
     NonNormalModel,
@@ -47,7 +49,6 @@ from .fppoly import (
     factor,
     is_pth_power,
     poly_valuation,
-    valuation,
 )
 from .pgroup import GElt, PGroup, Subgroup, sigma
 
@@ -117,7 +118,7 @@ class LocalModel:
 
 
 def _require_cyclic(kd: KummerData) -> Poly:
-    if not kd.is_cyclic:
+    if not kd.group.is_cyclic:
         raise UnsupportedGroup("local models are cyclic-only; split product data per factor")
     return kd.factors[0]
 
@@ -179,9 +180,12 @@ def _normalize_finite(p: int, n: int, f: Poly, v: Place) -> LocalModel:
             f"local exponent {c} at {v} shares a factor with p={p}; "
             "the normalization leaves this model class"
         )
-    t = tuple((s * c) // q for s in range(q))
-    vA = tuple(s * c - q * t[s] for s in range(q))
-    assert set(vA) == set(range(q))
+    # from lists: tuple(<generator>) is allocated at a guessed length and shrunk,
+    # bypassing CPython's per-size tuple free lists, which it then refills when freed
+    t = tuple([(s * c) // q for s in range(q)])
+    vA = tuple([s * c - q * t[s] for s in range(q)])
+    if set(vA) != set(range(q)):
+        raise InternalInvariant(f"basis valuations {vA} at {v} miss a residue class mod {q}")
     return LocalModel(p, n, v, pi, f_red, c, t, vA, "verified")
 
 
@@ -221,10 +225,10 @@ def fixed_ideal_valuation_at(model: LocalModel) -> int:
 # ---------------------------------------------------------------------------
 # stabilizers and multiplicities
 
-def stabilizer_subgroup_at(c: Cocycle, v: Place) -> Subgroup:
+def stabilizer_subgroup_at(c, v: Place) -> Subgroup:
     """N = { m : alpha(m, -m) is a unit at v }, with closure asserted."""
     members = [
-        m for m in c.group.elements() if valuation(c.entry(m, -m), v) == 0 or m.is_zero()
+        m for m in c.group.elements() if m.is_zero() or c.entry_valuation(m, -m, v) == 0
     ]
     member_set = set(members)
     for a in members:
@@ -249,8 +253,7 @@ def multiplicity_at(c: Cocycle, v: Place, verify: bool = False) -> int:
     if verify:
         if not c.group.is_cyclic:
             raise UnsupportedGroup("normality verification is cyclic-only")
-        _, f = forward_decompose(c)
-        _normalize(c.group.p, c.group.exponents[0], f, v)
+        normalize_local_model(kummer_form(c), v)
     return c.group.order // stabilizer_subgroup_at(c, v).order - 1
 
 
@@ -264,18 +267,11 @@ class RamReport:
     normality: str
 
     def __post_init__(self):
-        group = self.stabilizer.group
-        assert self.multiplicity == group.order // self.stabilizer.order - 1
-        assert self.totally_ramified == self.stabilizer.is_trivial()
-        assert self.torsor == (self.multiplicity == 0)
-
-
-def _trivial_subgroup(group: PGroup) -> Subgroup:
-    return Subgroup(group, (group.zero(),))
-
-
-def _full_subgroup(group: PGroup) -> Subgroup:
-    return Subgroup(group, tuple(group.elements()))
+        mult = self.stabilizer.group.order // self.stabilizer.order - 1
+        given = (self.multiplicity, self.totally_ramified, self.torsor)
+        if given != (mult, self.stabilizer.is_trivial(), mult == 0):
+            raise InternalInvariant(f"(multiplicity, totally ramified, torsor) {given} "
+                                    f"at {self.place} contradicts the stabilizer")
 
 
 def _off_support_normality_sweep(f: Poly, q: int) -> None:
@@ -303,14 +299,20 @@ def _off_support_normality_sweep(f: Poly, q: int) -> None:
                 )
 
 
-def _kummer_factors(cov) -> tuple[PGroup, tuple[Poly, ...]] | None:
-    """Per-factor chart equations, decomposing cyclic raw tables."""
-    if isinstance(cov, KummerData):
-        return cov.group, cov.factors
-    if cov.group.is_cyclic:
-        _, f = forward_decompose(cov)
-        return cov.group, (f,)
-    return None
+def _certified_stabilizer(kd: KummerData, v: Place) -> Subgroup:
+    """Elements trivial on every factor whose local model at v is
+    totally ramified; constant chart equations are units everywhere."""
+    group = kd.group
+    ramified = [
+        not f.is_constant() and _normalize(group.p, n_i, f, v).c != 0
+        for f, n_i in zip(kd.factors, group.exponents)
+    ]
+    members = [
+        m
+        for m in group.elements()
+        if all(not t or r == 0 for t, r in zip(ramified, m.residues))
+    ]
+    return Subgroup(group, tuple(members))
 
 
 def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=None):
@@ -323,84 +325,46 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
     covering is a homeomorphism on points.
     """
     group = cov.group
-    factored = _kummer_factors(cov)
-    reports: list[RamReport] = []
-    if factored is not None:
-        group, factors = factored
-        qs = group.factor_orders
-        for f, q in zip(factors, qs):
-            # constant chart equations are units everywhere: torsor factor
+    kd = kummer_form(cov)
+    if kd is not None:
+        for f, q in zip(kd.factors, group.factor_orders):
             if not f.is_constant():
                 _off_support_normality_sweep(f, q)
-        support: set[Place] = set()
-        for f in factors:
-            if not f.is_constant():
-                support.update(Place.finite(irr) for irr in factor(f))
+        support = {
+            Place.finite(irr) for f in kd.factors if not f.is_constant() for irr in factor(f)
+        }
         places = sorted(support, key=Place.sort_key)
         if include_infinity:
             places.append(Place.infinity(group.p))
-        for v in places:
-            trivial_factors = []
-            for f, q, n_i in zip(factors, qs, group.exponents):
-                if f.is_constant():
-                    trivial_factors.append(False)
-                    continue
-                model = _normalize(group.p, n_i, f, v)
-                trivial_factors.append(model.c != 0)
-            members = [
-                m
-                for m in group.elements()
-                if all(not t or r == 0 for t, r in zip(trivial_factors, m.residues))
-            ]
-            stab = Subgroup(group, tuple(members))
-            mult = group.order // stab.order - 1
-            reports.append(
-                RamReport(
-                    place=v,
-                    stabilizer=stab,
-                    multiplicity=mult,
-                    totally_ramified=stab.is_trivial(),
-                    torsor=mult == 0,
-                    normality="verified" if group.is_cyclic else "assumed",
-                )
-            )
+        stabilizers = [(v, _certified_stabilizer(kd, v)) for v in places]
+        normality = "verified" if group.is_cyclic else "assumed"
     else:
-        cocycle = cov
-        places = support_places(cocycle)
+        places = support_places(cov)
         if include_infinity:
             if infinity_degrees is None:
-                raise ValueError(
-                    "non-cyclic raw tables need explicit chart degrees at infinity"
-                )
-            from .covering import chart_at_infinity
-
-            chart = chart_at_infinity(cocycle, infinity_degrees)
-            u_place = Place.finite(Poly.x(group.p))
-            stab = stabilizer_subgroup_at(chart, u_place)
-            mult = group.order // stab.order - 1
-            reports.append(
-                RamReport(
-                    place=Place.infinity(group.p),
-                    stabilizer=stab,
-                    multiplicity=mult,
-                    totally_ramified=stab.is_trivial(),
-                    torsor=mult == 0,
-                    normality="assumed",
-                )
+                raise ValueError("non-cyclic raw tables need explicit chart degrees at infinity")
+            chart = InfinityChart(cov, infinity_degrees)
+            chart.check_integral()
+            places.insert(0, Place.infinity(group.p))
+        stabilizers = [
+            (v, stabilizer_subgroup_at(chart, chart.u_place) if v.is_infinity
+             else stabilizer_subgroup_at(cov, v))
+            for v in places
+        ]
+        normality = "assumed"
+    reports = []
+    for v, stab in stabilizers:
+        mult = group.order // stab.order - 1
+        reports.append(
+            RamReport(
+                place=v,
+                stabilizer=stab,
+                multiplicity=mult,
+                totally_ramified=stab.is_trivial(),
+                torsor=mult == 0,
+                normality=normality,
             )
-        for v in places:
-            stab = stabilizer_subgroup_at(cocycle, v)
-            mult = group.order // stab.order - 1
-            reports.append(
-                RamReport(
-                    place=v,
-                    stabilizer=stab,
-                    multiplicity=mult,
-                    totally_ramified=stab.is_trivial(),
-                    torsor=mult == 0,
-                    normality="assumed",
-                )
-            )
+        )
     reports.sort(key=lambda r: r.place.sort_key())
     divisor = Divisor({r.place: r.multiplicity for r in reports if r.multiplicity})
     return divisor, reports

@@ -14,6 +14,10 @@ answer.  A non-integral genus is reported as a flag, never rounded; a
 negative one is an internal invariant violation because the hypothesis
 checks should have rejected the model earlier.
 
+The chart at infinity is a view over the affine table, the two charts
+must glue into an integral model (check_chart_consistency), and every
+hypothesis is read off entry valuations, so no dense table is built.
+
 Degrees are computed over the prime field; residue fields of points
 over a place are the place's own residue field (finite fields admit no
 inseparable extensions), so the degree agrees with the geometric count
@@ -27,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .covering import (
-    Cocycle,
+    InfinityChart,
     KummerData,
     canonical_infinity_degrees,
-    chart_at_infinity,
-    forward_decompose,
+    kummer_form,
 )
 from .divisors import Divisor
 from .errors import (
@@ -39,7 +42,7 @@ from .errors import (
     InternalInvariant,
     ModelRejection,
 )
-from .fppoly import Place, Poly, is_pth_power
+from .fppoly import is_pth_power
 from .gorenstein import gorenstein_at
 from .ramification import ramification_divisor
 
@@ -57,44 +60,37 @@ class GlobalModel:
     infinity_degrees: dict | None = None
     g_X: int = 0
 
-    def as_kummer(self) -> KummerData | None:
-        cov = self.covering
-        if isinstance(cov, KummerData):
-            return cov
-        if cov.group.is_cyclic:
-            _, f = forward_decompose(cov)
-            return KummerData(cov.group, (f,))
-        return None
-
     def chart_degrees(self) -> dict:
         if self.infinity_degrees is not None:
             return self.infinity_degrees
-        kd = self.as_kummer()
+        kd = kummer_form(self.covering)
         if kd is None:
             raise ValueError("non-cyclic raw tables need explicit chart degrees at infinity")
         return canonical_infinity_degrees(kd)
 
-    def infinity_chart(self) -> Cocycle:
-        cov = self.covering
-        cocycle = cov.to_cocycle() if isinstance(cov, KummerData) else cov
-        return chart_at_infinity(cocycle, self.chart_degrees())
+    def infinity_chart(self) -> InfinityChart:
+        return InfinityChart(self.covering, self.chart_degrees())
 
 
 def check_chart_consistency(gm: GlobalModel) -> None:
-    """The two charts must glue: the infinity entry of (m, n) is the
-    reversal of the affine entry shifted by the chart degrees.  True by
-    construction for charts we build; this guards the construction."""
-    cov = gm.covering
-    cocycle = cov.to_cocycle() if isinstance(cov, KummerData) else cov
-    chart = gm.infinity_chart()
-    d = gm.chart_degrees()
-    group = cocycle.group
-    dd = {m: (0 if m.is_zero() else d[m]) for m in group.elements()}
-    for m, n, a in cocycle.pairs():
-        exp = dd[m] + dd[n] - dd[m + n] - a.degree()
-        expected = a.reversed_coeffs() * Poly(group.p, [0] * exp + [1])
-        if chart.entry(m, n) != expected:
-            raise InternalInvariant(f"charts disagree at ({m},{n})")
+    """The two charts glue into an integral model: twisted Kummer data is
+    integral on the affine chart, every element has a chart degree, and
+    every entry has a nonnegative u-exponent at infinity.  Raises what
+    building both dense tables would raise, at the same first pair."""
+    if isinstance(gm.covering, KummerData):
+        gm.covering.check_integral()
+    gm.infinity_chart().check_integral()
+
+
+def gorenstein_places(gm: GlobalModel, places):
+    """gorenstein_at per place: finite places on the affine table,
+    infinity at u = 0 on the chart at infinity."""
+    for v in places:
+        if v.is_infinity:
+            chart = gm.infinity_chart()
+            yield gorenstein_at(chart, chart.u_place)
+        else:
+            yield gorenstein_at(gm.covering, v)
 
 
 @dataclass
@@ -110,8 +106,8 @@ class GenusReport:
     notes: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.g_Y is not None:
-            assert 2 * self.g_Y - 2 == self.rhs
+        if self.g_Y is not None and 2 * self.g_Y - 2 != self.rhs:
+            raise InternalInvariant(f"genus {self.g_Y} does not solve 2g - 2 = {self.rhs}")
 
 
 def total_ram_degree(gm: GlobalModel):
@@ -164,16 +160,9 @@ def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
     if not group.is_cyclic:
         notes.append("normality asserted by caller for a product grading")
 
-    # Gorenstein check on both charts, on every report place
-    cocycle = cov.to_cocycle() if isinstance(cov, KummerData) else cov
-    chart = gm.infinity_chart()
-    u_place = Place.finite(Poly.x(group.p))
     per_place = []
-    for r in reports:
-        if r.place.is_infinity:
-            ok, witness = gorenstein_at(chart, u_place)
-        else:
-            ok, witness = gorenstein_at(cocycle, r.place)
+    verdicts = gorenstein_places(gm, [r.place for r in reports])
+    for r, (ok, witness) in zip(reports, verdicts):
         if not ok:
             failures.append(("gorenstein", f"no unit anti-diagonal at {r.place}"))
         per_place.append(

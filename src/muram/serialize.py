@@ -22,6 +22,8 @@ one-element arrays.  Reports include a schema_version field.
 
 from __future__ import annotations
 
+import json
+
 from .covering import Cocycle, KummerData
 from .divisors import Divisor, SymbolicPlace
 from .fppoly import Place, Poly, RatFun
@@ -59,15 +61,16 @@ def place_from_obj(obj, p=None) -> Place:
 def group_to_obj(g: PGroup) -> dict:
     return {"p": g.p, "exponents": list(g.exponents)}
 
-def group_from_obj(obj) -> PGroup:
-    return PGroup(obj["p"], tuple(obj["exponents"]))
+def group_from_obj(obj, path: str = "$.group") -> PGroup:
+    p = _at(_get(obj, "p", path), int, f"{path}.p")
+    return PGroup(p, tuple(_ints(_get(obj, "exponents", path), f"{path}.exponents")))
 
 
 def elt_to_obj(m: GElt):
     return list(m.residues)
 
-def elt_from_obj(group: PGroup, obj) -> GElt:
-    return group.elt(obj)
+def elt_from_obj(group: PGroup, obj, path: str = "$") -> GElt:
+    return group.elt(obj if type(obj) is int else _ints(obj, path))
 
 
 # coverings ---------------------------------------------------------------
@@ -111,36 +114,70 @@ def _rf(v):
 
 
 def covering_from_obj(obj):
-    """-> (covering, infinity_degrees or None, g_X)."""
-    group = group_from_obj(obj["group"])
+    """-> (covering, infinity_degrees or None, g_X).
+
+    Malformed input raises ValueError naming the offending path, such as
+    ``$.f[0][1]``."""
+    group = group_from_obj(_get(obj, "group", "$"))
     p = group.p
     kind = obj.get("kind", "kummer")
     if kind == "kummer":
-        factors = tuple(Poly(p, cs) for cs in obj["f"])
+        fs = _at(_get(obj, "f", "$"), list, "$.f")
+        factors = tuple(Poly(p, _ints(cs, f"$.f[{i}]")) for i, cs in enumerate(fs))
         twist = None
         if obj.get("twist"):
-            twist = {
-                group.elt(rec["elt"]): RatFun(Poly(p, rec["num"]), Poly(p, rec["den"]))
-                for rec in obj["twist"]
-            }
+            twist = {}
+            for i, rec in enumerate(_at(obj["twist"], list, "$.twist")):
+                at = f"$.twist[{i}]"
+                m = elt_from_obj(group, _get(rec, "elt", at), f"{at}.elt")
+                num, den = (_ints(_get(rec, key, at), f"{at}.{key}") for key in ("num", "den"))
+                twist[m] = RatFun(Poly(p, num), Poly(p, den))
         cov = KummerData(group, factors, twist)
     elif kind == "cocycle":
         entries = {}
-        for i, j, cs in obj["entries"]:
-            entries[(group.elt(i), group.elt(j))] = Poly(p, cs)
+        for k, rec in enumerate(_at(_get(obj, "entries", "$"), list, "$.entries")):
+            at = f"$.entries[{k}]"
+            if type(rec) is not list or len(rec) != 3:
+                raise ValueError(f"{at}: expected [i, j, coefficients]")
+            i, j, cs = rec
+            key = (elt_from_obj(group, i, f"{at}[0]"), elt_from_obj(group, j, f"{at}[1]"))
+            entries[key] = Poly(p, _ints(cs, f"{at}[2]"))
         cov = Cocycle.from_entries(group, entries)
     else:
         raise ValueError(f"unknown covering kind {kind!r}")
     degrees = None
     if obj.get("infinity_degrees") is not None:
         order = list(group.elements())
-        given = obj["infinity_degrees"]
+        given = _ints(obj["infinity_degrees"], "$.infinity_degrees")
         if len(given) != len(order):
             raise ValueError(
                 f"infinity_degrees must list {len(order)} integers in canonical element order"
             )
         degrees = {m: d for m, d in zip(order, given) if not m.is_zero()}
-    return cov, degrees, int(obj.get("g_X", 0))
+    return cov, degrees, _at(obj.get("g_X", 0), int, "$.g_X")
+
+
+_KINDS = {int: "an integer", list: "an array", dict: "an object"}
+
+
+def _at(value, kind, path: str):
+    """value if it is a kind (int, list or dict); ValueError naming path otherwise."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{path}: expected {_KINDS[kind]}, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def _get(obj, key: str, path: str):
+    if key not in _at(obj, dict, path):
+        raise ValueError(f"{path}.{key}: missing")
+    return obj[key]
+
+
+def _ints(value, path: str) -> list[int]:
+    for i, c in enumerate(_at(value, list, path)):
+        if type(c) is not int:
+            _at(c, int, f"{path}[{i}]")
+    return value
 
 
 # divisors ----------------------------------------------------------------

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import AlgebraElt, algebra_inverse
-from .errors import CancellationRisk, NotTorsion, ZeroElement
+from .errors import CancellationRisk, InternalInvariant, NotTorsion, ZeroElement
 from .fppoly import Place, valuation
 from .pgroup import GElt
 from .ramification import LocalModel
@@ -179,6 +179,7 @@ def oracle_multiplicity(model: LocalModel) -> int:
     minimum formula does not apply there since all basis valuations tie).
     """
     if model.c == 0:
-        assert all(v == 0 for v in model.vA)
+        if any(model.vA):
+            raise InternalInvariant(f"split place {model.place} with basis valuations {model.vA}")
         return 0
     return snf_length(build_presentation(model), model)

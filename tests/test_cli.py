@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from muram.cli import main
 
 
@@ -173,3 +175,20 @@ def test_infinity_degrees_from_file(tmp_path, capsys):
     path = write_covering(tmp_path, obj)
     code, rep = run(capsys, ["ramify", "--input", path, "--include-infinity"])
     assert code == 0 and rep["degree"] == 2
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "kummer"},
+        {"group": {"p": 2, "exponents": [1]}, "kind": "kummer", "f": "ab"},
+        [],
+    ],
+    ids=["no-group", "f-not-array", "top-level-array"],
+)
+def test_malformed_covering_is_exit_1(tmp_path, capsys, obj):
+    path = write_covering(tmp_path, obj)
+    assert main(["ramify", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and captured.err.startswith("error: $")

@@ -4,6 +4,7 @@ import pytest
 
 from muram.covering import (
     Cocycle,
+    InfinityChart,
     KummerData,
     canonical_infinity_degrees,
     chart_at_infinity,
@@ -19,9 +20,15 @@ from muram.errors import (
     UnsupportedDecomposition,
     ZeroEntry,
 )
-from muram.fppoly import Place, Poly, RatFun
+from muram.fppoly import Place, Poly, RatFun, valuation
 from muram.pgroup import PGroup, sigma
-from muram.randgen import random_column, random_integral_column
+from muram.randgen import (
+    random_column,
+    random_cyclic_cocycle,
+    random_integral_column,
+    random_integral_twist,
+    random_normal_cyclic_kummer,
+)
 
 
 def test_from_column_all_ones():
@@ -231,3 +238,60 @@ def test_detection_against_entrywise_integrality():
             assert integral
         except NonIntegralCocycle:
             assert not integral
+
+
+def _lazy_tables():
+    """(table, dense table, chart degrees): seeded Kummer data, twisted and
+    untwisted, raw cyclic tables, and a product model with explicit degrees."""
+    rng = random.Random(7)
+    out = []
+    for p, n in [(2, 2), (3, 1), (2, 3), (3, 2)]:
+        kd = random_normal_cyclic_kummer(rng, p, n)
+        out.append((kd, kd.to_cocycle(), canonical_infinity_degrees(kd)))
+        twisted = KummerData(kd.group, kd.factors, random_integral_twist(rng, kd.group))
+        out.append((twisted, twisted.to_cocycle(), None))
+        raw = random_cyclic_cocycle(rng, p, n)
+        out.append((raw, raw, None))
+    g = PGroup(2, (2, 1))
+    product = KummerData(g, (Poly(2, [0, 1, 1]), Poly(2, [1, 1, 0, 1])))
+    degrees = {m: 3 * m.residues[0] + 2 * m.residues[1] for m in g.elements() if not m.is_zero()}
+    out.append((product, product.to_cocycle(), degrees))
+    return out
+
+
+def _generous_degrees(dense):
+    # a constant d(m) = D >= every entry degree keeps every u-exponent >= 0
+    top = max(a.degree() for _, _, a in dense.pairs())
+    return {m: top for m in dense.group.elements() if not m.is_zero()}
+
+
+def test_entry_valuation_matches_dense_table():
+    for table, dense, _ in _lazy_tables():
+        places = support_places(dense) + [Place.finite(Poly.x(dense.group.p))]
+        for v in places + [Place.infinity(dense.group.p)]:
+            for m in dense.group.elements():
+                for n in dense.group.elements():
+                    expected = valuation(dense.entry(m, n), v)
+                    assert table.entry_valuation(m, n, v) == expected, (m, n, v)
+
+
+def test_infinity_chart_view_matches_dense_chart():
+    for table, dense, degrees in _lazy_tables():
+        degrees = degrees or _generous_degrees(dense)
+        view = InfinityChart(table, degrees)
+        chart = chart_at_infinity(dense, degrees)
+        for m in dense.group.elements():
+            for n in dense.group.elements():
+                assert view.entry(m, n) == chart.entry(m, n)
+                expected = valuation(chart.entry(m, n), view.u_place)
+                assert view.entry_valuation(m, n, view.u_place) == expected
+
+
+def test_infinity_chart_view_rejects_like_dense_chart():
+    g = PGroup(2, (1,))
+    cube = KummerData(g, (Poly.x(2) ** 3,))
+    view = InfinityChart(cube, {g.elt(1): 1})
+    with pytest.raises(NonIntegralCocycle, match=r"entry \(1,1\) needs u-exponent -1"):
+        view.check_integral()
+    with pytest.raises(ValueError, match="no chart degree given for 1"):
+        InfinityChart(cube, {})

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from muram.cli import main
 from muram.covering import Cocycle, KummerData, twist
 from muram.errors import NotGorensteinHere, SizeLimit, UnsupportedGroup
 from muram.fppoly import Place, Poly, RatFun
@@ -162,3 +164,44 @@ def test_gorenstein_iff_witness_det_unit():
     assert ok
     det = det_M_phi_bruteforce(c, {witness: Poly.one(3)})
     assert valuation(det, AT_X3) == 0
+
+
+# covering files `muram gorenstein --include-infinity` rejects, with the
+# exact report it prints for each
+CLI_REJECTIONS = [
+    (
+        {"group": {"p": 2, "exponents": [2]}, "kind": "kummer", "f": [[1, 1]],
+         "twist": [{"elt": [1], "num": [1], "den": [0, 1]}]},
+        {"rejected": "NonIntegralCocycle", "detail": "entry (1,1) = (1)/(x^2) is not a polynomial"},
+    ),
+    (
+        {"group": {"p": 2, "exponents": [2]}, "kind": "kummer", "f": [[0, 1]],
+         "twist": [{"elt": [2], "num": [], "den": [1]}]},
+        {"rejected": "ZeroEntry", "detail": "twist is zero at 2"},
+    ),
+    (
+        {"group": {"p": 2, "exponents": [1]}, "kind": "kummer", "f": [[0, 0, 0, 1]],
+         "infinity_degrees": [0, 1]},
+        {"rejected": "NonIntegralCocycle",
+         "detail": "entry (1,1) needs u-exponent -1; increase the chart degrees"},
+    ),
+]
+
+
+@pytest.mark.parametrize("obj,report", CLI_REJECTIONS, ids=["twist-pole", "twist-zero", "degrees"])
+def test_gorenstein_cli_chart_rejections(tmp_path, capsys, obj, report):
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps(obj))
+    assert main(["gorenstein", "--input", str(path), "--include-infinity"]) == 2
+    assert json.loads(capsys.readouterr().out) == dict(report, schema_version=1)
+
+
+def test_gorenstein_at_lazy_equals_dense():
+    # Kummer data answers from valuations; the dense table from its entries
+    g = PGroup(2, (2,))
+    zeta = Poly(2, [1, 1])
+    kd = KummerData(g, (zeta,), {g.elt(1): RatFun.from_poly(zeta ** 2),
+                                 g.elt(2): RatFun.from_poly(zeta ** 4),
+                                 g.elt(3): RatFun.from_poly(zeta ** 2)})
+    for place in (Place.finite(zeta), AT_X2, Place.infinity(2)):
+        assert gorenstein_at(kd, place) == gorenstein_at(kd.to_cocycle(), place)

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import muram
 
 from muram.covering import Cocycle, KummerData
 from muram.divisors import Divisor
@@ -272,3 +277,27 @@ def test_gln_regression_values():
 def test_gln_regression_input_validation():
     with pytest.raises(ValueError):
         gln_regression(2, 2, 2, 2)
+
+
+def test_inconsistent_ram_report_raises_under_optimize():
+    # invariants are raises, not asserts, so `python -O` keeps them
+    code = (
+        "from muram.errors import InternalInvariant\n"
+        "from muram.fppoly import Place, Poly\n"
+        "from muram.pgroup import PGroup, Subgroup\n"
+        "from muram.ramification import RamReport\n"
+        "g = PGroup(2, (1,))\n"
+        "v = Place.finite(Poly.x(2))\n"
+        "stab = Subgroup(g, (g.zero(),))  # trivial: multiplicity 1, not a torsor\n"
+        "try:\n"
+        "    RamReport(v, stab, multiplicity=0, totally_ramified=True, torsor=True,\n"
+        "              normality='verified')\n"
+        "except InternalInvariant as exc:\n"
+        "    print('InternalInvariant:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(muram.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InternalInvariant:")

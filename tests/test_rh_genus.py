@@ -5,7 +5,7 @@ import pytest
 from muram.covering import KummerData
 from muram.divisors import Divisor
 from muram.errors import HypothesisFailure
-from muram.fppoly import Place, Poly
+from muram.fppoly import Place, Poly, RatFun
 from muram.pgroup import PGroup
 from muram.randgen import random_normal_cyclic_kummer
 from muram.rh_genus import (
@@ -86,6 +86,37 @@ def test_product_needs_assume_normal():
 def test_chart_consistency_checked():
     gm = GlobalModel(cyclic(3, 2, X3 * X3 * Poly(3, [1, 1])))
     check_chart_consistency(gm)
+
+
+# (model, detail of its one "charts" failure); `muram genus` prints the
+# detail in its rejection report
+Z4 = PGroup(2, (2,))
+CHART_REJECTIONS = {
+    "non-integral twist": (
+        GlobalModel(KummerData(Z4, (X2 + Poly.one(2),), {Z4.elt(1): RatFun(Poly.one(2), X2)})),
+        "entry (1,1) = (1)/(x^2) is not a polynomial",
+    ),
+    "zero twist": (
+        GlobalModel(KummerData(Z4, (X2,), {Z4.elt(2): RatFun.zero(2)})),
+        "twist is zero at 2",
+    ),
+    "chart degrees too small": (
+        GlobalModel(cyclic(2, 1, X2 ** 3), {PGroup(2, (1,)).elt(1): 1}),
+        "entry (1,1) needs u-exponent -1; increase the chart degrees",
+    ),
+    "missing chart degree": (
+        GlobalModel(cyclic(2, 2, X2), {Z4.elt(1): 1, Z4.elt(2): 1}),
+        "no chart degree given for 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHART_REJECTIONS))
+def test_chart_rejections_keep_their_detail(case):
+    gm, detail = CHART_REJECTIONS[case]
+    with pytest.raises(HypothesisFailure) as err:
+        predict_genus(gm)
+    assert err.value.failures == [("charts", detail)]
 
 
 def test_genus_report_per_place_table():
