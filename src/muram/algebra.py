@@ -11,12 +11,8 @@ F_p(x), so it also doubles as the zero-divisor detector.
 from __future__ import annotations
 
 from .errors import CharMismatch, NotInvertible
-from .fppoly import RatFun
+from .fppoly import RatFun, as_ratfun
 from .pgroup import GElt, PGroup
-
-
-def _as_ratfun(v) -> RatFun:
-    return v if isinstance(v, RatFun) else RatFun.from_poly(v)
 
 
 class AlgebraElt:
@@ -27,7 +23,7 @@ class AlgebraElt:
     def __init__(self, group: PGroup, comps):
         clean = {}
         for m, v in comps.items():
-            v = _as_ratfun(v)
+            v = as_ratfun(v)
             if v.p != group.p:
                 raise CharMismatch(
                     f"component at {m} has characteristic {v.p}, group has {group.p}"
@@ -78,7 +74,7 @@ class AlgebraElt:
         return self + (-other)
 
     def scale(self, r: RatFun):
-        r = _as_ratfun(r)
+        r = as_ratfun(r)
         return AlgebraElt(self.group, {m: v * r for m, v in self.comps.items()})
 
     def mul(self, other: "AlgebraElt", table) -> "AlgebraElt":
@@ -86,7 +82,7 @@ class AlgebraElt:
         for m, a in self.comps.items():
             for n, b in other.comps.items():
                 k = m + n
-                term = a * b * _as_ratfun(table.entry(m, n))
+                term = a * b * as_ratfun(table.entry(m, n))
                 out[k] = out[k] + term if k in out else term
         return AlgebraElt(self.group, out)
 
@@ -137,7 +133,7 @@ def algebra_inverse(a: AlgebraElt, table) -> AlgebraElt:
     for n in elements:
         for m, coeff in a.comps.items():
             k = m + n
-            matrix[index[k]][index[n]] = matrix[index[k]][index[n]] + coeff * _as_ratfun(
+            matrix[index[k]][index[n]] = matrix[index[k]][index[n]] + coeff * as_ratfun(
                 table.entry(m, n)
             )
     rhs = [zero] * size

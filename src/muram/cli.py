@@ -41,7 +41,7 @@ from .randgen import (
     random_normal_cyclic_kummer,
     random_phi,
 )
-from .rh_genus import GlobalModel, check_chart_consistency, gorenstein_places, predict_genus
+from .rh_genus import GlobalModel, gorenstein_places, predict_genus
 from .serialize import (
     SCHEMA_VERSION,
     covering_from_obj,
@@ -166,7 +166,7 @@ def _cmd_gorenstein(args):
     )
     gm = GlobalModel(cov, degrees)
     if args.include_infinity:
-        check_chart_consistency(gm)
+        gm.infinity_chart().check_integral()
     out = _report_base("gorenstein")
     verdicts = gorenstein_places(gm, [r.place for r in reports])
     out["places"] = rows = [
@@ -202,12 +202,12 @@ def _gorenstein_search(args):
         factors = tuple(random_normal_cyclic_kummer(rng, p, n, max_deg=3).factors[0] for n in exps)
         kd = KummerData(group, factors, random_integral_twist(rng, group))
         try:
-            cocycle = kd.to_cocycle()
+            kd.check_integral()
         except ModelRejection:
             continue
-        for v in support_places(cocycle):
+        for v in support_places(kd):
             checked += 1
-            ok, _ = gorenstein_at(cocycle, v)
+            ok, _ = gorenstein_at(kd, v)
             if not ok:
                 found.append(
                     {

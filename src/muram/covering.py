@@ -3,18 +3,21 @@
 A covering of the affine line graded by a finite abelian p-group M is
 recorded by its structure constants alpha(m, n) in F_p[x], subject to
 normalization alpha(0, m) = 1, symmetry, and the associativity relation
-alpha(l,m) alpha(l+m,n) = alpha(m,n) alpha(l,m+n).  For cyclic M every
-table is determined by the column alpha(i, 1): the coboundary betas and
-the chart equation f are recovered by a telescoping recursion and the
-full table is rebuilt as
-
-    alpha(i, j) = beta_{i+j} * beta_i^{-1} * beta_j^{-1} * f^{sigma(i,j)}
-
-with the index i+j taken modulo the group order.  Rebuilt entries must
-be polynomials; columns that force denominators are rejected.
+alpha(l,m) alpha(l+m,n) = alpha(m,n) alpha(l,m+n).
 
 KummerData is the normal form: one chart equation per invariant factor
-plus an optional coboundary twist.
+plus an optional coboundary twist b, with structure constants
+
+    alpha(m, n) = prod_i f_i^{sigma_i(m,n)} * b(m) b(n) / b(m+n).
+
+twisted_entry is the one place that forms a twisted structure constant;
+KummerData and twist() both call it.  For cyclic M every table is
+determined by the column alpha(i, 1): with beta_0 = beta_1 = 1,
+beta_{i+1} = beta_i alpha(i, 1) and f the product of the column, the
+table is the Kummer data of f twisted by b(i) = 1/beta_i.
+cocycle_from_column rebuilds a table that way (columns that force
+denominators are rejected) and forward_decompose checks a table against
+it.
 
 A table is anything with ``group``, ``entry(m, n)`` and
 ``entry_valuation(m, n, place)``: Cocycle stores its entries, KummerData
@@ -33,7 +36,7 @@ from .errors import (
     UnsupportedDecomposition,
     ZeroEntry,
 )
-from .fppoly import Place, Poly, RatFun, factor, valuation
+from .fppoly import Place, Poly, RatFun, as_ratfun, factor, valuation
 from .pgroup import GElt, PGroup, sigma
 
 
@@ -165,7 +168,7 @@ class KummerData:
                 raise CharMismatch("chart equation characteristic differs from the group's")
         if self.twist is not None:
             b0 = self.twist.get(self.group.zero())
-            if b0 is not None and not _as_rf(b0).is_one():
+            if b0 is not None and not as_ratfun(b0).is_one():
                 raise ValueError("twist must send 0 to 1")
         object.__setattr__(self, "_valuations", {})  # place -> _valuations_at(place)
 
@@ -176,18 +179,19 @@ class KummerData:
         b = self.twist.get(m)
         if b is None:
             return RatFun.one(self.group.p)
-        if _as_rf(b).is_zero():
+        b = as_ratfun(b)
+        if b.is_zero():
             raise ZeroEntry(f"twist is zero at {m}")
-        return _as_rf(b)
+        return b
 
     def raw_entry(self, m: GElt, n: GElt) -> RatFun:
-        out = RatFun.one(self.group.p)
+        a = Poly.one(self.group.p)
         for f, s in zip(self.factors, sigma(m, n)):
             if s:
-                out = out * f
-        if self.twist is not None:
-            out = out * self.twist_at(m) * self.twist_at(n) / self.twist_at(m + n)
-        return out
+                a = a * f
+        if not self.twist:
+            return RatFun.from_poly(a)
+        return twisted_entry(a, self.twist_at(m), self.twist_at(n), self.twist_at(m + n))
 
     def entry(self, m: GElt, n: GElt) -> Poly:
         a = self.raw_entry(m, n)
@@ -239,8 +243,10 @@ def kummer_form(cov) -> KummerData | None:
     return KummerData(cov.group, (f,))
 
 
-def _as_rf(v) -> RatFun:
-    return v if isinstance(v, RatFun) else RatFun.from_poly(v)
+def twisted_entry(a: Poly, bm: RatFun, bn: RatFun, bmn: RatFun) -> RatFun:
+    """a * b(m) b(n) / b(m+n) for bm = b(m), bn = b(n), bmn = b(m+n):
+    numerator and denominator are multiplied out and reduced once."""
+    return RatFun(a * bm.num * bn.num * bmn.den, bm.den * bn.den * bmn.num)
 
 
 def cocycle_from_column(group: PGroup, column) -> Cocycle:
@@ -261,18 +267,9 @@ def cocycle_from_column(group: PGroup, column) -> Cocycle:
         if a.is_zero():
             raise ZeroEntry("column entries must be nonzero")
     col = {i: column[i - 1] for i in range(1, q)}  # col[i] = alpha(i, 1)
-    beta = _betas_from_column(group, col)
-    f = Poly.one(group.p)
-    for i in range(1, q):
-        f = f * col[i]
-    entries = {}
-    for m in group.elements():
-        for n in group.elements():
-            a = _reconstructed_entry(beta, f, m, n)
-            if not a.is_poly():
-                raise NonIntegralCocycle(f"entry ({m},{n}) = {a} is not a polynomial")
-            entries[(m, n)] = a.as_poly()
-    c = Cocycle(group, entries)
+    _, kd = _column_kummer(group, col)
+    elements = list(group.elements())
+    c = Cocycle(group, {(m, n): kd.entry(m, n) for m in elements for n in elements})
     report = validate(c)
     if not report.ok:
         raise InternalInvariant(f"reconstructed table failed validation: {report.failures}")
@@ -283,22 +280,20 @@ def cocycle_from_column(group: PGroup, column) -> Cocycle:
     return c
 
 
-def _betas_from_column(group: PGroup, col) -> list[RatFun]:
+def _column_kummer(group: PGroup, col) -> tuple[list[RatFun], KummerData]:
+    """(betas, Kummer data) of the column col[i] = alpha(i, 1): beta_0 =
+    beta_1 = 1, beta_{i+1} = beta_i alpha(i, 1), and the table
+    beta_{i+j} beta_i^{-1} beta_j^{-1} f^{sigma(i,j)} is f, the product
+    of the column, twisted by b(i) = 1/beta_i."""
     q = group.order
-    beta = [RatFun.one(group.p)] * q  # beta[0] = beta[1] = 1
+    beta = [RatFun.one(group.p)] * q
     for i in range(1, q - 1):
         beta[i + 1] = beta[i] * col[i]
-    return beta
-
-
-def _reconstructed_entry(beta, f: Poly, m: GElt, n: GElt) -> RatFun:
-    q = m.group.order
-    si, sj = m.residues[0], n.residues[0]
-    carry = sigma(m, n)[0]
-    out = beta[(si + sj) % q] / (beta[si] * beta[sj])
-    if carry:
-        out = out * f
-    return out
+    f = Poly.one(group.p)
+    for i in range(1, q):
+        f = f * col[i]
+    b = {group.elt(i): beta_i.inverse() for i, beta_i in enumerate(beta)}
+    return beta, KummerData(group, (f,), b)
 
 
 def forward_decompose(c: Cocycle):
@@ -313,27 +308,23 @@ def forward_decompose(c: Cocycle):
         raise UnsupportedDecomposition(
             "only cyclic tables decompose; present product data as KummerData"
         )
-    q = group.order
     one = group.elt(1)
-    col = {i: c.entry(group.elt(i), one) for i in range(1, q)}
-    beta = _betas_from_column(group, col)
-    f = Poly.one(group.p)
-    for i in range(1, q):
-        f = f * col[i]
+    col = {i: c.entry(group.elt(i), one) for i in range(1, group.order)}
+    beta, kd = _column_kummer(group, col)
     for m in group.elements():
         for n in group.elements():
-            if _reconstructed_entry(beta, f, m, n) != _as_rf(c.entry(m, n)):
+            if kd.raw_entry(m, n) != c.entry(m, n):
                 raise UnsupportedDecomposition(
                     f"table is not a valid symmetric cocycle at ({m},{n})"
                 )
-    return beta, f
+    return beta, kd.factors[0]
 
 
 def twist(c: Cocycle, b: dict) -> Cocycle:
     """Change of graded basis e_m -> b(m) e_m:
     alpha'(m,n) = alpha(m,n) b(m) b(n) / b(m+n), which must stay integral."""
     group = c.group
-    bmap = {m: _as_rf(v) for m, v in b.items()}
+    bmap = {m: as_ratfun(v) for m, v in b.items()}
     zero = group.zero()
     bmap.setdefault(zero, RatFun.one(group.p))
     if not bmap[zero].is_one():
@@ -345,7 +336,7 @@ def twist(c: Cocycle, b: dict) -> Cocycle:
     entries = {}
     for m in group.elements():
         for n in group.elements():
-            a = _as_rf(c.entry(m, n)) * bmap[m] * bmap[n] / bmap[m + n]
+            a = twisted_entry(c.entry(m, n), bmap[m], bmap[n], bmap[m + n])
             if not a.is_poly():
                 raise NonIntegralCocycle(f"twisted entry ({m},{n}) = {a} is not a polynomial")
             entries[(m, n)] = a.as_poly()
@@ -426,7 +417,7 @@ def torsor_at(c, v: Place) -> bool:
     )
 
 
-def support_places(c: Cocycle) -> list[Place]:
+def support_places(c) -> list[Place]:
     """Finite places where some alpha(m, -m) is a non-unit, sorted."""
     seen = set()
     for m in c.group.elements():

@@ -306,9 +306,6 @@ def _distinct_degree(f: Poly):
     return out
 
 
-_EDF_RNG = random.Random(0x5EED)
-
-
 def _random_poly(p, deg, rng):
     return Poly(p, [rng.randrange(p) for _ in range(deg)] + [1])
 
@@ -340,13 +337,15 @@ def factor(f: Poly) -> dict[Poly, int]:
 
     The leading coefficient times the product of the factors (with
     multiplicity) reproduces f exactly.  Constants factor as the empty
-    multiset.
+    multiset.  The equal-degree split is seeded from f alone (tuples of
+    ints hash alike in every process), so the factors and their order
+    depend on nothing but f.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.is_constant():
         return {}
-    rng = random.Random(_EDF_RNG.random())
+    rng = random.Random(hash((f.p, f.coeffs)))
     out: dict[Poly, int] = {}
     for sqfree, mult in _squarefree_decomposition(f.monic()).items():
         for prod, d in _distinct_degree(sqfree):
@@ -485,6 +484,11 @@ class RatFun:
         if self.den.is_one():
             return str(self.num)
         return f"({self.num})/({self.den})"
+
+
+def as_ratfun(v) -> RatFun:
+    """v as a RatFun: a RatFun as it is, a Poly over the denominator 1."""
+    return v if isinstance(v, RatFun) else RatFun.from_poly(v)
 
 
 # places and valuations --------------------------------------------------

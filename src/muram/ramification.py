@@ -10,7 +10,14 @@ element is a uniformizer.  When c = 0 the model is integrally closed
 above pi exactly when the unit part w = f / pi^{v(f)} keeps a nonzero
 derivative mod pi (the chart equation z^{p^n} = w has no other partial
 in characteristic p).  Local exponents with 0 < gcd(c, p^n) < p^n leave
-this model class and are refused.
+this model class and are refused, and so is a chart equation that is a
+p-th power (the covering is then not integral).
+
+Singular points can also hide where f is a unit, so before any place is
+certified the off-support sweep sends every place of f' with v(f) = 0
+mod p^n, in Place.sort_key order, to the same unit-part derivative test.
+ramification_divisor and devissage_check take their places from one
+helper: the sweep, the support of f in order, then infinity if asked.
 
 Multiplicities: the stabilizer subgroup at a place is
 N = { m : alpha(m, -m) is a unit there } and the ramification divisor
@@ -142,10 +149,14 @@ def normalize_local_model(kd: KummerData, v: Place) -> LocalModel:
     return _normalize(p, n, f, v)
 
 
-def _normalize(p: int, n: int, f: Poly, v: Place) -> LocalModel:
-    q = p ** n
+def _reject_pth_power(f: Poly) -> None:
     if is_pth_power(f):
         raise NonIntegralModel(f"chart equation {f} is a p-th power; the covering is not integral")
+
+
+def _normalize(p: int, n: int, f: Poly, v: Place) -> LocalModel:
+    q = p ** n
+    _reject_pth_power(f)
     if v.is_infinity:
         f_chart = infinity_chart_equation(f, q)
         working = Place.finite(Poly.x(p))
@@ -198,8 +209,7 @@ def untwisted_local_model(kd: KummerData, v: Place) -> LocalModel:
     f = _require_cyclic(kd)
     p, n = kd.group.p, kd.group.exponents[0]
     q = p ** n
-    if is_pth_power(f):
-        raise NonIntegralModel(f"chart equation {f} is a p-th power; the covering is not integral")
+    _reject_pth_power(f)
     if v.is_infinity:
         raise UnsupportedGroup("untwisted models are for finite places; transport the chart first")
     c0 = poly_valuation(f, v)
@@ -274,29 +284,37 @@ class RamReport:
                                     f"at {self.place} contradicts the stabilizer")
 
 
-def _off_support_normality_sweep(f: Poly, q: int) -> None:
+def _off_support_normality_sweep(p: int, n: int, f: Poly) -> None:
     """Reject singular points hiding over places where f is a unit.
 
-    The chart z^{p^n} = f is singular over pi exactly when the reduced
-    unit part has derivative divisible by pi; for places outside the
-    support this means pi | f'.  Without this sweep a cuspidal model
-    (e.g. z^2 = 1 + x^3 over x = 0) would sail through with a wrong
+    The chart z^{p^n} = f is singular over pi exactly when the unit part
+    of f has derivative divisible by pi; at places with v(f) = 0 mod p^n
+    this means pi | f'.  Each such place of f' goes, in Place.sort_key
+    order, to the unit-part derivative test of _normalize_finite, so the
+    least singular place is the one named.  Without this sweep a cuspidal
+    model (e.g. z^2 = 1 + x^3 over x = 0) would sail through with a wrong
     divisor.
     """
-    df = f.derivative()
-    if df.is_zero():
-        raise NonIntegralModel(f"chart equation {f} is a p-th power; the covering is not integral")
-    for zeta in factor(df):
-        c0 = poly_valuation(f, Place.finite(zeta))
-        if c0 % q == 0:
-            w = f
-            for _ in range(c0):
-                w = w // zeta
-            if (w.derivative() % zeta).is_zero():
-                raise NonNormalModel(
-                    f"unit-part derivative vanishes at ({zeta}); "
-                    "the chart equation is singular there"
-                )
+    _reject_pth_power(f)
+    q = p ** n
+    for v in sorted(map(Place.finite, factor(f.derivative())), key=Place.sort_key):
+        if poly_valuation(f, v) % q == 0:
+            _normalize_finite(p, n, f, v)
+
+
+def _kummer_places(kd: KummerData, include_infinity: bool) -> list[Place]:
+    """Sweep every non-constant chart equation, then list the places of
+    their supports in Place.sort_key order, and infinity last if asked."""
+    p = kd.group.p
+    support = set()
+    for f, n in zip(kd.factors, kd.group.exponents):
+        if not f.is_constant():
+            _off_support_normality_sweep(p, n, f)
+            support.update(Place.finite(irr) for irr in factor(f))
+    places = sorted(support, key=Place.sort_key)
+    if include_infinity:
+        places.append(Place.infinity(p))
+    return places
 
 
 def _certified_stabilizer(kd: KummerData, v: Place) -> Subgroup:
@@ -327,15 +345,7 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
     group = cov.group
     kd = kummer_form(cov)
     if kd is not None:
-        for f, q in zip(kd.factors, group.factor_orders):
-            if not f.is_constant():
-                _off_support_normality_sweep(f, q)
-        support = {
-            Place.finite(irr) for f in kd.factors if not f.is_constant() for irr in factor(f)
-        }
-        places = sorted(support, key=Place.sort_key)
-        if include_infinity:
-            places.append(Place.infinity(group.p))
+        places = _kummer_places(kd, include_infinity)
         stabilizers = [(v, _certified_stabilizer(kd, v)) for v in places]
         normality = "verified" if group.is_cyclic else "assumed"
     else:
@@ -406,10 +416,7 @@ def devissage_check(
             total=zero, lower=zero, upper=zero, pullback_indices={}, equal=True,
             oracle_agrees=True if with_oracle else None,
         )
-    _off_support_normality_sweep(f, q)
-    places = sorted({Place.finite(irr) for irr in factor(f)}, key=Place.sort_key)
-    if include_infinity:
-        places.append(Place.infinity(p))
+    places = _kummer_places(kd, include_infinity)
     total: dict[Place, int] = {}
     lower: dict[Place, int] = {}
     upper: dict[Place, int] = {}

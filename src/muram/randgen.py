@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .covering import Cocycle, KummerData, twist
+from .covering import Cocycle, KummerData
 from .errors import ModelRejection
 from .fppoly import Place, Poly, RatFun, is_irreducible, poly_valuation
 from .pgroup import PGroup
@@ -99,8 +99,7 @@ def random_cyclic_cocycle(rng: random.Random, p: int, n: int, max_deg: int = 2) 
         f = random_poly(rng, p, rng.randrange(1, max_deg + 1))
         if not f.derivative().is_zero():
             break
-    base = KummerData(group, (f,)).to_cocycle()
-    return twist(base, random_integral_twist(rng, group))
+    return KummerData(group, (f,), random_integral_twist(rng, group)).to_cocycle()
 
 
 def random_integral_column(rng: random.Random, p: int, n: int, max_deg: int = 2) -> list[Poly]:

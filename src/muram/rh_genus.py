@@ -7,8 +7,9 @@ solves
     2 g(Y) - 2 = |G| (2 g(X) - 2) + deg(R)
 
 from the full ramification divisor, both charts included.  Hypotheses
-are verified first: the covering must be integral (no chart equation a
-p-th power), every place normal-certified, and every place Gorenstein;
+are verified first: the covering must be integral (no chart equation of
+its Kummer form a p-th power, for Kummer data and raw cyclic tables
+alike), every place normal-certified, and every place Gorenstein;
 failures are collected into one HypothesisFailure instead of a partial
 answer.  A non-integral genus is reported as a flag, never rounded; a
 negative one is an internal invariant violation because the hypothesis
@@ -41,6 +42,7 @@ from .errors import (
     HypothesisFailure,
     InternalInvariant,
     ModelRejection,
+    UnsupportedDecomposition,
 )
 from .fppoly import is_pth_power
 from .gorenstein import gorenstein_at
@@ -132,10 +134,13 @@ def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
     failures = []
     notes = [BASE_FIELD_NOTE]
 
-    if isinstance(cov, KummerData):
-        for f in cov.factors:
-            if is_pth_power(f):
-                failures.append(("integrality", f"chart equation {f} is a p-th power"))
+    try:
+        kd = kummer_form(cov)
+    except UnsupportedDecomposition:
+        kd = None  # a raw cyclic table that does not decompose fails a later check
+    for f in kd.factors if kd is not None else ():
+        if is_pth_power(f):
+            failures.append(("integrality", f"chart equation {f} is a p-th power"))
     if not group.is_cyclic and not assume_normal:
         failures.append(
             (
@@ -146,6 +151,9 @@ def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
         )
     if failures:
         raise HypothesisFailure(failures)
+    if kd is not None and gm.infinity_degrees is None:
+        # fix the canonical degrees from kd: each chart view would decompose a raw table again
+        gm = GlobalModel(cov, canonical_infinity_degrees(kd), gm.g_X)
 
     try:
         check_chart_consistency(gm)

@@ -26,7 +26,7 @@ import json
 
 from .covering import Cocycle, KummerData
 from .divisors import Divisor, SymbolicPlace
-from .fppoly import Place, Poly, RatFun
+from .fppoly import Poly, RatFun, as_ratfun
 from .pgroup import GElt, PGroup
 
 SCHEMA_VERSION = 1
@@ -37,9 +37,6 @@ SCHEMA_VERSION = 1
 def poly_to_obj(f: Poly) -> dict:
     return {"p": f.p, "coeffs": list(f.coeffs)}
 
-def poly_from_obj(obj) -> Poly:
-    return Poly(obj["p"], obj["coeffs"])
-
 
 def place_to_obj(v) -> dict:
     if isinstance(v, SymbolicPlace):
@@ -47,13 +44,6 @@ def place_to_obj(v) -> dict:
     if v.is_infinity:
         return {"kind": "infinity"}
     return {"kind": "finite", "poly": poly_to_obj(v.poly)}
-
-def place_from_obj(obj, p=None) -> Place:
-    if obj["kind"] == "infinity":
-        if p is None:
-            raise ValueError("infinity place needs the ambient characteristic")
-        return Place.infinity(p)
-    return Place.finite(poly_from_obj(obj["poly"]))
 
 
 # groups ------------------------------------------------------------------
@@ -86,8 +76,8 @@ def covering_to_obj(cov, infinity_degrees=None, g_X: int = 0) -> dict:
             out["twist"] = [
                 {
                     "elt": elt_to_obj(m),
-                    "num": list(_rf(b).num.coeffs),
-                    "den": list(_rf(b).den.coeffs),
+                    "num": list(as_ratfun(b).num.coeffs),
+                    "den": list(as_ratfun(b).den.coeffs),
                 }
                 for m, b in sorted(cov.twist.items(), key=lambda kv: kv[0].residues)
             ]
@@ -107,10 +97,6 @@ def covering_to_obj(cov, infinity_degrees=None, g_X: int = 0) -> dict:
         ]
     out["g_X"] = g_X
     return out
-
-
-def _rf(v):
-    return v if isinstance(v, RatFun) else RatFun.from_poly(v)
 
 
 def covering_from_obj(obj):

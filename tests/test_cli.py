@@ -104,6 +104,16 @@ def test_genus_subcommand(tmp_path, capsys):
 def test_genus_hypothesis_failure_exit_2(tmp_path, capsys):
     path = write_covering(tmp_path, kummer_obj(2, [1], [[0, 1, 0, 0, 1]]))
     assert main(["genus", "--input", path]) == 2
+    # the all-ones Z/2 table is z^2 = 1, whose chart equation is a p-th power
+    ones = {
+        "group": {"p": 2, "exponents": [1]},
+        "kind": "cocycle",
+        "entries": [[[0], [0], [1]], [[0], [1], [1]], [[1], [1], [1]]],
+    }
+    path = write_covering(tmp_path, ones, name="ones.json")
+    capsys.readouterr()
+    code, rep = run(capsys, ["genus", "--input", path])
+    assert code == 2 and rep["rejected"] == "HypothesisFailure"
 
 
 def test_regress_gln_subcommand(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -50,7 +51,9 @@ def test_from_column_two_entry_table():
 def test_from_column_non_integral():
     g = PGroup(3, (1,))
     f = Poly(3, [1, 1])
-    with pytest.raises(NonIntegralCocycle):
+    with pytest.raises(
+        NonIntegralCocycle, match=re.escape("entry (2,2) = (1)/(x + 1) is not a polynomial")
+    ):
         cocycle_from_column(g, [f, Poly.one(3)])
 
 

@@ -37,6 +37,8 @@ def poly_strategy(p, max_deg=6, nonzero=False):
 def test_factor_examples(p, coeffs, expected):
     got = factor(Poly(p, coeffs))
     assert {g.coeffs: m for g, m in got.items()} == expected
+    # the factors come in the same order on every call
+    assert len({tuple(factor(Poly(p, coeffs))) for _ in range(8)}) == 1
 
 
 def test_factor_zero_raises():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from muram.cli import main
-from muram.covering import Cocycle, KummerData, twist
+from muram.covering import Cocycle, KummerData, support_places, twist
 from muram.errors import NotGorensteinHere, SizeLimit, UnsupportedGroup
 from muram.fppoly import Place, Poly, RatFun
 from muram.gorenstein import (
@@ -17,7 +17,12 @@ from muram.gorenstein import (
     sign_table,
 )
 from muram.pgroup import PGroup
-from muram.randgen import random_cyclic_cocycle, random_phi
+from muram.randgen import (
+    random_cyclic_cocycle,
+    random_integral_twist,
+    random_normal_cyclic_kummer,
+    random_phi,
+)
 
 X2, X3 = Poly.x(2), Poly.x(3)
 AT_X2, AT_X3 = Place.finite(X2), Place.finite(X3)
@@ -205,3 +210,17 @@ def test_gorenstein_at_lazy_equals_dense():
                                  g.elt(3): RatFun.from_poly(zeta ** 2)})
     for place in (Place.finite(zeta), AT_X2, Place.infinity(2)):
         assert gorenstein_at(kd, place) == gorenstein_at(kd.to_cocycle(), place)
+    # seeded twisted models of the five shapes `muram gorenstein --search` draws
+    rng = random.Random(5)
+    for p, exps in [(2, (1, 1)), (3, (1, 1)), (2, (2,)), (3, (2,)), (2, (2, 1))]:
+        group = PGroup(p, exps)
+        for _ in range(2):
+            factors = tuple(
+                random_normal_cyclic_kummer(rng, p, n, max_deg=3).factors[0] for n in exps
+            )
+            kd = KummerData(group, factors, random_integral_twist(rng, group))
+            dense = kd.to_cocycle()
+            places = support_places(dense)
+            assert support_places(kd) == places
+            for place in places + [Place.finite(Poly.x(p)), Place.infinity(p)]:
+                assert gorenstein_at(kd, place) == gorenstein_at(dense, place)

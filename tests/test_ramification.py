@@ -15,7 +15,7 @@ from muram.errors import (
     NotTotallyRamified,
     UnsupportedPartialRamification,
 )
-from muram.fppoly import Place, Poly, RatFun
+from muram.fppoly import Place, Poly, RatFun, factor
 from muram.pgroup import PGroup
 from muram.ramification import (
     devissage_check,
@@ -174,6 +174,15 @@ def test_off_support_cusp_is_rejected():
     f = Poly(2, [0, 1, 1, 1])
     with pytest.raises(NonNormalModel):
         ramification_divisor(cyclic(2, 1, f))
+    # z^5 = x^4 + 2x^2 is singular over (x + 2) and (x + 3); the least place
+    # is named, however many factorizations ran before
+    kd = cyclic(5, 1, Poly(5, [0, 0, 2, 0, 1]))
+    split = Poly(5, [1, 1]) * Poly(5, [2, 1]) * Poly(5, [3, 1])
+    for earlier in range(8):
+        for _ in range(earlier):
+            factor(split)
+        with pytest.raises(NonNormalModel, match=r"vanishes at \(x \+ 2\);"):
+            ramification_divisor(kd)
 
 
 def test_unit_twist_leaves_reports_unchanged():

@@ -35,11 +35,19 @@ def test_total_ram_degree_constant_equation_is_zero():
     assert deg == 0 and div.is_zero()
 
 
-def test_constant_unit_equation_is_rejected():
-    # z^p = c has c a p-th power over the prime field: not integral
-    with pytest.raises(HypothesisFailure) as err:
-        predict_genus(GlobalModel(cyclic(2, 1, Poly.one(2))))
-    assert err.value.failures[0][0] == "integrality"
+def as_form(kd, form):
+    """Kummer data as it is, or its raw table."""
+    return kd if form == "kummer" else kd.to_cocycle()
+
+
+@pytest.mark.parametrize("form", ["kummer", "raw"])
+def test_constant_unit_equation_is_rejected(form):
+    # z^p = c has c a p-th power over the prime field: not integral; the raw
+    # forms are the all-ones Z/2 and Z/4 tables
+    for n in (1, 2):
+        with pytest.raises(HypothesisFailure) as err:
+            predict_genus(GlobalModel(as_form(cyclic(2, n, Poly.one(2)), form)))
+        assert err.value.failures[0][0] == "integrality"
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
@@ -65,9 +73,10 @@ def test_cuspidal_infinity_chart_rejected():
     assert err.value.failures[0][0] == "NonNormalModel"
 
 
-def test_pth_power_rejected():
+@pytest.mark.parametrize("form", ["kummer", "raw"])
+def test_pth_power_rejected(form):
     with pytest.raises(HypothesisFailure) as err:
-        predict_genus(GlobalModel(cyclic(2, 1, X2 * X2)))
+        predict_genus(GlobalModel(as_form(cyclic(2, 1, X2 * X2), form)))
     assert err.value.failures[0][0] == "integrality"
 
 
