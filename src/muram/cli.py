@@ -31,6 +31,7 @@ from .pgroup import PGroup
 from .ramification import (
     devissage_check,
     gln_regression,
+    multiplicity_at,
     normalize_local_model,
     ramification_divisor,
 )
@@ -117,7 +118,7 @@ def _cmd_oracle(args):
         )
     place = _parse_place(args.place, cov.group.p)
     model = normalize_local_model(cov, place)
-    formula = model.q - 1 if model.c else 0
+    formula = multiplicity_at(cov, place, verify=True)
     oracle = oracle_multiplicity(model)
     out = _report_base("oracle")
     out["place"] = place_to_obj(place)
@@ -143,9 +144,7 @@ def _cmd_devissage(args):
     out["lower"] = divisor_to_obj(rep.lower)
     out["upper"] = divisor_to_obj(rep.upper)
     out["pullback_indices"] = [
-        {"place": place_to_obj(v), "index": e} for v, e in sorted(
-            rep.pullback_indices.items(), key=lambda kv: kv[0].sort_key()
-        )
+        {"place": place_to_obj(v), "index": e} for v, e in rep.pullback_indices.items()
     ]
     out["equal"] = rep.equal
     if rep.oracle_agrees is not None:
@@ -159,12 +158,10 @@ def _cmd_gorenstein(args):
     if args.search:
         return _gorenstein_search(args)
     cov, degrees, _ = _load_covering(args.input)
+    gm = GlobalModel(cov, degrees)
     if isinstance(cov, KummerData):
         cov.check_integral()
-    divisor, reports = ramification_divisor(
-        cov, include_infinity=args.include_infinity, infinity_degrees=degrees
-    )
-    gm = GlobalModel(cov, degrees)
+    _, reports = gm.ramification_divisor(args.include_infinity)
     if args.include_infinity:
         gm.infinity_chart().check_integral()
     out = _report_base("gorenstein")
@@ -234,16 +231,8 @@ def _cmd_genus(args):
     out["g_Y"] = rep.g_Y
     out["non_integer"] = rep.non_integer
     out["per_place"] = [
-        {
-            "place": place_to_obj(row["place"]),
-            "multiplicity": row["multiplicity"],
-            "stabilizer_order": row["stabilizer_order"],
-            "totally_ramified": row["totally_ramified"],
-            "torsor": row["torsor"],
-            "normality": row["normality"],
-            "gorenstein": row["gorenstein"],
-            "witness": None if row["witness"] is None else elt_to_obj(row["witness"]),
-        }
+        dict(row, place=place_to_obj(row["place"]),
+             witness=None if row["witness"] is None else elt_to_obj(row["witness"]))
         for row in rep.per_place
     ]
     out["notes"] = rep.notes
@@ -277,18 +266,17 @@ def _cmd_fuzz(args):
         for _ in range(args.count):
             kd = random_normal_cyclic_kummer(rng, p, n)
             checked["models"] += 1
-            divisor, reports = ramification_divisor(kd, include_infinity=True)
             rep = predict_genus(GlobalModel(kd))
             if rep.deg_R != 2 * (q - 1) or rep.g_Y != 0:
                 failures.append(
                     f"accepted model {kd.factors[0]} over p^n={q} has deg_R={rep.deg_R}, g={rep.g_Y}"
                 )
-            for r in reports:
-                model = normalize_local_model(kd, r.place)
+            for row in rep.per_place:
+                model = normalize_local_model(kd, row["place"])
                 checked["oracle_places"] += 1
-                if oracle_multiplicity(model) != r.multiplicity:
+                if oracle_multiplicity(model) != row["multiplicity"]:
                     failures.append(
-                        f"oracle mismatch at {r.place} for {kd.factors[0]} (p^n={q})"
+                        f"oracle mismatch at {row['place']} for {kd.factors[0]} (p^n={q})"
                     )
             if n >= 2:
                 checked["devissage"] += 1

@@ -89,7 +89,7 @@ class NotTotallyRamified(ModelRejection):
     pass
 
 
-class NotASubgroup(InternalInvariant):
+class NotASubgroup(ModelRejection):
     pass
 
 

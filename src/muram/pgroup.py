@@ -24,6 +24,9 @@ class PGroup:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        # no p-group of order > 1 within MAX_ORDER has p > MAX_ORDER; refuse before trial division
+        if self.p > MAX_ORDER:
+            raise ValueError(f"characteristic {self.p} exceeds {MAX_ORDER}")
         _check_prime(self.p)
         object.__setattr__(self, "exponents", tuple(self.exponents))
         # no invariant factors = the trivial group

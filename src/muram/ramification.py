@@ -16,8 +16,10 @@ p-th power (the covering is then not integral).
 Singular points can also hide where f is a unit, so before any place is
 certified the off-support sweep sends every place of f' with v(f) = 0
 mod p^n, in Place.sort_key order, to the same unit-part derivative test.
-ramification_divisor and devissage_check take their places from one
-helper: the sweep, the support of f in order, then infinity if asked.
+ramification_divisor takes its places from one helper: the sweep, the
+support of f in order, then infinity if asked.  Its certified stabilizer
+is the one place a cyclic multiplicity is decided: multiplicity_at with
+verify=True and both layers of devissage_check read it.
 
 Multiplicities: the stabilizer subgroup at a place is
 N = { m : alpha(m, -m) is a unit there } and the ramification divisor
@@ -32,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .covering import (
-    Cocycle,
     InfinityChart,
     KummerData,
     kummer_form,
@@ -252,19 +253,23 @@ def stabilizer_subgroup_at(c, v: Place) -> Subgroup:
     return Subgroup(c.group, tuple(members))
 
 
-def multiplicity_at(c: Cocycle, v: Place, verify: bool = False) -> int:
+def multiplicity_at(c, v: Place, verify: bool = False) -> int:
     """|M| / |N_v| - 1.
 
-    Meaningful on normal models.  With verify=True a cyclic table is
-    decomposed and its local model certified at v first, propagating the
-    rejection if certification fails; non-cyclic verification is not
-    available (only caller-asserted normality).
+    ``c`` is any table.  Without verify, N_v is read off it as given,
+    which is meaningful on normal models only.  With verify=True a cyclic
+    table is decomposed and N_v is the certified stabilizer of its
+    normalization at v, the one ramification_divisor reports; a failed
+    certification propagates its rejection.  Non-cyclic verification is
+    not available (only caller-asserted normality).
     """
-    if verify:
-        if not c.group.is_cyclic:
-            raise UnsupportedGroup("normality verification is cyclic-only")
-        normalize_local_model(kummer_form(c), v)
-    return c.group.order // stabilizer_subgroup_at(c, v).order - 1
+    if not verify:
+        stabilizer = stabilizer_subgroup_at(c, v)
+    elif c.group.is_cyclic:
+        stabilizer = _certified_stabilizer(kummer_form(c), v)
+    else:
+        raise UnsupportedGroup("normality verification is cyclic-only")
+    return c.group.order // stabilizer.order - 1
 
 
 @dataclass
@@ -363,19 +368,10 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
         ]
         normality = "assumed"
     reports = []
-    for v, stab in stabilizers:
+    for v, stab in sorted(stabilizers, key=lambda vs: vs[0].sort_key()):
         mult = group.order // stab.order - 1
-        reports.append(
-            RamReport(
-                place=v,
-                stabilizer=stab,
-                multiplicity=mult,
-                totally_ramified=stab.is_trivial(),
-                torsor=mult == 0,
-                normality=normality,
-            )
-        )
-    reports.sort(key=lambda r: r.place.sort_key())
+        reports.append(RamReport(v, stab, mult, totally_ramified=stab.is_trivial(),
+                                 torsor=mult == 0, normality=normality))
     divisor = Divisor({r.place: r.multiplicity for r in reports if r.multiplicity})
     return divisor, reports
 
@@ -396,7 +392,7 @@ class DevissageReport:
     total: Divisor
     lower: Divisor  # covering w^{p^m} = f of the base
     upper: Divisor  # covering z^{p^{n-m}} = w of the intermediate curve
-    pullback_indices: dict
+    pullback_indices: dict  # place -> p^{n-m}, in Place.sort_key order
     equal: bool
     oracle_agrees: bool | None = None
 
@@ -404,59 +400,50 @@ class DevissageReport:
 def devissage_check(
     kd: KummerData, m: int, include_infinity: bool = False, with_oracle: bool = False
 ) -> DevissageReport:
-    """Verify R_total = R_upper + pullback(R_lower) place by place."""
+    """Verify R_total = R_upper + pullback(R_lower) place by place.
+
+    R_total and R_lower are ramification_divisor of z^{p^n} = f and
+    w^{p^m} = f, rejections included.  R_upper is p^{n-m} - 1 where R_total
+    is totally ramified (a certified local exponent is 0 or prime to p),
+    and each place of R_total pulls back with index p^{n-m}.  with_oracle
+    has the length oracle recompute every layer at every place.
+    """
     f = _require_cyclic(kd)
     p, n = kd.group.p, kd.group.exponents[0]
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < {n}, got {m}")
-    q = p ** n
     if f.is_constant():
         zero = Divisor.zero()
         return DevissageReport(
             total=zero, lower=zero, upper=zero, pullback_indices={}, equal=True,
             oracle_agrees=True if with_oracle else None,
         )
-    places = _kummer_places(kd, include_infinity)
-    total: dict[Place, int] = {}
-    lower: dict[Place, int] = {}
-    upper: dict[Place, int] = {}
-    indices: dict[Place, int] = {}
-    oracle_ok: bool | None = True if with_oracle else None
-    for v in places:
-        model_total = _normalize(p, n, f, v)
-        model_lower = _normalize(p, m, f, v)
-        # v_Y(w) at the intermediate place equals the local exponent of f:
-        # w^{p^m} = f and the lower layer is totally ramified or split.
-        c_upper = model_total.c % (p ** (n - m))
-        mult_total = q - 1 if model_total.c else 0
-        mult_lower = p ** m - 1 if model_lower.c else 0
-        mult_upper = p ** (n - m) - 1 if c_upper else 0
-        total[v] = mult_total
-        lower[v] = mult_lower
-        upper[v] = mult_upper
-        indices[v] = p ** (n - m)
-        if with_oracle:
-            from .snf_oracle import oracle_multiplicity
+    e = p ** (n - m)
+    total, reports = ramification_divisor(kd, include_infinity)
+    lower, _ = ramification_divisor(KummerData(PGroup(p, (m,)), (f,)), include_infinity)
+    upper = Divisor({r.place: e - 1 for r in reports if r.totally_ramified})
+    indices = {r.place: e for r in reports}
+    oracle_ok = None
+    if with_oracle:
+        from .snf_oracle import oracle_multiplicity
 
-            model_upper = _stand_in_model(p, n - m, c_upper)
-            for model, expected in (
-                (model_total, mult_total),
-                (model_lower, mult_lower),
-                (model_upper, mult_upper),
-            ):
-                if oracle_multiplicity(model) != expected:
+        oracle_ok = True
+        for v in indices:
+            model_total = _normalize(p, n, f, v)
+            layers = (
+                (model_total, total),
+                (_normalize(p, m, f, v), lower),
+                (_stand_in_model(p, n - m, model_total.c % e), upper),
+            )
+            for model, divisor in layers:
+                if oracle_multiplicity(model) != divisor.multiplicity(v):
                     oracle_ok = False
-    total_div = Divisor(total)
-    lower_div = Divisor(lower)
-    upper_div = Divisor(upper)
-    pulled = pullback(lower_div, indices) if not lower_div.is_zero() else Divisor.zero()
-    equal = total_div == upper_div + pulled
     return DevissageReport(
-        total=total_div,
-        lower=lower_div,
-        upper=upper_div,
+        total=total,
+        lower=lower,
+        upper=upper,
         pullback_indices=indices,
-        equal=equal,
+        equal=total == upper + pullback(lower, indices),
         oracle_agrees=oracle_ok,
     )
 

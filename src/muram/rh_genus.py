@@ -11,9 +11,9 @@ are verified first: the covering must be integral (no chart equation of
 its Kummer form a p-th power, for Kummer data and raw cyclic tables
 alike), every place normal-certified, and every place Gorenstein;
 failures are collected into one HypothesisFailure instead of a partial
-answer.  A non-integral genus is reported as a flag, never rounded; a
-negative one is an internal invariant violation because the hypothesis
-checks should have rejected the model earlier.
+answer.  A non-integral genus is reported as a flag, never rounded.
+GlobalModel refuses g_X < 0, so a negative genus is an internal
+invariant violation: the hypothesis checks should have rejected the model.
 
 The chart at infinity is a view over the affine table, the two charts
 must glue into an integral model (check_chart_consistency), and every
@@ -30,6 +30,7 @@ that effect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .covering import (
     InfinityChart,
@@ -56,22 +57,44 @@ BASE_FIELD_NOTE = (
 
 @dataclass
 class GlobalModel:
-    """Affine covering data plus the glue needed for global questions."""
+    """Affine covering data plus the glue needed for global questions.
+
+    Its Kummer form is decided on first use and kept (a table that does
+    not decompose raises each time); the chart degrees, the integrality
+    check and the ramification divisor read it, so a raw cyclic table is
+    decomposed once.  A negative base genus is refused with ValueError.
+    """
 
     covering: object  # Cocycle | KummerData
     infinity_degrees: dict | None = None
     g_X: int = 0
 
+    def __post_init__(self):
+        if self.g_X < 0:
+            raise ValueError(f"base genus g_X = {self.g_X} is negative")
+
+    @cached_property
+    def kummer(self) -> KummerData | None:
+        """kummer_form of the covering: None for a raw product table."""
+        return kummer_form(self.covering)
+
     def chart_degrees(self) -> dict:
         if self.infinity_degrees is not None:
             return self.infinity_degrees
-        kd = kummer_form(self.covering)
+        kd = self.kummer
         if kd is None:
             raise ValueError("non-cyclic raw tables need explicit chart degrees at infinity")
         return canonical_infinity_degrees(kd)
 
     def infinity_chart(self) -> InfinityChart:
         return InfinityChart(self.covering, self.chart_degrees())
+
+    def ramification_divisor(self, include_infinity: bool = True):
+        """ramification_divisor of the Kummer form, or of a raw product table."""
+        kd = self.kummer
+        return ramification_divisor(
+            self.covering if kd is None else kd, include_infinity, self.infinity_degrees
+        )
 
 
 def check_chart_consistency(gm: GlobalModel) -> None:
@@ -114,9 +137,7 @@ class GenusReport:
 
 def total_ram_degree(gm: GlobalModel):
     """Degree of the full ramification divisor, infinity included."""
-    divisor, reports = ramification_divisor(
-        gm.covering, include_infinity=True, infinity_degrees=gm.infinity_degrees
-    )
+    divisor, reports = gm.ramification_divisor()
     return divisor.degree(), divisor, reports
 
 
@@ -135,7 +156,7 @@ def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
     notes = [BASE_FIELD_NOTE]
 
     try:
-        kd = kummer_form(cov)
+        kd = gm.kummer
     except UnsupportedDecomposition:
         kd = None  # a raw cyclic table that does not decompose fails a later check
     for f in kd.factors if kd is not None else ():
@@ -151,10 +172,6 @@ def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
         )
     if failures:
         raise HypothesisFailure(failures)
-    if kd is not None and gm.infinity_degrees is None:
-        # fix the canonical degrees from kd: each chart view would decompose a raw table again
-        gm = GlobalModel(cov, canonical_infinity_degrees(kd), gm.g_X)
-
     try:
         check_chart_consistency(gm)
     except (ModelRejection, ValueError) as exc:

@@ -60,7 +60,10 @@ def elt_to_obj(m: GElt):
     return list(m.residues)
 
 def elt_from_obj(group: PGroup, obj, path: str = "$") -> GElt:
-    return group.elt(obj if type(obj) is int else _ints(obj, path))
+    residues = [obj] if type(obj) is int else _ints(obj, path)
+    if len(residues) != group.rank:
+        raise ValueError(f"{path}: expected {group.rank} residues, got {len(residues)}")
+    return group.elt(residues)
 
 
 # coverings ---------------------------------------------------------------
@@ -102,8 +105,8 @@ def covering_to_obj(cov, infinity_degrees=None, g_X: int = 0) -> dict:
 def covering_from_obj(obj):
     """-> (covering, infinity_degrees or None, g_X).
 
-    Malformed input raises ValueError naming the offending path, such as
-    ``$.f[0][1]``."""
+    Malformed input (a wrong type, an element of the wrong length, a zero
+    twist denominator) raises ValueError naming its path, e.g. ``$.f[0][1]``."""
     group = group_from_obj(_get(obj, "group", "$"))
     p = group.p
     kind = obj.get("kind", "kummer")
@@ -117,6 +120,8 @@ def covering_from_obj(obj):
                 at = f"$.twist[{i}]"
                 m = elt_from_obj(group, _get(rec, "elt", at), f"{at}.elt")
                 num, den = (_ints(_get(rec, key, at), f"{at}.{key}") for key in ("num", "den"))
+                if not any(c % p for c in den):
+                    raise ValueError(f"{at}.den: zero denominator")
                 twist[m] = RatFun(Poly(p, num), Poly(p, den))
         cov = KummerData(group, factors, twist)
     elif kind == "cocycle":

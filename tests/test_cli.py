@@ -3,6 +3,9 @@ import json
 import pytest
 
 from muram.cli import main
+from muram.fppoly import Poly
+from muram.pgroup import PGroup
+from muram.serialize import covering_to_obj
 
 
 def write_covering(tmp_path, obj, name="cov.json"):
@@ -62,6 +65,17 @@ def test_missing_file_is_exit_1(capsys):
     assert main(["ramify", "--input", "/nonexistent/file.json"]) == 1
 
 
+# the Z/2 x Z/2 table with every entry 1 except alpha((1,1),(1,1)) = x: it
+# fails the cocycle identity, and its unit indices do not form a subgroup
+INVALID_PRODUCT_TABLE = {
+    "group": {"p": 2, "exponents": [1, 1]},
+    "kind": "cocycle",
+    "entries": [[m, n, [0, 1] if m == n == [1, 1] else [1]]
+                for i, m in enumerate([[0, 1], [1, 0], [1, 1]])
+                for n in [[0, 1], [1, 0], [1, 1]][i:]],
+}
+
+
 def test_model_rejection_is_exit_2(tmp_path, capsys):
     # f a p-th power: rejected with exit 2
     path = write_covering(tmp_path, kummer_obj(2, [1], [[0, 0, 1]]))
@@ -69,6 +83,13 @@ def test_model_rejection_is_exit_2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out)["rejected"] == "NonIntegralModel"
+    # a raw product table whose unit indices are not a subgroup is invalid input
+    path = write_covering(tmp_path, INVALID_PRODUCT_TABLE, name="invalid.json")
+    code, rep = run(capsys, ["validate", "--input", path])
+    assert code == 2 and [f["invariant"] for f in rep["failures"]] == ["cocycle identity"]
+    for command in (["ramify"], ["gorenstein"]):
+        code, rep = run(capsys, command + ["--input", path])
+        assert code == 2 and rep["rejected"] == "NotASubgroup"
 
 
 def test_oracle_subcommand(tmp_path, capsys):
@@ -193,8 +214,12 @@ def test_infinity_degrees_from_file(tmp_path, capsys):
         {"kind": "kummer"},
         {"group": {"p": 2, "exponents": [1]}, "kind": "kummer", "f": "ab"},
         [],
+        kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1, 2], "num": [1], "den": [1]}]),
+        {"group": {"p": 2, "exponents": [1]}, "kind": "cocycle", "entries": [[[1, 0], [1], [0, 1]]]},
+        kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1], "num": [1], "den": [0]}]),
     ],
-    ids=["no-group", "f-not-array", "top-level-array"],
+    ids=["no-group", "f-not-array", "top-level-array", "twist-elt-length", "entry-elt-length",
+         "zero-twist-denominator"],
 )
 def test_malformed_covering_is_exit_1(tmp_path, capsys, obj):
     path = write_covering(tmp_path, obj)
@@ -202,3 +227,38 @@ def test_malformed_covering_is_exit_1(tmp_path, capsys, obj):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err and captured.err.startswith("error: $")
+
+
+@pytest.mark.parametrize(
+    "command,obj,message",
+    [
+        ("ramify", kummer_obj(1000000000000000003, [1], [[0, 1]]),
+         "characteristic 1000000000000000003 exceeds"),
+        ("genus", kummer_obj(2, [1], [[0, 1]], g_X=-8), "base genus g_X = -8 is negative"),
+    ],
+    ids=["huge-characteristic", "negative-g_X"],
+)
+def test_refused_input_is_exit_1(tmp_path, capsys, command, obj, message):
+    path = write_covering(tmp_path, obj)
+    assert main([command, "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("command", [["genus"], ["gorenstein", "--include-infinity"]])
+def test_raw_cyclic_table_is_decomposed_once(tmp_path, capsys, monkeypatch, command):
+    from muram import covering
+
+    calls = []
+    decompose = covering.forward_decompose
+
+    def counted(c):
+        calls.append(c)
+        return decompose(c)
+
+    monkeypatch.setattr(covering, "forward_decompose", counted)
+    z4_x3 = covering.KummerData(PGroup(2, (2,)), (Poly(2, [0, 0, 0, 1]),)).to_cocycle()
+    path = write_covering(tmp_path, covering_to_obj(z4_x3))
+    assert main(command + ["--input", path]) == 0
+    assert len(calls) == 1

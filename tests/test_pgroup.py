@@ -1,7 +1,8 @@
 import pytest
 
+from muram import pgroup
 from muram.errors import GroupMismatch
-from muram.pgroup import PGroup, sigma, subgroup_generated
+from muram.pgroup import MAX_ORDER, PGroup, sigma, subgroup_generated
 
 SMALL_GROUPS = [
     PGroup(2, (1,)),
@@ -110,3 +111,13 @@ def test_exponent_ordering_enforced():
 def test_canonical_element_order():
     g = PGroup(2, (1, 1))
     assert [e.rep() for e in g.elements()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("exponents", [(1,), ()], ids=["cyclic", "trivial"])
+def test_huge_characteristic_refused_before_trial_division(monkeypatch, exponents):
+    def trial_division(p):
+        raise AssertionError(f"trial division of {p} ran")
+
+    monkeypatch.setattr(pgroup, "_check_prime", trial_division)
+    with pytest.raises(ValueError, match=f"characteristic 1000000000000000003 exceeds {MAX_ORDER}"):
+        PGroup(1000000000000000003, exponents)

@@ -139,6 +139,15 @@ def test_multiplicity_with_verification():
         multiplicity_at(bad, AT_X2, verify=True)
 
 
+def test_verified_multiplicity_reports_the_normalization():
+    # z^2 = x^3 + x^2: alpha(1, 1) = f is not a unit at (x), but the
+    # normalized covering splits there, which is what ramify reports
+    c = cyclic(2, 1, X2 ** 3 + X2 ** 2).to_cocycle()
+    (report,) = [r for r in ramification_divisor(c)[1] if r.place == AT_X2]
+    assert multiplicity_at(c, AT_X2, verify=True) == report.multiplicity == 0
+    assert multiplicity_at(c, AT_X2) == 1
+
+
 # divisors -------------------------------------------------------------------
 
 def test_ramification_divisor_mu_p():
@@ -247,6 +256,24 @@ def test_devissage_random_models(p, n, m):
     for _ in range(5):
         kd = random_normal_cyclic_kummer(rng, p, n)
         assert devissage_check(kd, m, include_infinity=True).equal
+
+
+@pytest.mark.parametrize(
+    "f,rejection",
+    [
+        (Poly(2, [0, 1, 1, 1]), NonNormalModel),  # cusp over (x + 1), where f is a unit
+        (X2 * X2 * Poly(2, [1, 1]), UnsupportedPartialRamification),  # local exponent 2 at (x)
+        (X2 * X2, NonIntegralModel),  # a p-th power
+    ],
+    ids=["cusp", "partial", "pth-power"],
+)
+def test_devissage_rejects_like_the_divisor(f, rejection):
+    kd = cyclic(2, 2, f)
+    with pytest.raises(rejection) as divisor_error:
+        ramification_divisor(kd, include_infinity=True)
+    with pytest.raises(rejection) as devissage_error:
+        devissage_check(kd, 1, include_infinity=True)
+    assert str(devissage_error.value) == str(divisor_error.value)
 
 
 # fixed ideal ----------------------------------------------------------------
