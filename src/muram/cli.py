@@ -21,7 +21,6 @@ from .covering import (
 from .errors import ExactArithError, InternalInvariant, ModelRejection, UnsupportedDecomposition
 from .fppoly import Place, Poly
 from .gorenstein import (
-    derive_sign,
     det_M_phi_bruteforce,
     det_M_phi_formula,
     gorenstein_at,
@@ -175,11 +174,13 @@ def _cmd_gorenstein(args):
         for r, (ok, witness) in zip(reports, verdicts)
     ]
     out["non_gorenstein_places"] = [row["place"] for row in rows if not row["gorenstein"]]
-    if cov.group.is_cyclic:
-        p, n = cov.group.p, cov.group.exponents[0]
-        out["sign"] = derive_sign(p, n)
+    # the sign is derived up to the brute-force cap, the orders the table lists
+    signs = sign_table()
+    key = (cov.group.p, cov.group.exponents[0])
+    if cov.group.is_cyclic and key in signs:
+        out["sign"] = signs[key]
     out["sign_table"] = [
-        {"p": p, "n": n, "sign": s} for (p, n), s in sorted(sign_table().items())
+        {"p": p, "n": n, "sign": s} for (p, n), s in sorted(signs.items())
     ]
     return out, 0
 

@@ -117,10 +117,6 @@ class UnsupportedGroup(ModelRejection):
     pass
 
 
-class NoConsistentSign(InternalInvariant):
-    pass
-
-
 # global assembly
 
 class HypothesisFailure(ModelRejection):

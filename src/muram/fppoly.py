@@ -186,12 +186,6 @@ class Poly:
     def derivative(self):
         return Poly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def evaluate(self, a):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % self.p
-        return acc
-
     def reversed_coeffs(self):
         """The reciprocal polynomial: coefficients in reverse order.
 

@@ -9,24 +9,23 @@ to a twisted power sum
 
     det M(phi) = eps * sum_l c_l phi_l^{p^n},    c_l = prod_{i+j=l} alpha(i,j)
 
-with a global sign eps.  The sign is always derived by comparing the
-monomial-matrix determinant with c_l directly (the closed form has a
-fractional exponent at p = 2), cached per (p, n), and cross-checked on
-a sample table; both determinant routes are exposed so they can be
-compared as exact polynomials.
+with a global sign eps.  The sign is det M(e_0^*) on the all-ones table,
+whose c_0 is 1: that matrix has its single 1 of row i in column -i, so
+eps is the sign of the permutation m -> -m, read in F_p (the closed form
+(-1)^((q-1)/2) has a fractional exponent at p = 2).  Both determinant
+routes are exposed so they can be compared as exact polynomials; the
+elimination is the reference the tests hold the closed form and the sign
+against.
 """
 
 from __future__ import annotations
 
-from .covering import Cocycle, KummerData
-from .errors import InternalInvariant, NoConsistentSign, NotGorensteinHere, SizeLimit
-from .errors import UnsupportedGroup
+from .covering import Cocycle
+from .errors import InternalInvariant, NotGorensteinHere, SizeLimit, UnsupportedGroup
 from .fppoly import Place, Poly
-from .pgroup import GElt
+from .pgroup import GElt, PGroup
 
 BRUTE_FORCE_LIMIT = 16
-
-_SIGN_CACHE: dict[tuple[int, int], int] = {}
 
 
 def gorenstein_at(c, v: Place):
@@ -101,50 +100,16 @@ def det_M_phi_bruteforce(c: Cocycle, phi: dict) -> Poly:
 
 
 def derive_sign(p: int, n: int) -> int:
-    """The global sign, derived and cached.
+    """The global sign: det M(e_0^*) on the all-ones table of Z/p^n.
 
-    Computed as the determinant of the monomial matrix of e_0^* on the
-    all-ones table (whose diagonal coefficient is 1), then cross-checked
-    against a non-trivial table; a mismatch would be a bug, reported as
-    NoConsistentSign rather than a wrong sign.
+    Row i of that matrix holds a single 1, in column -i, so the
+    determinant is (-1)^t in F_p, t the number of 2-cycles of m -> -m.
+    Capped at the order the brute-force reference reaches.
     """
     if p ** n > BRUTE_FORCE_LIMIT:
         raise SizeLimit(f"sign derivation capped at order {BRUTE_FORCE_LIMIT}")
-    key = (p, n)
-    if key in _SIGN_CACHE:
-        return _SIGN_CACHE[key]
-    from .pgroup import PGroup
-
-    group = PGroup(p, (n,))
-    trivial = Cocycle.trivial(group)
-    one = Poly.one(p)
-    indicator = {group.zero(): one}
-    det = det_M_phi_bruteforce(trivial, indicator)
-    if det == one:
-        eps = 1
-    elif det == -one:
-        eps = -1
-    else:
-        raise NoConsistentSign(f"monomial determinant {det} is not a sign")
-    # cross-check on a non-trivial table and generic-ish phi
-    x = Poly.x(p)
-    sample = KummerData(group, (x + Poly.one(p),)).to_cocycle()
-    phi = {m: Poly(p, [1, (1 + m.residues[0]) % p]) for m in group.elements()}
-    brute = det_M_phi_bruteforce(sample, phi)
-    if brute != _formula_with_sign(sample, phi, eps):
-        raise NoConsistentSign(f"derived sign {eps} fails the cross-check at (p,n)=({p},{n})")
-    _SIGN_CACHE[key] = eps
-    return eps
-
-
-def _formula_with_sign(c: Cocycle, phi: dict, eps: int) -> Poly:
-    group = c.group
-    q = group.order
-    zero = Poly.zero(group.p)
-    acc = Poly.zero(group.p)
-    for l, c_l in diagonal_coefficients(c).items():
-        acc = acc + c_l * (phi.get(l, zero) ** q)
-    return acc if eps == 1 else -acc
+    two_cycles = sum(1 for m in PGroup(p, (n,)).elements() if -m != m) // 2
+    return -1 if p != 2 and two_cycles % 2 else 1  # -1 = 1 in F_2
 
 
 def det_M_phi_formula(c: Cocycle, phi: dict) -> Poly:
@@ -153,15 +118,19 @@ def det_M_phi_formula(c: Cocycle, phi: dict) -> Poly:
     if not group.is_cyclic:
         raise UnsupportedGroup("the closed-form determinant is proved for cyclic gradings only")
     eps = derive_sign(group.p, group.exponents[0])
-    return _formula_with_sign(c, phi, eps)
+    zero = Poly.zero(group.p)
+    acc = zero
+    for l, c_l in diagonal_coefficients(c).items():
+        acc = acc + c_l * (phi.get(l, zero) ** group.order)
+    return acc if eps == 1 else -acc
 
 
-def sign_table(limit: int = BRUTE_FORCE_LIMIT) -> dict:
+def sign_table() -> dict:
     """Derived signs for all prime powers up to the brute-force cap."""
     out = {}
     for p in (2, 3, 5, 7, 11, 13):
         n = 1
-        while p ** n <= limit:
+        while p ** n <= BRUTE_FORCE_LIMIT:
             out[(p, n)] = derive_sign(p, n)
             n += 1
     return out

@@ -19,7 +19,8 @@ mod p^n, in Place.sort_key order, to the same unit-part derivative test.
 ramification_divisor takes its places from one helper: the sweep, the
 support of f in order, then infinity if asked.  Its certified stabilizer
 is the one place a cyclic multiplicity is decided: multiplicity_at with
-verify=True and both layers of devissage_check read it.
+verify=True and both layers of devissage_check read it, the lower layer
+at the places of the total one.
 
 Multiplicities: the stabilizer subgroup at a place is
 N = { m : alpha(m, -m) is a unit there } and the ramification divisor
@@ -402,11 +403,15 @@ def devissage_check(
 ) -> DevissageReport:
     """Verify R_total = R_upper + pullback(R_lower) place by place.
 
-    R_total and R_lower are ramification_divisor of z^{p^n} = f and
-    w^{p^m} = f, rejections included.  R_upper is p^{n-m} - 1 where R_total
-    is totally ramified (a certified local exponent is 0 or prime to p),
-    and each place of R_total pulls back with index p^{n-m}.  with_oracle
-    has the length oracle recompute every layer at every place.
+    R_total is ramification_divisor of z^{p^n} = f, rejections included;
+    R_lower is the certified stabilizer of w^{p^m} = f at R_total's places.
+    Once R_total passes, the lower layer's own sweep finds nothing: its
+    extra places have v(f) = 0 mod p^m but not mod p^n, so they lie in the
+    support, where R_total has already refused them.  R_upper is
+    p^{n-m} - 1 where R_total is totally ramified (a certified local
+    exponent is 0 or prime to p), and each place of R_total pulls back
+    with index p^{n-m}.  with_oracle has the length oracle recompute every
+    layer at every place.
     """
     f = _require_cyclic(kd)
     p, n = kd.group.p, kd.group.exponents[0]
@@ -420,7 +425,10 @@ def devissage_check(
         )
     e = p ** (n - m)
     total, reports = ramification_divisor(kd, include_infinity)
-    lower, _ = ramification_divisor(KummerData(PGroup(p, (m,)), (f,)), include_infinity)
+    layer = KummerData(PGroup(p, (m,)), (f,))
+    lower = Divisor(
+        {r.place: p ** m // _certified_stabilizer(layer, r.place).order - 1 for r in reports}
+    )
     upper = Divisor({r.place: e - 1 for r in reports if r.totally_ramified})
     indices = {r.place: e for r in reports}
     oracle_ok = None

@@ -12,8 +12,10 @@ its Kummer form a p-th power, for Kummer data and raw cyclic tables
 alike), every place normal-certified, and every place Gorenstein;
 failures are collected into one HypothesisFailure instead of a partial
 answer.  A non-integral genus is reported as a flag, never rounded.
-GlobalModel refuses g_X < 0, so a negative genus is an internal
-invariant violation: the hypothesis checks should have rejected the model.
+GlobalModel refuses g_X < 0, so on a certified cyclic model a negative
+genus is an internal invariant violation: the hypothesis checks should
+have rejected the model.  On a product grading it refutes the caller's
+normality assertion and is reported as that hypothesis failing.
 
 The chart at infinity is a view over the affine table, the two charts
 must glue into an integral model (check_chart_consistency), and every
@@ -209,6 +211,9 @@ def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
     non_integer = rhs % 2 != 0
     g_Y = None if non_integer else (rhs + 2) // 2
     if g_Y is not None and g_Y < 0:
+        if not group.is_cyclic:
+            detail = f"negative predicted genus {g_Y} contradicts the asserted normality"
+            raise HypothesisFailure([("normality", detail)])
         raise InternalInvariant(
             f"negative predicted genus {g_Y}; hypothesis checks should have rejected this model"
         )

@@ -115,6 +115,16 @@ def test_devissage_subcommand(tmp_path, capsys):
     assert rep["equal"] and rep["oracle_agrees"]
 
 
+def test_devissage_oracle_at_a_split_place(tmp_path, capsys):
+    # z^4 = x (x + 1)^4: (x + 1) is split, so the upper layer's stand-in has c = 0
+    path = write_covering(tmp_path, kummer_obj(2, [2], [[0, 1, 0, 0, 0, 1]]))
+    code, rep = run(capsys, ["devissage", "--input", path, "-m", "1", "--with-oracle"])
+    assert code == 0
+    assert rep["equal"] and rep["oracle_agrees"]
+    assert [row["index"] for row in rep["pullback_indices"]] == [2, 2]
+    assert rep["total"]["degree"] == 3
+
+
 def test_genus_subcommand(tmp_path, capsys):
     path = write_covering(tmp_path, kummer_obj(2, [2], [[0, 1]]))
     code, rep = run(capsys, ["genus", "--input", path])
@@ -137,6 +147,53 @@ def test_genus_hypothesis_failure_exit_2(tmp_path, capsys):
     assert code == 2 and rep["rejected"] == "HypothesisFailure"
 
 
+@pytest.mark.parametrize(
+    "obj,g_Y",
+    [
+        # in characteristic 3, (x + 1)^{1/3} = x^{1/3} + 1: one chart equation
+        # is the other's, so the asserted Z/3 x Z/3 covering is not normal
+        (kummer_obj(3, [1, 1], [[1, 2, 1], [0, 0, 1]]), -2),
+        (kummer_obj(2, [1, 1], [[0, 1, 1], [1, 1, 1]]), -1),
+    ],
+    ids=["3x3", "2x2"],
+)
+def test_genus_refuted_normality_is_exit_2(tmp_path, capsys, obj, g_Y):
+    path = write_covering(tmp_path, obj)
+    code, rep = run(capsys, ["genus", "--input", path, "--assume-normal"])
+    assert code == 2
+    assert rep == {
+        "detail": f"normality: negative predicted genus {g_Y} contradicts the asserted normality",
+        "rejected": "HypothesisFailure",
+        "schema_version": 1,
+    }
+
+
+def test_genus_non_gorenstein_is_exit_2(tmp_path, capsys):
+    # the pinned non-Gorenstein Z/4 twist of f = x + 1 (see test_gorenstein.py)
+    zeta2, zeta4 = [1, 0, 1], [1, 0, 0, 0, 1]
+    twist = [{"elt": [1], "num": zeta2, "den": [1]}, {"elt": [2], "num": zeta4, "den": [1]},
+             {"elt": [3], "num": zeta2, "den": [1]}]
+    obj = kummer_obj(2, [2], [[1, 1]], twist=twist, infinity_degrees=[0, 3, 5, 3])
+    code, rep = run(capsys, ["genus", "--input", write_covering(tmp_path, obj)])
+    assert code == 2
+    assert rep["rejected"] == "HypothesisFailure"
+    assert rep["detail"] == "gorenstein: no unit anti-diagonal at (x + 1)"
+
+
+def test_ramify_raw_product_table_at_infinity(tmp_path, capsys):
+    from muram.covering import KummerData
+
+    x, x1 = Poly(2, [0, 1]), Poly(2, [1, 1])
+    obj = covering_to_obj(KummerData(PGroup(2, (1, 1)), (x, x1)).to_cocycle())
+    obj["infinity_degrees"] = [0, 1, 1, 2]
+    code, rep = run(capsys, ["ramify", "--input", write_covering(tmp_path, obj),
+                             "--include-infinity"])
+    assert code == 0 and rep["degree"] == 5
+    assert [(r["place"]["kind"], r["multiplicity"], r["normality"]) for r in rep["reports"]] == [
+        ("finite", 1, "assumed"), ("finite", 1, "assumed"), ("infinity", 3, "assumed")
+    ]
+
+
 def test_regress_gln_subcommand(capsys):
     code, rep = run(capsys, ["regress-gln", "-p", "2", "-n", "2", "--beta", "1", "--gamma", "2"])
     assert code == 0
@@ -154,6 +211,18 @@ def test_gorenstein_subcommand(tmp_path, capsys):
     assert rep["non_gorenstein_places"] == []
     assert rep["sign"] == 1
     assert {(row["p"], row["n"]): row["sign"] for row in rep["sign_table"]}[(3, 1)] == -1
+
+
+def test_gorenstein_above_the_sign_cap(tmp_path, capsys):
+    # z^32 = x: the verdicts need no sign, which is derived up to order 16
+    path = write_covering(tmp_path, kummer_obj(2, [5], [[0, 1]]))
+    code, rep = run(capsys, ["gorenstein", "--input", path, "--include-infinity"])
+    assert code == 0
+    assert [(row["place"]["kind"], row["gorenstein"]) for row in rep["places"]] == [
+        ("finite", True), ("infinity", True)
+    ]
+    assert rep["non_gorenstein_places"] == []
+    assert "sign" not in rep and len(rep["sign_table"]) == 10
 
 
 def test_gorenstein_search(capsys):

@@ -122,6 +122,32 @@ def test_signs():
             assert s == (-1) ** ((q - 1) // 2)
 
 
+@pytest.mark.parametrize("p,n", sorted(sign_table()))
+def test_sign_agrees_with_elimination(p, n):
+    # the sign is det M(e_0^*) on the all-ones table, and with it the closed
+    # form equals the elimination on a table with non-unit entries
+    group = PGroup(p, (n,))
+    one = Poly.one(p)
+    det = det_M_phi_bruteforce(Cocycle.trivial(group), {group.zero(): one})
+    assert det == (one if derive_sign(p, n) == 1 else -one)
+    sample = KummerData(group, (Poly.x(p) + one,)).to_cocycle()
+    phi = {m: Poly(p, [1, (1 + m.residues[0]) % p]) for m in group.elements()}
+    assert det_M_phi_bruteforce(sample, phi) == det_M_phi_formula(sample, phi)
+
+
+def test_sign_table_runs_no_elimination(monkeypatch):
+    from muram import gorenstein
+
+    def refuse(rows, p):
+        raise AssertionError("sign derivation ran an elimination")
+
+    monkeypatch.setattr(gorenstein, "_det_bareiss", refuse)
+    assert sign_table() == {
+        (2, 1): 1, (2, 2): 1, (2, 3): 1, (2, 4): 1, (3, 1): -1, (3, 2): 1,
+        (5, 1): 1, (7, 1): -1, (11, 1): -1, (13, 1): 1,
+    }
+
+
 def test_derive_sign_size_guard():
     with pytest.raises(SizeLimit):
         derive_sign(17, 1)

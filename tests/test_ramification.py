@@ -239,6 +239,21 @@ def test_devissage_with_oracle_and_infinity():
     assert rep.equal and rep.oracle_agrees
 
 
+def test_devissage_sweeps_once(monkeypatch):
+    from muram import ramification
+
+    calls = []
+    sweep = ramification._off_support_normality_sweep
+
+    def counted(p, n, f):
+        calls.append((p, n))
+        return sweep(p, n, f)
+
+    monkeypatch.setattr(ramification, "_off_support_normality_sweep", counted)
+    rep = devissage_check(cyclic(2, 3, X2), 1, include_infinity=True)
+    assert rep.equal and calls == [(2, 3)]
+
+
 def test_devissage_trivial_equation():
     rep = devissage_check(cyclic(2, 2, Poly.one(2)), 1)
     assert rep.total.is_zero() and rep.lower.is_zero() and rep.upper.is_zero()
