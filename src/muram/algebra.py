@@ -4,8 +4,10 @@ An AlgebraElt is a finite sum of graded components a_m e_m with a_m in
 F_p(x).  Multiplication needs the structure constants e_m e_n =
 alpha(m,n) e_{m+n}; every operation takes a `table` argument, an object
 exposing ``group`` and ``entry(m, n)`` (a Cocycle or a LocalModel).
-Inversion solves the |M| x |M| multiplication-by-a system exactly over
-F_p(x), so it also doubles as the zero-divisor detector.
+A monomial c e_m inverts in closed form, since e_m e_{-m} =
+alpha(m,-m) e_0.  Every other element is inverted by solving the
+|M| x |M| multiplication-by-a system exactly over F_p(x), which also
+makes that solve the zero-divisor detector.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ class AlgebraElt:
         for m, a in self.comps.items():
             for n, b in other.comps.items():
                 k = m + n
-                term = a * b * as_ratfun(table.entry(m, n))
+                e = as_ratfun(table.entry(m, n))
+                # a * b * alpha(m, n), multiplied out and reduced once
+                term = RatFun(a.num * b.num * e.num, a.den * b.den * e.den)
                 out[k] = out[k] + term if k in out else term
         return AlgebraElt(self.group, out)
 
@@ -118,12 +122,26 @@ def solve_linear(matrix: list[list[RatFun]], rhs: list[RatFun]):
 def algebra_inverse(a: AlgebraElt, table) -> AlgebraElt:
     """Two-sided inverse of a in the generic-fiber algebra.
 
-    Solves (a . x) = e_0 on the full basis; raises NotInvertible when
-    multiplication by a is singular, i.e. a is a zero divisor.
+    A monomial c e_m has the inverse c^{-1} alpha(m,-m)^{-1} e_{-m}; any
+    other element goes through the dense solve.  Raises NotInvertible
+    when a is a zero divisor.
     """
-    group = a.group
     if a.is_zero():
         raise NotInvertible("zero is not invertible")
+    if len(a.comps) > 1:
+        return _solve_inverse(a, table)
+    ((m, c),) = a.comps.items()
+    alpha = as_ratfun(table.entry(m, -m))
+    if alpha.is_zero():
+        raise NotInvertible(f"{a} is a zero divisor in the generic fiber")
+    return AlgebraElt(a.group, {-m: RatFun(c.den * alpha.den, c.num * alpha.num)})
+
+
+def _solve_inverse(a: AlgebraElt, table) -> AlgebraElt:
+    """Inverse of a nonzero a by solving (a . x) = e_0 on the full basis;
+    raises NotInvertible when multiplication by a is singular, i.e. a is
+    a zero divisor."""
+    group = a.group
     elements = list(group.elements())
     index = {g: i for i, g in enumerate(elements)}
     size = len(elements)

@@ -541,6 +541,9 @@ def poly_valuation(f: Poly, v: Place) -> int:
         raise CharMismatch(f"characteristics differ: {f.p} vs {v.p}")
     if v.is_infinity:
         return -f.degree()
+    if v.poly.coeffs == (0, 1):
+        # v = (x): count the zero coefficients below the lowest-degree term
+        return next(i for i, c in enumerate(f.coeffs) if c)
     count = 0
     while True:
         q, r = divmod(f, v.poly)

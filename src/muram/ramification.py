@@ -33,6 +33,7 @@ caller's assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .covering import (
     InfinityChart,
@@ -59,7 +60,7 @@ from .fppoly import (
     is_pth_power,
     poly_valuation,
 )
-from .pgroup import GElt, PGroup, Subgroup, sigma
+from .pgroup import GElt, PGroup, Subgroup
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +100,32 @@ class LocalModel:
     def basis_valuation(self, m: GElt) -> int:
         return self.vA[m.residues[0]]
 
+    @cached_property
+    def _entry_values(self) -> dict[tuple[int, int], RatFun]:
+        return {}
+
     def entry(self, i: GElt, j: GElt) -> RatFun:
         """Structure constant of the rescaled basis:
-        f_red^{sigma(i,j)} * pi^{t(i+j) - t(i) - t(j)}."""
+        f_red^{sigma(i,j)} * pi^{t(i+j) - t(i) - t(j)}.
+
+        An entry depends only on (carry, exponent).  For the rescaled
+        t(m) = floor(s(m) c / p^n) the exponent is 0 or 1 without a carry
+        and -c or 1 - c with one, so each of those few entries is built
+        once per model.
+        """
+        q = self.q
         si, sj = i.residues[0], j.residues[0]
-        sk = (si + sj) % self.q
-        carry = sigma(i, j)[0]
-        num = self.f_red ** carry if carry else Poly.one(self.p)
-        exp = self.t[sk] - self.t[si] - self.t[sj]
-        if exp >= 0:
-            return RatFun.from_poly(num * self.pi ** exp)
-        return RatFun(num, self.pi ** (-exp))
+        carry = (si + sj) // q
+        exp = self.t[si + sj - carry * q] - self.t[si] - self.t[sj]
+        value = self._entry_values.get((carry, exp))
+        if value is None:
+            num = self.f_red if carry else Poly.one(self.p)
+            if exp >= 0:
+                value = RatFun.from_poly(num * self.pi ** exp)
+            else:
+                value = RatFun(num, self.pi ** (-exp))
+            self._entry_values[(carry, exp)] = value
+        return value
 
     def uniformizer_index(self) -> GElt:
         for s, v in enumerate(self.vA):

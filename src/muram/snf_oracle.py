@@ -17,7 +17,9 @@ globally minimal valuation, clear its row by column operations (the
 quotients stay integral because the pivot valuation is minimal), split
 off A/(pivot), and recurse; the length is the sum of pivot valuations.
 Nothing here consults the closed-form multiplicity |M/N_y| - 1; the two
-routes are compared from the outside.
+routes are compared from the outside.  Pivots are inverted by
+algebra_inverse: a monomial pivot c e_m, the usual case, in closed form
+from e_m e_{-m} = alpha(m,-m) e_0, anything else by the dense solve.
 
 Valuations in A use that the rescaled basis valuations are pairwise
 distinct mod p^n, so graded components can never cancel:

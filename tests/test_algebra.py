@@ -2,11 +2,19 @@ import random
 
 import pytest
 
-from muram.algebra import AlgebraElt, algebra_inverse
+import muram.algebra
+from muram.algebra import AlgebraElt, _solve_inverse, algebra_inverse
 from muram.covering import KummerData
 from muram.errors import NotInvertible
-from muram.fppoly import Poly, RatFun
+from muram.fppoly import Place, Poly, RatFun
 from muram.pgroup import PGroup
+from muram.ramification import normalize_local_model, ramification_divisor
+from muram.randgen import (
+    random_cyclic_cocycle,
+    random_integral_twist,
+    random_nonzero_poly,
+    random_normal_cyclic_kummer,
+)
 
 
 def kummer_table(p, n, f_coeffs):
@@ -46,6 +54,14 @@ def test_zero_divisor_detected():
     a = AlgebraElt(group, {group.zero(): RatFun.from_poly(Poly.x(2)), group.elt(1): RatFun.one(2)})
     with pytest.raises(NotInvertible):
         algebra_inverse(a, table)
+    # Z/2 x Z/2 with f = (x, x + 1): w = e_0 + e_(1,0) + e_(0,1) has w^2 = 1 + x + (x + 1) = 0
+    group = PGroup(2, (1, 1))
+    table = KummerData(group, (Poly(2, [0, 1]), Poly(2, [1, 1]))).to_cocycle()
+    one = RatFun.one(2)
+    w = AlgebraElt(group, {group.zero(): one, group.elt((1, 0)): one, group.elt((0, 1)): one})
+    assert w.mul(w, table).is_zero()
+    with pytest.raises(NotInvertible):
+        algebra_inverse(w, table)
 
 
 def test_zero_not_invertible():
@@ -76,3 +92,73 @@ def test_random_inverses_multiply_to_unit(p, n, f):
         assert a.mul(inv, table) == AlgebraElt.unit(group)
         assert inv.mul(a, table) == AlgebraElt.unit(group)
         checked += 1
+
+
+# closed-form inverse of monomials against the dense solve ---------------------
+
+def _seeded_cocycles():
+    rng = random.Random(23)
+    tables = []
+    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)]:
+        group = PGroup(p, (n,))
+        f = random_nonzero_poly(rng, p, 3)
+        tables.append(KummerData(group, (f,)).to_cocycle())
+        tables.append(KummerData(group, (f,), random_integral_twist(rng, group)).to_cocycle())
+        tables.append(random_cyclic_cocycle(rng, p, n))
+    product = PGroup(2, (1, 1))
+    tables.append(KummerData(product, (Poly(2, [0, 1]), Poly(2, [1, 1]))).to_cocycle())
+    tables.append(KummerData(product, (Poly(2, [0, 1, 1]), Poly(2, [1, 0, 1, 1]))).to_cocycle())
+    return tables
+
+
+def _seeded_local_models():
+    rng = random.Random(29)
+    models = []
+    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
+        for _ in range(2):
+            kd = random_normal_cyclic_kummer(rng, p, n, max_deg=4)
+            _, reports = ramification_divisor(kd, include_infinity=True)
+            places = [r.place for r in reports] + [Place.infinity(p)]
+            models.extend(normalize_local_model(kd, v) for v in dict.fromkeys(places))
+    assert any(m.place.is_infinity for m in models)
+    assert any(m.c == 0 for m in models) and any(m.c != 0 for m in models)
+    return models
+
+
+def _random_ratfun(rng, p):
+    return RatFun(random_nonzero_poly(rng, p, 3), random_nonzero_poly(rng, p, 2))
+
+
+def _check_monomial_inverses(table, rng):
+    group = table.group
+    unit = AlgebraElt.unit(group)
+    for m in group.elements():
+        a = AlgebraElt.basis(group, m, _random_ratfun(rng, group.p))
+        inv = algebra_inverse(a, table)
+        assert inv == _solve_inverse(a, table)
+        assert set(inv.comps) == {-m}
+        assert a.mul(inv, table) == unit
+        assert inv.mul(a, table) == unit
+
+
+def test_monomial_inverse_matches_dense_solve_on_tables():
+    rng = random.Random(37)
+    for table in _seeded_cocycles():
+        _check_monomial_inverses(table, rng)
+
+
+def test_monomial_inverse_matches_dense_solve_on_local_models():
+    rng = random.Random(31)
+    for model in _seeded_local_models():
+        _check_monomial_inverses(model, rng)
+
+
+def test_monomial_inverse_runs_no_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a monomial went through the dense solve")
+
+    monkeypatch.setattr(muram.algebra, "solve_linear", refuse)
+    group, table = kummer_table(2, 2, [0, 1])
+    a = AlgebraElt.basis(group, group.elt(3), RatFun.from_poly(Poly(2, [1, 1])))
+    inv = algebra_inverse(a, table)
+    assert a.mul(inv, table) == AlgebraElt.unit(group)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from muram.fppoly import (
     is_irreducible,
     is_pth_power,
     poly_gcd,
+    poly_valuation,
     valuation,
 )
 
@@ -74,6 +77,29 @@ def test_valuation_examples(p, num, den, place, expected):
     r = RatFun(Poly(p, num), Poly(p, den))
     v = Place.infinity(p) if place == "inf" else Place.finite(Poly.x(p))
     assert valuation(r, v) == expected
+
+
+def _valuation_by_division(f, pi):
+    count = 0
+    while True:
+        quo, rem = divmod(f, pi)
+        if not rem.is_zero():
+            return count
+        f, count = quo, count + 1
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_valuation_at_x_matches_repeated_division(p):
+    rng = random.Random(p)
+    x, at_x = Poly.x(p), Place.finite(Poly.x(p))
+    cases = [x ** k for k in range(12)] + [x ** 40]  # pure powers, x^0 = 1 included
+    for _ in range(60):
+        tail = Poly(p, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randrange(8))])
+        cases.append(tail)  # v = 0
+        cases.append(x ** rng.randrange(1, 20) * tail)
+    assert any(poly_valuation(f, at_x) == 0 for f in cases)
+    for f in cases:
+        assert poly_valuation(f, at_x) == _valuation_by_division(f, x)
 
 
 def test_valuation_zero_raises():

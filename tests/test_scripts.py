@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -22,3 +23,59 @@ def test_frobenius_family_is_rational():
     rows = [line for line in run_script("frobenius_family.py").splitlines() if "g(Y) =" in line]
     assert len(rows) == 11
     assert all(line.rstrip().endswith("g(Y) = 0") for line in rows)
+
+
+def _bench_record():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", os.path.join(ROOT, "scripts", "bench_record.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fixture_report(workload, seed, trace, ops_per_ref, rss, failed=0):
+    return {
+        "workload": workload, "seed": seed, "trace": trace, "attempted": 10, "failed": failed,
+        "correct": failed == 0, "digest": f"d{seed}",
+        "metrics": {"ops_per_ref": {"unit": "1/ref", "value": ops_per_ref},
+                    "peak_rss_mb": {"unit": "MB", "value": rss}},
+    }
+
+
+def test_bench_record_summarizes_fixture_runs(tmp_path):
+    bench = _bench_record()
+    out = tmp_path / ".perfbench_out"
+    out.mkdir()
+    fixtures = [
+        _fixture_report("oracle", 3, 0, 0.5, 24.0),
+        _fixture_report("oracle", 1, 0, 0.7, 24.5),
+        _fixture_report("oracle", 2, 0, 0.6, 25.0, failed=1),
+        _fixture_report("oracle", 1, 1, 0.2, 30.0),
+        _fixture_report("cli", 1, 0, 0.25, 22.0),
+        _fixture_report("cli", 2, 0, 0.75, 23.0),
+    ]
+    for rep in fixtures:
+        with open(out / f"{rep['workload']}-s{rep['seed']}-t{rep['trace']}.json", "w") as fh:
+            json.dump(rep, fh)
+    reports = [bench.load_report(str(tmp_path), w, s, t)
+               for w, s, t in [("oracle", 1, 0), ("oracle", 2, 0), ("oracle", 3, 0),
+                               ("oracle", 1, 1), ("cli", 1, 0), ("cli", 2, 0)]]
+    summary = bench.summarize(reports)
+    assert sorted(summary) == ["cli-t0", "oracle-t0", "oracle-t1"]
+    oracle = summary["oracle-t0"]
+    assert oracle["seeds"] == [1, 2, 3]
+    assert (oracle["attempted"], oracle["failed"], oracle["correct"]) == (30, 1, False)
+    assert oracle["digests"] == {"1": "d1", "2": "d2", "3": "d3"}
+    assert oracle["metrics"]["ops_per_ref"] == {
+        "unit": "1/ref", "median": 0.6, "min": 0.5, "max": 0.7, "n": 3}
+    assert oracle["metrics"]["peak_rss_mb"]["median"] == 24.5
+    assert summary["oracle-t1"]["metrics"]["ops_per_ref"]["median"] == 0.2
+    assert summary["cli-t0"]["metrics"]["ops_per_ref"]["median"] == 0.5
+    assert summary["cli-t0"]["correct"] is True
+    rec = bench.record(summary, "0123456789abcdef", False, 25)
+    assert rec["git_sha"] == "0123456789abcdef" and rec["runs"] is summary
+    assert rec["command"] == "python3 perfbench/run.py --seconds 25"
+    assert {"platform", "machine", "cpu", "cpus"} <= set(rec["host"])
+    json.dumps(rec)

@@ -7,7 +7,7 @@ from muram.covering import KummerData
 from muram.errors import CancellationRisk, NotTorsion
 from muram.fppoly import Place, Poly, RatFun
 from muram.pgroup import PGroup
-from muram.ramification import normalize_local_model
+from muram.ramification import normalize_local_model, ramification_divisor
 from muram.randgen import random_normal_cyclic_kummer
 from muram.snf_oracle import (
     PresentationMatrix,
@@ -181,12 +181,21 @@ def test_oracle_agrees_with_formula_on_random_models():
     for p, n in [(2, 1), (3, 1), (2, 2)]:
         for _ in range(5):
             kd = random_normal_cyclic_kummer(rng, p, n, max_deg=4)
-            from muram.ramification import ramification_divisor
-
             _, reports = ramification_divisor(kd, include_infinity=True)
             for r in reports:
                 lm = normalize_local_model(kd, r.place)
                 assert oracle_multiplicity(lm) == r.multiplicity
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
+def test_oracle_matches_formula_at_q64_and_q81(p, n):
+    # z^q = x is totally ramified at (x): multiplicity q - 1 (63 and 80)
+    kd = KummerData(PGroup(p, (n,)), (Poly.x(p),))
+    at_x = Place.finite(Poly.x(p))
+    _, reports = ramification_divisor(kd)
+    (formula,) = [r.multiplicity for r in reports if r.place == at_x]
+    assert formula == p ** n - 1
+    assert oracle_multiplicity(normalize_local_model(kd, at_x)) == formula
 
 
 # independent validation of the presentation ---------------------------------
