@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Record the benchmark's medians in BENCH_<short-sha>.json.
 
-    python3 scripts/bench_record.py --seeds 1 2 3 --traces 0 1
+    python3 scripts/bench_record.py --seeds 1 2 3
     python3 scripts/bench_record.py --repo ../other-checkout --workloads oracle --seeds 7
 
-Runs ``perfbench/run.py`` once per (workload, seed, trace) in the root
-of the checkout given by --repo (default: this one), one run after the
-other, and reads each run's ``.perfbench_out/<workload>-s<seed>-t<trace>.json``.
-For every (workload, trace) it writes the median, minimum and maximum of
-each metric over the seeds, the op counts and the report digests,
-together with the interpreter, the host and the checkout's git SHA, to
-``BENCH_<short-sha>.json`` in --out (default: the root of this checkout).
-It reads the benchmark's output and changes nothing under perfbench/.
+Runs the benchmark command of ``BENCHMARK.json`` for its ``run_seconds``
+once per (workload, seed, trace mode 0 and 1) in the root of the checkout
+given by --repo (default: this one), one run after the other, and reads
+each run's ``.perfbench_out/<workload>-s<seed>-t<trace>.json``.  The
+workloads, the command and the run length all come from this checkout's
+``BENCHMARK.json``, so every record is taken at the benchmark's own
+length.  For every (workload, trace) it writes the median, minimum and
+maximum of each metric over the seeds, the op counts and the report
+digests, together with the interpreter, the host and the benchmarked
+checkout's git SHA, to ``BENCH_<short-sha>.json`` in the root of this
+checkout.  It reads the benchmark's output and changes nothing under
+perfbench/.
 """
 
 from __future__ import annotations
@@ -26,14 +30,24 @@ import sys
 from datetime import datetime, timezone
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("corpus", "ladder", "oracle", "cli")
 OUT_ROOT = ".perfbench_out"
+TRACES = (0, 1)
 
 
-def run_one(repo: str, workload: str, seed: int, trace: int, seconds: float) -> dict:
+def load_benchmark(root: str = ROOT) -> dict:
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
+def bench_command(bench: dict) -> list[str]:
+    """The benchmark's command line, with the run length it declares."""
+    return [*bench["command"], "--seconds", f"{bench['run_seconds']:g}"]
+
+
+def run_one(repo: str, bench: dict, workload: str, seed: int, trace: int) -> dict:
     """One benchmark run in repo; returns the run's full JSON report."""
-    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, *bench_command(bench)[1:], "--workload", workload,
+           "--seed", str(seed), "--trace", str(trace)]
     subprocess.run(cmd, cwd=repo, check=True, stdout=subprocess.DEVNULL)
     return load_report(repo, workload, seed, trace)
 
@@ -94,37 +108,36 @@ def host() -> dict:
             "cpus": os.cpu_count()}
 
 
-def record(summary: dict, sha: str, dirty: bool, seconds: float) -> dict:
+def record(summary: dict, sha: str, dirty: bool, bench: dict) -> dict:
     return {
         "git_sha": sha,
         "dirty": dirty,
         "recorded_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "host": host(),
-        "command": f"python3 perfbench/run.py --seconds {seconds:g}",
+        "command": " ".join(bench_command(bench)),
         "runs": summary,
     }
 
 
 def main(argv=None) -> int:
+    bench = load_benchmark()
+    workloads = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", default=ROOT, help="checkout to benchmark")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--workloads", nargs="+", choices=workloads, default=workloads)
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    ap.add_argument("--traces", nargs="+", type=int, choices=(0, 1), default=[0])
-    ap.add_argument("--seconds", type=float, default=25)
-    ap.add_argument("--out", default=ROOT, help="directory for BENCH_<short-sha>.json")
     args = ap.parse_args(argv)
     sha, dirty = git_state(args.repo)
     reports = []
     for workload in args.workloads:
-        for trace in args.traces:
+        for trace in TRACES:
             for seed in args.seeds:
                 print(f"{workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
-                reports.append(run_one(args.repo, workload, seed, trace, args.seconds))
-    path = os.path.join(args.out, f"BENCH_{sha[:7]}.json")
+                reports.append(run_one(args.repo, bench, workload, seed, trace))
+    path = os.path.join(ROOT, f"BENCH_{sha[:7]}.json")
     with open(path, "w") as fh:
-        json.dump(record(summarize(reports), sha, dirty, args.seconds), fh, indent=1,
+        json.dump(record(summarize(reports), sha, dirty, bench), fh, indent=1,
                   sort_keys=True)
         fh.write("\n")
     print(path)

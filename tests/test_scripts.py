@@ -74,8 +74,19 @@ def test_bench_record_summarizes_fixture_runs(tmp_path):
     assert summary["oracle-t1"]["metrics"]["ops_per_ref"]["median"] == 0.2
     assert summary["cli-t0"]["metrics"]["ops_per_ref"]["median"] == 0.5
     assert summary["cli-t0"]["correct"] is True
-    rec = bench.record(summary, "0123456789abcdef", False, 25)
+    declared = {"command": ["python3", "perfbench/run.py"], "run_seconds": 12.5}
+    rec = bench.record(summary, "0123456789abcdef", False, declared)
     assert rec["git_sha"] == "0123456789abcdef" and rec["runs"] is summary
-    assert rec["command"] == "python3 perfbench/run.py --seconds 25"
+    assert rec["command"] == "python3 perfbench/run.py --seconds 12.5"
     assert {"platform", "machine", "cpu", "cpus"} <= set(rec["host"])
     json.dumps(rec)
+
+
+def test_bench_record_takes_run_length_and_workloads_from_benchmark_json():
+    bench = _bench_record()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
+    assert bench.load_benchmark() == declared
+    cmd = bench.bench_command(declared)
+    assert cmd[:len(declared["command"])] == declared["command"]
+    assert float(cmd[cmd.index("--seconds") + 1]) == declared["run_seconds"]
