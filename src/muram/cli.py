@@ -176,9 +176,10 @@ def _cmd_gorenstein(args):
     out["non_gorenstein_places"] = [row["place"] for row in rows if not row["gorenstein"]]
     # the sign is derived up to the brute-force cap, the orders the table lists
     signs = sign_table()
-    key = (cov.group.p, cov.group.exponents[0])
-    if cov.group.is_cyclic and key in signs:
-        out["sign"] = signs[key]
+    if cov.group.is_cyclic:
+        key = (cov.group.p, cov.group.exponents[0])
+        if key in signs:
+            out["sign"] = signs[key]
     out["sign_table"] = [
         {"p": p, "n": n, "sign": s} for (p, n), s in sorted(signs.items())
     ]

@@ -209,13 +209,14 @@ class KummerData:
 
     def _valuations_at(self, v: Place):
         """(v(f_i) per factor, {m: v(b(m))} where nonzero), once per place."""
-        if v not in self._valuations:
+        vals = self._valuations.get(v)
+        if vals is None:
             vb = {m: valuation(self.twist_at(m), v) for m in self.twist or ()}
-            self._valuations[v] = (
+            vals = self._valuations[v] = (
                 tuple(valuation(f, v) for f in self.factors),
                 {m: e for m, e in vb.items() if e},
             )
-        return self._valuations[v]
+        return vals
 
     def check_integral(self) -> None:
         """Raise what to_cocycle() raises, at the same first pair, without

@@ -490,12 +490,13 @@ def as_ratfun(v) -> RatFun:
 class Place:
     """A closed point of P^1 over F_p: a monic irreducible, or infinity."""
 
-    __slots__ = ("p", "poly")
+    __slots__ = ("p", "poly", "_hash")
 
     def __init__(self, p, poly):
         _check_prime(p)
         self.p = p
         self.poly = poly
+        self._hash = hash((p, poly))
 
     @classmethod
     def finite(cls, poly: Poly):
@@ -525,7 +526,7 @@ class Place:
         return isinstance(other, Place) and self.p == other.p and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.p, self.poly))
+        return self._hash
 
     def __repr__(self):
         return f"Place.infinity({self.p})" if self.poly is None else f"Place.finite({self.poly!r})"

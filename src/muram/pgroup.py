@@ -1,16 +1,23 @@
 """Finite abelian p-groups presented by invariant factors.
 
 A group is Z/p^{n_1} x ... x Z/p^{n_r} with n_1 >= ... >= n_r >= 1.
-Elements are tuples of canonical residues.  The carry function sigma
-returns one carry bit per factor; it is the symmetric 2-cocycle that
-turns a tuple of chart equations into a multiplication table, so its
-cocycle identity is what downstream validation relies on.
+Elements are tuples of canonical residues.  Each group interns its
+elements: ``elt``, ``zero``, ``elements()`` and the arithmetic hand out
+the one ``GElt`` the group holds for a residue tuple, so an element and
+its hash are built once per group.  Elements still compare by value:
+elements of two equal groups built separately are equal and hash equal.
+The carry function sigma returns one carry bit per factor; it is the
+symmetric 2-cocycle that turns a tuple of chart equations into a
+multiplication table, so its cocycle identity is what downstream
+validation relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from math import prod
 
 from .errors import GroupMismatch
 from .fppoly import _check_prime
@@ -18,31 +25,31 @@ from .fppoly import _check_prime
 MAX_ORDER = 2 ** 16
 
 
-@dataclass(frozen=True)
 class PGroup:
-    p: int
-    exponents: tuple[int, ...]
+    """Treated as immutable: the invariants and the hash are computed at
+    construction; the element table fills as elements are first asked for."""
 
-    def __post_init__(self):
+    __slots__ = ("p", "exponents", "factor_orders", "order", "_hash", "_elts")
+
+    def __init__(self, p: int, exponents: tuple[int, ...]):
         # no p-group of order > 1 within MAX_ORDER has p > MAX_ORDER; refuse before trial division
-        if self.p > MAX_ORDER:
-            raise ValueError(f"characteristic {self.p} exceeds {MAX_ORDER}")
-        _check_prime(self.p)
-        object.__setattr__(self, "exponents", tuple(self.exponents))
+        if p > MAX_ORDER:
+            raise ValueError(f"characteristic {p} exceeds {MAX_ORDER}")
+        _check_prime(p)
+        exponents = tuple(exponents)
         # no invariant factors = the trivial group
-        if any(n < 1 for n in self.exponents):
+        if any(n < 1 for n in exponents):
             raise ValueError("invariant factor exponents must be >= 1")
-        if list(self.exponents) != sorted(self.exponents, reverse=True):
+        if list(exponents) != sorted(exponents, reverse=True):
             raise ValueError("exponents must be non-increasing")
+        self.p = p
+        self.exponents = exponents
+        self.factor_orders = tuple(p ** e for e in exponents)
+        self.order = prod(self.factor_orders)
         if self.order > MAX_ORDER:
             raise ValueError(f"group order {self.order} exceeds {MAX_ORDER}")
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for e in self.exponents:
-            n *= self.p ** e
-        return n
+        self._hash = hash((p, exponents))
+        self._elts = {}  # canonical residues -> the group's GElt
 
     @property
     def rank(self) -> int:
@@ -52,60 +59,108 @@ class PGroup:
     def is_cyclic(self) -> bool:
         return len(self.exponents) == 1
 
-    @property
-    def factor_orders(self) -> tuple[int, ...]:
-        return tuple(self.p ** e for e in self.exponents)
+    def _intern(self, residues: tuple[int, ...]) -> "GElt":
+        """The group's element with these canonical residues."""
+        m = self._elts.get(residues)
+        if m is None:
+            m = self._elts[residues] = GElt(self, residues)
+        return m
 
     def elt(self, residues) -> "GElt":
         if isinstance(residues, int):
             residues = (residues,)
         residues = tuple(residues)
-        if len(residues) != self.rank:
+        if len(residues) != len(self.exponents):
             raise GroupMismatch(
                 f"element needs {self.rank} residues, got {len(residues)}"
             )
-        return GElt(self, tuple(r % q for r, q in zip(residues, self.factor_orders)))
+        return self._intern(tuple([r % q for r, q in zip(residues, self.factor_orders)]))
 
     def zero(self) -> "GElt":
-        return GElt(self, (0,) * self.rank)
+        return self._intern((0,) * len(self.exponents))
 
     def elements(self):
         """All elements in the canonical (lexicographic) order."""
         for residues in product(*(range(q) for q in self.factor_orders)):
-            yield GElt(self, residues)
+            yield self._intern(residues)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not PGroup:
+            return NotImplemented
+        return self.p == other.p and self.exponents == other.exponents
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"PGroup(p={self.p!r}, exponents={self.exponents!r})"
 
     def __str__(self):
         return " x ".join(f"Z/{q}" for q in self.factor_orders)
 
 
-@dataclass(frozen=True)
 class GElt:
-    group: PGroup
-    residues: tuple[int, ...]
+    """An element of a PGroup; obtain one from the group, not by calling
+    the class, so that equal elements of one group are one object."""
 
-    def _same(self, other: "GElt"):
+    __slots__ = ("group", "residues", "_hash")
+
+    def __init__(self, group: PGroup, residues: tuple[int, ...]):
+        self.group = group
+        self.residues = residues
+        self._hash = hash((group, residues))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not GElt:
+            return NotImplemented
+        return self.residues == other.residues and self.group == other.group
+
+    def __hash__(self):
+        return self._hash
+
+    def _same(self, other: "GElt") -> PGroup:
+        """The common group of self and other; the operators call it only
+        when other is not an element of self's own group object."""
         if not isinstance(other, GElt):
             raise TypeError(f"expected GElt, got {type(other).__name__}")
-        if self.group != other.group:
-            raise GroupMismatch(f"elements of {self.group} and {other.group}")
+        group = self.group
+        if other.group is not group and other.group != group:
+            raise GroupMismatch(f"elements of {group} and {other.group}")
+        return group
 
     def __add__(self, other):
-        self._same(other)
-        return self.group.elt(a + b for a, b in zip(self.residues, other.residues))
+        group = self.group
+        if other.__class__ is not GElt or other.group is not group:
+            group = self._same(other)
+        return group._intern(tuple([
+            (a + b) % q for a, b, q in zip(self.residues, other.residues, group.factor_orders)
+        ]))
 
     def __neg__(self):
-        return self.group.elt(-a for a in self.residues)
+        group = self.group
+        return group._intern(tuple([-a % q for a, q in zip(self.residues, group.factor_orders)]))
 
     def __sub__(self, other):
-        self._same(other)
-        return self.group.elt(a - b for a, b in zip(self.residues, other.residues))
+        group = self.group
+        if other.__class__ is not GElt or other.group is not group:
+            group = self._same(other)
+        return group._intern(tuple([
+            (a - b) % q for a, b, q in zip(self.residues, other.residues, group.factor_orders)
+        ]))
 
     def is_zero(self):
-        return all(a == 0 for a in self.residues)
+        return not any(self.residues)
 
     def rep(self) -> tuple[int, ...]:
         """Componentwise canonical representative in [0, p^{n_i})."""
         return self.residues
+
+    def __repr__(self):
+        return f"GElt(group={self.group!r}, residues={self.residues!r})"
 
     def __str__(self):
         if self.group.is_cyclic:
@@ -120,11 +175,10 @@ def sigma(i: GElt, j: GElt) -> tuple[int, ...]:
     sigma(l,m) + sigma(l+m,n) = sigma(m,n) + sigma(l,m+n) componentwise,
     which is exactly what makes power tables built from it associative.
     """
-    i._same(j)
-    out = []
-    for a, b, q in zip(i.residues, j.residues, i.group.factor_orders):
-        out.append((a + b) // q)
-    return tuple(out)
+    group = i.group
+    if j.__class__ is not GElt or j.group is not group:
+        group = i._same(j)
+    return tuple([(a + b) // q for a, b, q in zip(i.residues, j.residues, group.factor_orders)])
 
 
 @dataclass(frozen=True)
@@ -141,17 +195,18 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.members)
+
     def __contains__(self, g: GElt) -> bool:
-        return g in set(self.members)
+        return g in self._member_set
 
     def __iter__(self):
         return iter(self.members)
 
     def is_trivial(self):
         return self.order == 1
-
-    def is_full(self):
-        return self.order == self.group.order
 
     def __str__(self):
         return "{" + ", ".join(str(g) for g in self.members) + "}"

@@ -93,7 +93,7 @@ class LocalModel:
     def q(self) -> int:
         return self.p ** self.n
 
-    @property
+    @cached_property
     def group(self) -> PGroup:
         return PGroup(self.p, (self.n,) if self.n else ())
 
@@ -126,16 +126,6 @@ class LocalModel:
                 value = RatFun(num, self.pi ** (-exp))
             self._entry_values[(carry, exp)] = value
         return value
-
-    def uniformizer_index(self) -> GElt:
-        for s, v in enumerate(self.vA):
-            if v == 1:
-                return self.group.elt(s)
-        raise NonNormalModel("no basis element of valuation 1")
-
-    @property
-    def is_certified_normal(self) -> bool:
-        return self.normality == "verified"
 
     @property
     def is_totally_ramified(self) -> bool:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from muram.cli import main
 from muram.fppoly import Poly
@@ -331,3 +337,114 @@ def test_raw_cyclic_table_is_decomposed_once(tmp_path, capsys, monkeypatch, comm
     path = write_covering(tmp_path, covering_to_obj(z4_x3))
     assert main(command + ["--input", path]) == 0
     assert len(calls) == 1
+
+
+TRIVIAL_GROUP = {"group": {"p": 3, "exponents": []}, "kind": "kummer", "f": []}
+
+FILE_COMMANDS = [
+    ["validate"],
+    ["ramify"],
+    ["ramify", "--include-infinity"],
+    ["oracle", "--place", "infinity"],
+    ["devissage", "-m", "1"],
+    ["gorenstein"],
+    ["gorenstein", "--include-infinity"],
+    ["genus"],
+]
+
+
+def assert_documented_exit(code, out, err):
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (0, 2):
+        json.loads(out)
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
+def test_trivial_group_gets_a_documented_exit(tmp_path, capsys, command):
+    path = write_covering(tmp_path, TRIVIAL_GROUP)
+    code = main(command + ["--input", path])
+    captured = capsys.readouterr()
+    assert_documented_exit(code, captured.out, captured.err)
+
+
+# the CLI contract on covering-shaped input: group order <= 9 (the trivial
+# group included), polynomials of degree <= 6, then possibly one key
+# removed or one value replaced by a value of the wrong type
+
+GROUP_SHAPES = {
+    2: [[], [1], [2], [3], [1, 1], [2, 1]],
+    3: [[], [1], [2], [1, 1]],
+    5: [[], [1]],
+}
+CONTRACT_COMMANDS = [
+    ["validate"],
+    ["ramify"],
+    ["ramify", "--include-infinity"],
+    ["genus"],
+    ["gorenstein"],
+    ["gorenstein", "--include-infinity"],
+]
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.floats(allow_nan=False),
+    st.just([]), st.just({}), st.just([[1]]), st.just({"p": 2}),
+)
+
+
+@st.composite
+def covering_objs(draw):
+    p = draw(st.sampled_from(sorted(GROUP_SHAPES)))
+    exponents = list(draw(st.sampled_from(GROUP_SHAPES[p])))
+    rank = len(exponents)
+    order = p ** sum(exponents)
+    polys = st.lists(st.integers(-1, p), max_size=6).map(lambda cs: cs + [1])
+    elts = st.lists(st.integers(-1, p ** max(exponents, default=0)), min_size=rank, max_size=rank)
+    obj = {"group": {"p": p, "exponents": exponents}}
+    if draw(st.booleans()):
+        obj["kind"] = "kummer"
+        obj["f"] = draw(st.lists(polys, min_size=rank, max_size=rank))
+        if draw(st.booleans()):
+            obj["twist"] = draw(st.lists(
+                st.fixed_dictionaries({"elt": elts, "num": polys, "den": polys}), max_size=2
+            ))
+    else:
+        obj["kind"] = "cocycle"
+        obj["entries"] = draw(st.lists(st.tuples(elts, elts, polys).map(list), max_size=6))
+    if draw(st.booleans()):
+        obj["infinity_degrees"] = draw(st.lists(st.integers(0, 9), min_size=order, max_size=order))
+    if draw(st.booleans()):
+        obj["g_X"] = draw(st.integers(-1, 2))
+    if draw(st.booleans()):
+        paths = list(_paths(obj))
+        *parent, last = draw(st.sampled_from(paths))
+        node = obj
+        for key in parent:
+            node = node[key]
+        if draw(st.booleans()):
+            del node[last]
+        else:
+            node[last] = draw(WRONG_TYPES)
+    return obj
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=covering_objs(), command=st.sampled_from(CONTRACT_COMMANDS))
+@example(obj=TRIVIAL_GROUP, command=["gorenstein"])
+@example(obj=TRIVIAL_GROUP, command=["gorenstein", "--include-infinity"])
+def test_cli_contract_on_covering_files(obj, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cov.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + ["--input", path])
+    assert_documented_exit(code, out.getvalue(), err.getvalue())

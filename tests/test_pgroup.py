@@ -121,3 +121,54 @@ def test_huge_characteristic_refused_before_trial_division(monkeypatch, exponent
     monkeypatch.setattr(pgroup, "_check_prime", trial_division)
     with pytest.raises(ValueError, match=f"characteristic 1000000000000000003 exceeds {MAX_ORDER}"):
         PGroup(1000000000000000003, exponents)
+
+
+# interned elements ------------------------------------------------------------
+
+def test_elements_are_interned_per_group():
+    g = PGroup(2, (2, 1))
+    assert g.elt((3, 1)) is g.elt((3, 1))
+    assert g.elt((-1, 3)) is g.elt((3, 1))
+    assert g.zero() is g.elt((0, 0))
+    assert list(g.elements()) == [g.elt(r) for r in [(a, b) for a in range(4) for b in range(2)]]
+    assert all(m is g.elt(m.residues) for m in g.elements())
+    a, b = g.elt((3, 1)), g.elt((2, 1))
+    assert a + b is g.elt((1, 0)) and a - b is g.elt((1, 0)) and -a is g.elt((1, 1))
+
+
+def test_elements_of_equal_groups_compare_by_value():
+    g, h = PGroup(3, (2,)), PGroup(3, (2,))
+    assert g is not h and g == h and hash(g) == hash(h)
+    for m, n in zip(g.elements(), h.elements()):
+        assert m is not n and m == n and hash(m) == hash(n)
+    assert g.elt(4) + h.elt(7) == g.elt(2)
+    assert g.elt(1) != PGroup(3, (1,)).elt(1)
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
+def test_element_hash_is_the_hash_of_group_and_residues(group):
+    assert hash(group) == hash((group.p, group.exponents))
+    for m in group.elements():
+        assert hash(m) == hash((m.group, m.residues))
+
+
+def test_mixed_operands_still_refused():
+    a, b = PGroup(2, (1,)).elt(1), PGroup(2, (2,)).elt(1)
+    for op in (lambda: a + b, lambda: a - b, lambda: sigma(a, b)):
+        with pytest.raises(GroupMismatch):
+            op()
+    for op in (lambda: a + 1, lambda: a - (1,), lambda: sigma(a, 1)):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("group", [PGroup(2, (2, 1)), PGroup(3, (2, 1))], ids=str)
+def test_sigma_is_the_componentwise_carry(group):
+    for a in group.elements():
+        for b in group.elements():
+            assert sigma(a, b) == tuple(
+                (x + y) // q for x, y, q in zip(a.residues, b.residues, group.factor_orders)
+            )
+            assert (a + b).residues == tuple(
+                (x + y) % q for x, y, q in zip(a.residues, b.residues, group.factor_orders)
+            )
