@@ -117,7 +117,7 @@ def _cmd_oracle(args):
         )
     place = _parse_place(args.place, cov.group.p)
     model = normalize_local_model(cov, place)
-    formula = multiplicity_at(cov, place, verify=True)
+    formula = multiplicity_at(cov, place)
     oracle = oracle_multiplicity(model)
     out = _report_base("oracle")
     out["place"] = place_to_obj(place)
@@ -223,7 +223,7 @@ def _gorenstein_search(args):
 def _cmd_genus(args):
     cov, degrees, g_X = _load_covering(args.input)
     gm = GlobalModel(cov, degrees, g_X)
-    rep = predict_genus(gm, assume_normal=args.assume_normal)
+    rep = predict_genus(gm)
     out = _report_base("genus")
     out["group_order"] = rep.group_order
     out["g_X"] = rep.g_X
@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("genus", help="genus prediction from the ramification divisor")
     with_input(sp)
-    sp.add_argument("--assume-normal", action="store_true")
 
     sp = sub.add_parser("regress-gln", help="matrix-space Frobenius-kernel divisor regression")
     sp.add_argument("-p", type=int, required=True)

@@ -42,12 +42,15 @@ class PGroup:
             raise ValueError("invariant factor exponents must be >= 1")
         if list(exponents) != sorted(exponents, reverse=True):
             raise ValueError("exponents must be non-increasing")
+        # p >= 2, so an exponent sum reaching MAX_ORDER's bit length is too
+        # large already; refuse it before computing the power
+        e = sum(exponents)
+        if e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
+            raise ValueError(f"group order {p}^{e} exceeds {MAX_ORDER}")
         self.p = p
         self.exponents = exponents
-        self.factor_orders = tuple(p ** e for e in exponents)
+        self.factor_orders = tuple(p ** n for n in exponents)
         self.order = prod(self.factor_orders)
-        if self.order > MAX_ORDER:
-            raise ValueError(f"group order {self.order} exceeds {MAX_ORDER}")
         self._hash = hash((p, exponents))
         self._elts = {}  # canonical residues -> the group's GElt
 

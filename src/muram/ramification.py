@@ -18,16 +18,17 @@ certified the off-support sweep sends every place of f' with v(f) = 0
 mod p^n, in Place.sort_key order, to the same unit-part derivative test.
 ramification_divisor takes its places from one helper: the sweep, the
 support of f in order, then infinity if asked.  Its certified stabilizer
-is the one place a cyclic multiplicity is decided: multiplicity_at with
-verify=True and both layers of devissage_check read it, the lower layer
-at the places of the total one.
+is the one place a multiplicity of Kummer data is decided:
+multiplicity_at and both layers of devissage_check read it, the lower
+layer at the places of the total one.
 
 Multiplicities: the stabilizer subgroup at a place is
 N = { m : alpha(m, -m) is a unit there } and the ramification divisor
 has multiplicity |M| / |N| - 1.  All reported data refers to the
-normalized covering; cyclic inputs are certified place by place, product
-inputs are layer-checked per factor but their global normality is the
-caller's assertion.
+normalized covering; cyclic inputs are certified place by place.
+Product inputs are layer-checked per factor, but a grading of rank >= 2
+is never normal over the line (its generic fibre is not a field, see
+rh_genus), so their reports mark normality "refuted".
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class LocalModel:
     c: int
     t: tuple[int, ...]
     vA: tuple[int, ...]
-    normality: str  # "verified" | "assumed" | "rejected:<reason>"
+    normality: str  # "verified" | "rejected:<reason>"
 
     @property
     def q(self) -> int:
@@ -260,22 +261,16 @@ def stabilizer_subgroup_at(c, v: Place) -> Subgroup:
     return Subgroup(c.group, tuple(members))
 
 
-def multiplicity_at(c, v: Place, verify: bool = False) -> int:
-    """|M| / |N_v| - 1.
+def multiplicity_at(c, v: Place) -> int:
+    """|M| / |N_v| - 1 for the stabilizer ramification_divisor reports at v.
 
-    ``c`` is any table.  Without verify, N_v is read off it as given,
-    which is meaningful on normal models only.  With verify=True a cyclic
-    table is decomposed and N_v is the certified stabilizer of its
-    normalization at v, the one ramification_divisor reports; a failed
-    certification propagates its rejection.  Non-cyclic verification is
-    not available (only caller-asserted normality).
+    Kummer data and cyclic tables (decomposed first) read the certified
+    stabilizer of the normalization, and a failed certification
+    propagates its rejection; a raw product table reads N_v off the
+    entries as given.
     """
-    if not verify:
-        stabilizer = stabilizer_subgroup_at(c, v)
-    elif c.group.is_cyclic:
-        stabilizer = _certified_stabilizer(kummer_form(c), v)
-    else:
-        raise UnsupportedGroup("normality verification is cyclic-only")
+    kd = kummer_form(c)
+    stabilizer = stabilizer_subgroup_at(c, v) if kd is None else _certified_stabilizer(kd, v)
     return c.group.order // stabilizer.order - 1
 
 
@@ -350,16 +345,17 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
 
     ``cov`` is a Cocycle or KummerData.  Cyclic and per-factor data is
     certified via local models (normalized semantics); raw non-cyclic
-    tables use the entries as given with normality marked "assumed".
-    Divisors are indexed by base places, which is faithful because the
-    covering is a homeomorphism on points.
+    tables use the entries as given.  Normality is "verified" for rank
+    <= 1 and "refuted" for rank >= 2, which is never normal.  Divisors are
+    indexed by base places, which is faithful because the covering is a
+    homeomorphism on points.
     """
     group = cov.group
+    normality = "verified" if group.rank <= 1 else "refuted"
     kd = kummer_form(cov)
     if kd is not None:
         places = _kummer_places(kd, include_infinity)
         stabilizers = [(v, _certified_stabilizer(kd, v)) for v in places]
-        normality = "verified" if group.is_cyclic else "assumed"
     else:
         places = support_places(cov)
         if include_infinity:
@@ -373,7 +369,6 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
              else stabilizer_subgroup_at(cov, v))
             for v in places
         ]
-        normality = "assumed"
     reports = []
     for v, stab in sorted(stabilizers, key=lambda vs: vs[0].sort_key()):
         mult = group.order // stab.order - 1

@@ -11,11 +11,14 @@ are verified first: the covering must be integral (no chart equation of
 its Kummer form a p-th power, for Kummer data and raw cyclic tables
 alike), every place normal-certified, and every place Gorenstein;
 failures are collected into one HypothesisFailure instead of a partial
-answer.  A non-integral genus is reported as a flag, never rounded.
-GlobalModel refuses g_X < 0, so on a certified cyclic model a negative
-genus is an internal invariant violation: the hypothesis checks should
-have rejected the model.  On a product grading it refutes the caller's
-normality assertion and is reported as that hypothesis failing.
+answer.  A grading of rank >= 2 is never normal: K = F_p(x) has
+[K : K^p] = p, so the roots its chart equations adjoin lie in K^{1/p^N}
+of degree p^N = max q_k, while its generic fibre has dimension |G| > p^N
+over K and so is not a field.  It fails the normality hypothesis before
+anything is computed.  A non-integral genus is
+reported as a flag, never rounded.  GlobalModel refuses g_X < 0, so a
+negative genus is an internal invariant violation: the hypothesis
+checks should have rejected the model.
 
 The chart at infinity is a view over the affine table, the two charts
 must glue into an integral model (check_chart_consistency), and every
@@ -143,14 +146,13 @@ def total_ram_degree(gm: GlobalModel):
     return divisor.degree(), divisor, reports
 
 
-def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
+def predict_genus(gm: GlobalModel) -> GenusReport:
     """Solve the genus from the degree of the ramification divisor.
 
     Collects hypothesis failures (integrality, normality at every place
-    of both charts, Gorenstein everywhere) into HypothesisFailure.
-    Product-group models cannot be normality-certified here; they are
-    rejected unless assume_normal is set, in which case reports carry
-    normality "assumed".
+    of both charts, Gorenstein everywhere) into HypothesisFailure.  A
+    grading of rank >= 2 fails normality outright (see the module
+    docstring); ranks 0 and 1 are certified place by place.
     """
     cov = gm.covering
     group = cov.group
@@ -164,14 +166,11 @@ def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
     for f in kd.factors if kd is not None else ():
         if is_pth_power(f):
             failures.append(("integrality", f"chart equation {f} is a p-th power"))
-    if not group.is_cyclic and not assume_normal:
-        failures.append(
-            (
-                "normality",
-                "product gradings cannot be normality-certified; "
-                "pass assume_normal to proceed with caller-asserted normality",
-            )
-        )
+    if group.rank >= 2:
+        q_max = max(group.factor_orders)
+        failures.append(("normality", f"the generic fibre of a {group} grading has dimension "
+                         f"|G| = {group.order} over K = F_{group.p}(x), but K^(1/{q_max}) has "
+                         f"degree {q_max}: it is not a field, so the covering is not normal"))
     if failures:
         raise HypothesisFailure(failures)
     try:
@@ -183,9 +182,6 @@ def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
         deg_R, divisor, reports = total_ram_degree(gm)
     except ModelRejection as exc:
         raise HypothesisFailure([(type(exc).__name__, str(exc))])
-
-    if not group.is_cyclic:
-        notes.append("normality asserted by caller for a product grading")
 
     per_place = []
     verdicts = gorenstein_places(gm, [r.place for r in reports])
@@ -211,9 +207,6 @@ def predict_genus(gm: GlobalModel, assume_normal: bool = False) -> GenusReport:
     non_integer = rhs % 2 != 0
     g_Y = None if non_integer else (rhs + 2) // 2
     if g_Y is not None and g_Y < 0:
-        if not group.is_cyclic:
-            detail = f"negative predicted genus {g_Y} contradicts the asserted normality"
-            raise HypothesisFailure([("normality", detail)])
         raise InternalInvariant(
             f"negative predicted genus {g_Y}; hypothesis checks should have rejected this model"
         )

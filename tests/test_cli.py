@@ -1,14 +1,17 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muram.cli import main
+from muram.cli import build_parser, main
 from muram.fppoly import Poly
 from muram.pgroup import PGroup
 from muram.serialize import covering_to_obj
@@ -69,6 +72,20 @@ def test_usage_error_is_exit_1(capsys):
 
 def test_missing_file_is_exit_1(capsys):
     assert main(["ramify", "--input", "/nonexistent/file.json"]) == 1
+
+
+def test_readme_usage_block_matches_the_parser():
+    # every "    muram <cmd> ..." line of the README names a subcommand and
+    # only flags that its parser knows, and every subcommand has a line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = re.findall(r"^    muram (\S+)(.*)$", readme, re.M)
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert {command for command, _ in usage} == set(subparsers.choices)
+    for command, rest in usage:
+        flags = set(re.findall(r"(?:^|[\s\[])(--?[a-z][\w-]*)", rest))
+        unknown = flags - set(subparsers.choices[command]._option_string_actions)
+        assert not unknown, f"README: muram {command} has no option {sorted(unknown)}"
 
 
 # the Z/2 x Z/2 table with every entry 1 except alpha((1,1),(1,1)) = x: it
@@ -154,24 +171,28 @@ def test_genus_hypothesis_failure_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "obj,g_Y",
+    "obj,group,order,q_max",
     [
         # in characteristic 3, (x + 1)^{1/3} = x^{1/3} + 1: one chart equation
-        # is the other's, so the asserted Z/3 x Z/3 covering is not normal
-        (kummer_obj(3, [1, 1], [[1, 2, 1], [0, 0, 1]]), -2),
-        (kummer_obj(2, [1, 1], [[0, 1, 1], [1, 1, 1]]), -1),
+        # is the other's, and the Z/3 x Z/3 covering is not normal
+        (kummer_obj(3, [1, 1], [[1, 2, 1], [0, 0, 1]]), "Z/3 x Z/3", 9, 3),
+        (kummer_obj(2, [1, 1], [[0, 1, 1], [1, 1, 1]]), "Z/2 x Z/2", 4, 2),
     ],
     ids=["3x3", "2x2"],
 )
-def test_genus_refuted_normality_is_exit_2(tmp_path, capsys, obj, g_Y):
+def test_genus_refuted_normality_is_exit_2(tmp_path, capsys, obj, group, order, q_max):
     path = write_covering(tmp_path, obj)
-    code, rep = run(capsys, ["genus", "--input", path, "--assume-normal"])
+    code, rep = run(capsys, ["genus", "--input", path])
     assert code == 2
+    p = obj["group"]["p"]
     assert rep == {
-        "detail": f"normality: negative predicted genus {g_Y} contradicts the asserted normality",
+        "detail": f"normality: the generic fibre of a {group} grading has dimension "
+                  f"|G| = {order} over K = F_{p}(x), but K^(1/{q_max}) has degree {q_max}: "
+                  "it is not a field, so the covering is not normal",
         "rejected": "HypothesisFailure",
         "schema_version": 1,
     }
+    assert main(["genus", "--input", path, "--assume-normal"]) == 1
 
 
 def test_genus_non_gorenstein_is_exit_2(tmp_path, capsys):
@@ -196,7 +217,7 @@ def test_ramify_raw_product_table_at_infinity(tmp_path, capsys):
                              "--include-infinity"])
     assert code == 0 and rep["degree"] == 5
     assert [(r["place"]["kind"], r["multiplicity"], r["normality"]) for r in rep["reports"]] == [
-        ("finite", 1, "assumed"), ("finite", 1, "assumed"), ("infinity", 3, "assumed")
+        ("finite", 1, "refuted"), ("finite", 1, "refuted"), ("infinity", 3, "refuted")
     ]
 
 
@@ -310,8 +331,10 @@ def test_malformed_covering_is_exit_1(tmp_path, capsys, obj):
         ("ramify", kummer_obj(1000000000000000003, [1], [[0, 1]]),
          "characteristic 1000000000000000003 exceeds"),
         ("genus", kummer_obj(2, [1], [[0, 1]], g_X=-8), "base genus g_X = -8 is negative"),
+        # refused from the exponent, before 3^4000000 is computed
+        ("ramify", kummer_obj(3, [4000000], [[0, 1]]), "group order 3^4000000 exceeds 65536"),
     ],
-    ids=["huge-characteristic", "negative-g_X"],
+    ids=["huge-characteristic", "negative-g_X", "huge-exponent"],
 )
 def test_refused_input_is_exit_1(tmp_path, capsys, command, obj, message):
     path = write_covering(tmp_path, obj)
@@ -366,6 +389,14 @@ def test_trivial_group_gets_a_documented_exit(tmp_path, capsys, command):
     code = main(command + ["--input", path])
     captured = capsys.readouterr()
     assert_documented_exit(code, captured.out, captured.err)
+
+
+def test_trivial_group_genus_is_the_base_genus(tmp_path, capsys):
+    # rank 0 is no product grading: the covering is the identity
+    path = write_covering(tmp_path, dict(TRIVIAL_GROUP, g_X=2))
+    code, rep = run(capsys, ["genus", "--input", path])
+    assert code == 0
+    assert rep["g_Y"] == 2 and rep["deg_R"] == 0
 
 
 # the CLI contract on covering-shaped input: group order <= 9 (the trivial

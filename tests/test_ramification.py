@@ -28,7 +28,7 @@ from muram.ramification import (
     stabilizer_subgroup_at,
     untwisted_local_model,
 )
-from muram.randgen import random_normal_cyclic_kummer
+from muram.randgen import random_integral_twist, random_normal_cyclic_kummer
 
 X2 = Poly.x(2)
 X3 = Poly.x(3)
@@ -133,10 +133,10 @@ def test_multiplicity_torsor_place_is_zero():
 
 def test_multiplicity_with_verification():
     c = cyclic(2, 1, X2).to_cocycle()
-    assert multiplicity_at(c, AT_X2, verify=True) == 1
+    assert multiplicity_at(c, AT_X2) == 1
     bad = cyclic(2, 1, Poly(2, [1, 0, 0, 1])).to_cocycle()  # cusp over (x)
     with pytest.raises(NonNormalModel):
-        multiplicity_at(bad, AT_X2, verify=True)
+        multiplicity_at(bad, AT_X2)
 
 
 def test_verified_multiplicity_reports_the_normalization():
@@ -144,8 +144,40 @@ def test_verified_multiplicity_reports_the_normalization():
     # normalized covering splits there, which is what ramify reports
     c = cyclic(2, 1, X2 ** 3 + X2 ** 2).to_cocycle()
     (report,) = [r for r in ramification_divisor(c)[1] if r.place == AT_X2]
-    assert multiplicity_at(c, AT_X2, verify=True) == report.multiplicity == 0
-    assert multiplicity_at(c, AT_X2) == 1
+    assert multiplicity_at(c, AT_X2) == report.multiplicity == 0
+    # the table as given has no unit index at (x) but 0
+    assert stabilizer_subgroup_at(c, AT_X2).order == 1
+
+
+def seeded_tables(form):
+    """Seeded cyclic Kummer data, twisted Kummer data, raw cyclic tables
+    (twisted) or raw product tables."""
+    rng = random.Random(41)
+    for p, exps in [(2, (1,)), (3, (1,)), (2, (2,)), (3, (2,)), (2, (1, 1)), (3, (1, 1)),
+                    (2, (2, 1))]:
+        if (len(exps) > 1) != (form == "raw product"):
+            continue
+        group = PGroup(p, exps)
+        for _ in range(3):
+            factors = tuple(random_normal_cyclic_kummer(rng, p, n, max_deg=4).factors[0]
+                            for n in exps)
+            if form == "kummer":
+                yield KummerData(group, factors)
+            elif form == "raw product":
+                yield KummerData(group, factors).to_cocycle()
+            else:
+                twisted = KummerData(group, factors, random_integral_twist(rng, group))
+                yield twisted if form == "twisted" else twisted.to_cocycle()
+
+
+@pytest.mark.parametrize("form", ["kummer", "twisted", "raw cyclic", "raw product"])
+def test_multiplicity_at_is_what_ramify_reports(form):
+    checked = 0
+    for c in seeded_tables(form):
+        for r in ramification_divisor(c)[1]:
+            assert multiplicity_at(c, r.place) == r.multiplicity, f"{c} at {r.place}"
+            checked += 1
+    assert checked >= 6
 
 
 # divisors -------------------------------------------------------------------

@@ -1,19 +1,23 @@
+import json
 import random
 
 import pytest
 
+from muram.algebra import AlgebraElt, solve_linear
+from muram.cli import main
 from muram.covering import KummerData
 from muram.divisors import Divisor
 from muram.errors import HypothesisFailure
 from muram.fppoly import Place, Poly, RatFun
 from muram.pgroup import PGroup
-from muram.randgen import random_normal_cyclic_kummer
+from muram.randgen import random_integral_twist, random_normal_cyclic_kummer
 from muram.rh_genus import (
     GlobalModel,
     check_chart_consistency,
     predict_genus,
     total_ram_degree,
 )
+from muram.serialize import covering_to_obj
 
 X2, X3 = Poly.x(2), Poly.x(3)
 
@@ -80,16 +84,88 @@ def test_pth_power_rejected(form):
     assert err.value.failures[0][0] == "integrality"
 
 
-def test_product_needs_assume_normal():
-    kd = KummerData(PGroup(2, (1, 1)), (X2, Poly(2, [1, 1])))
-    with pytest.raises(HypothesisFailure) as err:
-        predict_genus(GlobalModel(kd, infinity_degrees={m: 1 for m in kd.group.elements() if not m.is_zero()}))
-    assert err.value.failures[0][0] == "normality"
-    rep = predict_genus(
-        GlobalModel(kd, infinity_degrees={m: 1 for m in kd.group.elements() if not m.is_zero()}),
-        assume_normal=True,
-    )
-    assert all(row["normality"] == "assumed" for row in rep.per_place)
+# A grading of rank >= 2 is never normal: K = F_p(x) has [K : K^p] = p, so
+# the generic fibre has nilpotents.  The witness below is the reference
+# for that refusal: y_k = e_{(q_k/p) eps_k} has y_k^p = a_k in K, and
+# writing g = sum_{r<p} x^r G_r(g)^p, either a_1 is a p-th power G_0(a_1)^p
+# and w = y_1 - G_0(a_1), or 1, a_1, ..., a_1^{p-1} is a K^p-basis of K,
+# a_2 = sum_i c_i^p a_1^i and w = y_2 - sum_i c_i y_1^i.  Either way w != 0
+# and w^p = 0.
+
+def p_coordinates(g: RatFun) -> list:
+    """G_0(g), ..., G_{p-1}(g), from g = N D^{p-1} / D^p."""
+    p = g.p
+    top = (g.num * g.den ** (p - 1)).coeffs
+    return [RatFun(Poly(p, top[r::p]), g.den) for r in range(p)]
+
+
+def algebra_power(a: AlgebraElt, e: int, table) -> AlgebraElt:
+    out = AlgebraElt.unit(a.group)
+    for _ in range(e):
+        out = out.mul(a, table)
+    return out
+
+
+def nilpotent_witness(table) -> AlgebraElt:
+    group = table.group
+    p, zero = group.p, group.zero()
+    y = [AlgebraElt.basis(group, group.elt([q // p if i == k else 0
+                                             for i, q in enumerate(group.factor_orders)]))
+         for k in (0, 1)]
+    a = []
+    for y_k in y:
+        y_k_p = algebra_power(y_k, p, table)
+        assert set(y_k_p.comps) == {zero}
+        a.append(y_k_p.comps[zero])
+    g_a1 = p_coordinates(a[0])
+    if all(g.is_zero() for g in g_a1[1:]):  # a_1 = G_0(a_1)^p
+        return y[0] - AlgebraElt.unit(group).scale(g_a1[0])
+    a1_powers = [RatFun.one(p)]
+    for _ in range(p - 1):
+        a1_powers.append(a1_powers[-1] * a[0])
+    columns = [p_coordinates(a1_i) for a1_i in a1_powers]
+    c = solve_linear([[col[r] for col in columns] for r in range(p)], p_coordinates(a[1]))
+    assert c is not None
+    w = y[1]
+    for i, c_i in enumerate(c):
+        w = w - algebra_power(y[0], i, table).scale(c_i)
+    return w
+
+
+RANK_TWO_SHAPES = [(2, (1, 1)), (3, (1, 1)), (5, (1, 1)), (2, (2, 1)), (3, (2, 1)),
+                   (2, (1, 1, 1))]
+
+
+def rank_two_models():
+    """Seeded models of every shape, untwisted, twisted and as raw tables,
+    then the pinned inputs; the last has a_1 = x^2 a square."""
+    rng = random.Random(8)
+    for p, exps in RANK_TWO_SHAPES:
+        group = PGroup(p, exps)
+        factors = tuple(random_normal_cyclic_kummer(rng, p, n, max_deg=3).factors[0] for n in exps)
+        twisted = KummerData(group, factors, random_integral_twist(rng, group))
+        yield from (KummerData(group, factors), twisted, twisted.to_cocycle())
+    x2, x3 = Poly.x(2), Poly.x(3)
+    yield KummerData(PGroup(3, (1, 1)), ((x3 + Poly.one(3)) ** 2, x3 ** 2))
+    yield KummerData(PGroup(2, (1, 1)), (x2 ** 2 + x2, x2 ** 2 + x2 + Poly.one(2)))
+    yield KummerData(PGroup(2, (1, 1)), (x2 ** 2, x2 + Poly.one(2)))
+
+
+def test_rank_two_gradings_are_never_normal(tmp_path, capsys):
+    for i, cov in enumerate(rank_two_models()):
+        group = cov.group
+        with pytest.raises(HypothesisFailure) as err:
+            predict_genus(GlobalModel(cov))
+        (detail,) = [d for check, d in err.value.failures if check == "normality"]
+        assert f"{group} grading" in detail and f"|G| = {group.order}" in detail
+        assert f"degree {max(group.factor_orders)}:" in detail
+        w = nilpotent_witness(cov)
+        assert not w.is_zero()
+        assert algebra_power(w, group.p, cov).is_zero(), f"{group} model {i}"
+        path = tmp_path / f"cov{i}.json"
+        path.write_text(json.dumps(covering_to_obj(cov)))
+        assert main(["genus", "--input", str(path)]) == 2
+        assert "normality: " in json.loads(capsys.readouterr().out)["detail"]
 
 
 def test_chart_consistency_checked():
