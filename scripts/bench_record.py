@@ -16,6 +16,14 @@ digests, together with the interpreter, the host and the benchmarked
 checkout's git SHA, to ``BENCH_<short-sha>.json`` in the root of this
 checkout.  It reads the benchmark's output and changes nothing under
 perfbench/.
+
+    python3 scripts/bench_record.py --compare BENCH_<parent>.json BENCH_<change>.json
+
+prints, for every workload, each end-to-end metric's median in both
+records, its relative move and its bound in ``BENCHMARK.json``, marking
+with WORSE every metric that moved the wrong way by more than its bound
+(the exit status is then 1), whether the report digests agree, and the
+per-layer medians of the traced runs side by side.  It runs nothing.
 """
 
 from __future__ import annotations
@@ -120,6 +128,52 @@ def record(summary: dict, sha: str, dirty: bool, bench: dict) -> dict:
     }
 
 
+def _fmt(x) -> str:
+    if x is None:
+        return "-"
+    if float(x).is_integer() and abs(x) < 1e15:
+        return str(int(x))
+    return f"{x:.4g}"
+
+
+def _median(run: dict | None, name: str):
+    return (run or {}).get("metrics", {}).get(name, {}).get("median")
+
+
+def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], bool]:
+    """Report lines comparing two BENCH records workload by workload, and
+    whether some end-to-end median is worse than its bound."""
+    lines, any_worse = [], False
+    for workload in (w["name"] for w in bench["workloads"]):
+        base, change = old["runs"].get(f"{workload}-t0"), new["runs"].get(f"{workload}-t0")
+        lines.append(f"{workload}: {old['git_sha'][:7]} -> {new['git_sha'][:7]}")
+        for metric in bench["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            a, b = _median(base, name), _median(change, name)
+            if a is None or b is None:
+                lines.append(f"  {name:<12} {_fmt(a):>10} -> {_fmt(b):<10} (missing)")
+                continue
+            move = (b - a) / a if a else 0.0
+            worse = (move if metric["better"] == "lower" else -move) > bound
+            any_worse |= worse
+            lines.append(f"  {name:<12} {_fmt(a):>10} -> {_fmt(b):<10} {move:+7.1%}"
+                         f"  bound {bound:.0%}{'  WORSE' if worse else ''}")
+        if base and change:
+            same = base["digests"] == change["digests"]
+            lines.append(f"  digests {'equal' if same else 'DIFFER'} "
+                         f"(seeds {' '.join(sorted(base['digests']))} -> "
+                         f"{' '.join(sorted(change['digests']))}); "
+                         f"failed ops {base['failed']} -> {change['failed']}")
+        base, change = old["runs"].get(f"{workload}-t1"), new["runs"].get(f"{workload}-t1")
+        if base or change:
+            lines.append("  per layer (trace 1, medians):")
+            for metric in bench["per_layer"]:
+                name = metric["name"]
+                lines.append(f"    {name:<44} {_fmt(_median(base, name)):>12} "
+                             f"{_fmt(_median(change, name)):>12}")
+    return lines, any_worse
+
+
 def main(argv=None) -> int:
     bench = load_benchmark()
     workloads = [w["name"] for w in bench["workloads"]]
@@ -127,7 +181,17 @@ def main(argv=None) -> int:
     ap.add_argument("--repo", default=ROOT, help="checkout to benchmark")
     ap.add_argument("--workloads", nargs="+", choices=workloads, default=workloads)
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two BENCH files instead of running the benchmark")
     args = ap.parse_args(argv)
+    if args.compare:
+        records = []
+        for path in args.compare:
+            with open(path) as fh:
+                records.append(json.load(fh))
+        lines, worse = compare(*records, bench)
+        print("\n".join(lines))
+        return 1 if worse else 0
     sha, dirty = git_state(args.repo)
     reports = []
     for workload in args.workloads:

@@ -8,13 +8,28 @@ A monomial c e_m inverts in closed form, since e_m e_{-m} =
 alpha(m,-m) e_0.  Every other element is inverted by solving the
 |M| x |M| multiplication-by-a system exactly over F_p(x), which also
 makes that solve the zero-divisor detector.
+
+The public constructor turns every component into a RatFun and checks
+its characteristic, since callers hand it Polys, RatFuns and mixed
+input.  Sums, negations, scalings and products of elements are built by
+``_elt`` instead: their components are RatFuns of the group's
+characteristic by construction, so it only drops the zero ones.
 """
 
 from __future__ import annotations
 
 from .errors import CharMismatch, NotInvertible
-from .fppoly import RatFun, as_ratfun
+from .fppoly import RatFun, _reduced, as_ratfun
 from .pgroup import GElt, PGroup
+
+
+def _elt(group: PGroup, comps: dict) -> "AlgebraElt":
+    """Trusted AlgebraElt: comps maps GElts to RatFuns of the group's
+    characteristic; only the zero components are dropped."""
+    a = object.__new__(AlgebraElt)
+    a.group = group
+    a.comps = {m: v for m, v in comps.items() if v.num.coeffs}
+    return a
 
 
 class AlgebraElt:
@@ -64,20 +79,22 @@ class AlgebraElt:
         return hash((self.group, tuple(sorted(self.comps.items(), key=lambda kv: kv[0].residues))))
 
     def __add__(self, other):
+        if other.group.p != self.group.p:
+            raise CharMismatch(f"characteristics differ: {self.group.p} vs {other.group.p}")
         out = dict(self.comps)
         for m, v in other.comps.items():
             out[m] = out[m] + v if m in out else v
-        return AlgebraElt(self.group, out)
+        return _elt(self.group, out)
 
     def __neg__(self):
-        return AlgebraElt(self.group, {m: -v for m, v in self.comps.items()})
+        return _elt(self.group, {m: -v for m, v in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, r: RatFun):
         r = as_ratfun(r)
-        return AlgebraElt(self.group, {m: v * r for m, v in self.comps.items()})
+        return _elt(self.group, {m: v * r for m, v in self.comps.items()})
 
     def mul(self, other: "AlgebraElt", table) -> "AlgebraElt":
         out: dict[GElt, RatFun] = {}
@@ -86,9 +103,9 @@ class AlgebraElt:
                 k = m + n
                 e = as_ratfun(table.entry(m, n))
                 # a * b * alpha(m, n), multiplied out and reduced once
-                term = RatFun(a.num * b.num * e.num, a.den * b.den * e.den)
+                term = _reduced(a.num * b.num * e.num, a.den * b.den * e.den)
                 out[k] = out[k] + term if k in out else term
-        return AlgebraElt(self.group, out)
+        return _elt(self.group, out)
 
     def __str__(self):
         if not self.comps:

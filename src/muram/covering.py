@@ -235,9 +235,18 @@ class KummerData:
 
 def kummer_form(cov) -> KummerData | None:
     """KummerData as given; a cyclic raw table as z^q = f through
-    forward_decompose; None for a raw product table."""
+    forward_decompose; a trivial-group table, whose one entry must be
+    alpha(0, 0) = 1, as the empty chart data; None for a raw product
+    table."""
     if isinstance(cov, KummerData):
         return cov
+    if cov.group.rank == 0:
+        zero = cov.group.zero()
+        if not cov.entry(zero, zero).is_one():
+            raise UnsupportedDecomposition(
+                f"table is not a valid symmetric cocycle at ({zero},{zero})"
+            )
+        return KummerData(cov.group, ())
     if not cov.group.is_cyclic:
         return None
     _, f = forward_decompose(cov)
@@ -361,7 +370,7 @@ class InfinityChart:
                 raise ValueError(f"no chart degree given for {m}")
         self._d = {m: (0 if m.is_zero() else degrees[m]) for m in group.elements()}
         self._infinity = Place.infinity(group.p)
-        self.u_place = Place.finite(Poly.x(group.p))
+        self.u_place = Place._of_irreducible(Poly.x(group.p))
 
     def u_exponent(self, m: GElt, n: GElt) -> int:
         d = self._d
@@ -425,5 +434,5 @@ def support_places(c) -> list[Place]:
         if m.is_zero():
             continue
         for irr in factor(c.entry(m, -m)):
-            seen.add(Place.finite(irr))
+            seen.add(Place._of_irreducible(irr))
     return sorted(seen, key=Place.sort_key)

@@ -9,6 +9,21 @@ everything here is safe to share across threads.
 The chart variable is anonymous: the same Poly class serves both the
 affine chart (variable x) and the chart at infinity (variable u = 1/x);
 which chart a polynomial lives on is tracked by the caller.
+
+Construction is the kernel's main cost, so it has two doors.  The
+public constructors check what they are given: ``Poly(p, coeffs)``
+checks that p is prime, reduces every coefficient mod p and trims
+trailing zeros; ``RatFun(num, den)`` checks the characteristics and the
+denominator and reduces the fraction.  They stay checked because callers
+hand them raw input (files, generators, tests).  Every result computed
+here goes through the trusted constructors ``_poly`` and ``_ratfun``
+instead, which check nothing and rely on an invariant: p came from an
+operand that was already checked, the coefficients lie in [0, p) with a
+nonzero last one, and a RatFun's parts are coprime with a monic
+denominator.  ``_reduced`` brings a fraction into that form and takes a
+gcd (through ``poly_gcd``) only when both parts are non-constant.
+Division, remainder and Euclid run on coefficient tuples (``_divmod_coeffs``,
+``_gcd_coeffs``) and build a Poly only for the answer.
 """
 
 from __future__ import annotations
@@ -28,6 +43,83 @@ def _check_prime(p: int) -> None:
     _PRIME_CACHE.add(p)
 
 
+# trusted construction and coefficient-level arithmetic -------------------
+#
+# The helpers below take coefficient sequences that are reduced (every
+# entry in [0, p)) and trimmed (no trailing zero; the zero polynomial is
+# empty), return lists of the same kind, and never check p.
+
+_new = object.__new__
+
+
+def _poly(p: int, coeffs) -> "Poly":
+    """Trusted Poly: p already checked, coeffs reduced and trimmed."""
+    f = _new(Poly)
+    f.p = p
+    f.coeffs = tuple(coeffs)
+    return f
+
+
+def _trimmed(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _mul_coeffs(a, b, p: int) -> list:
+    """Product of two nonzero coefficient tuples.  The leading
+    coefficients multiply to a unit of F_p, so the result is trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return list(a) if c == 1 else [x * c % p for x in a]
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            out[i:i + lb] = [o + ca * cb for o, cb in zip(out[i:i + lb], b)]
+    return [c % p for c in out]
+
+
+def _divmod_coeffs(a, b, p: int) -> tuple[list, list]:
+    """Schoolbook quotient and remainder of a by a nonzero b, both as
+    reduced, trimmed lists.  Each step cancels the top term of the
+    running remainder; the reduction mod p of the entries below it waits
+    until they are read."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    rem = list(a)
+    lc = b[-1]
+    inv = 1 if lc == 1 else pow(lc, p - 2, p)
+    low = b[:db]
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i] % p
+        if c:
+            c = c * inv % p
+            k = i - db
+            quo[k] = c
+            rem[k:i] = [r - c * cb for r, cb in zip(rem[k:i], low)]
+    return quo, _trimmed([r % p for r in rem[:db]])
+
+
+def _monic_coeffs(a, p: int):
+    lc = a[-1]
+    if lc == 1:
+        return a
+    inv = pow(lc, p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd_coeffs(a, b, p: int):
+    """Monic gcd of two coefficient tuples by Euclid; () for gcd(0, 0)."""
+    while b:
+        a, b = b, _divmod_coeffs(a, b, p)[1]
+    return _monic_coeffs(a, p) if a else a
+
+
 class Poly:
     """Polynomial over F_p, coefficients lowest-degree first, trimmed."""
 
@@ -35,11 +127,8 @@ class Poly:
 
     def __init__(self, p, coeffs):
         _check_prime(p)
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.p = p
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trimmed([c % p for c in coeffs]))
 
     # construction helpers
 
@@ -85,8 +174,7 @@ class Poly:
     def monic(self):
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        inv = pow(self.lc(), self.p - 2, self.p)
-        return Poly(self.p, [c * inv for c in self.coeffs])
+        return _poly(self.p, _monic_coeffs(self.coeffs, self.p))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -111,44 +199,46 @@ class Poly:
 
     def __add__(self, other):
         self._same(other)
+        p = self.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return Poly(self.p, out)
+        out = [(x + y) % p for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return _poly(p, _trimmed(out))
 
     def __neg__(self):
-        return Poly(self.p, [-c for c in self.coeffs])
+        p = self.p
+        return _poly(p, [p - c if c else 0 for c in self.coeffs])
 
     def __sub__(self, other):
         self._same(other)
+        p = self.p
         a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = (out[i] - c) % self.p
-        return Poly(self.p, out)
+        out = [(x - y) % p for x, y in zip(a, b)]
+        if len(a) >= len(b):
+            out.extend(a[len(b):])
+        else:
+            out.extend(p - c if c else 0 for c in b[len(a):])
+        return _poly(p, _trimmed(out))
 
     def __mul__(self, other):
         self._same(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.p)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(self.p, out)
+        if not self.coeffs or not other.coeffs:
+            return _poly(self.p, ())
+        return _poly(self.p, _mul_coeffs(self.coeffs, other.coeffs, self.p))
 
     def scale(self, c):
-        return Poly(self.p, [c * a for a in self.coeffs])
+        p = self.p
+        c %= p
+        if not c:
+            return _poly(p, ())
+        return _poly(p, [c * a % p for a in self.coeffs])
 
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative exponent on Poly")
-        result = Poly.one(self.p)
+        result = _poly(self.p, (1,))
         base = self
         while e:
             if e & 1:
@@ -162,20 +252,8 @@ class Poly:
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
         p = self.p
-        rem = list(self.coeffs)
-        db = other.degree()
-        inv_lc = pow(other.coeffs[-1], p - 2, p)
-        if len(rem) - 1 < db:
-            return Poly.zero(p), self
-        quo = [0] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] % p
-            if c:
-                q = (c * inv_lc) % p
-                quo[i - db] = q
-                for j, cb in enumerate(other.coeffs):
-                    rem[i - db + j] = (rem[i - db + j] - q * cb) % p
-        return Poly(p, quo), Poly(p, rem[:db])
+        quo, rem = _divmod_coeffs(self.coeffs, other.coeffs, p)
+        return _poly(p, quo), _poly(p, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -184,7 +262,8 @@ class Poly:
         return divmod(self, other)[1]
 
     def derivative(self):
-        return Poly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
+        p = self.p
+        return _poly(p, _trimmed([i * c % p for i, c in enumerate(self.coeffs)][1:]))
 
     def reversed_coeffs(self):
         """The reciprocal polynomial: coefficients in reverse order.
@@ -194,15 +273,16 @@ class Poly:
         """
         if self.is_zero():
             raise ZeroPolynomial("zero polynomial has no reciprocal")
-        return Poly(self.p, list(reversed(self.coeffs)))
+        return _poly(self.p, _trimmed(list(reversed(self.coeffs))))
 
     def pth_root(self):
         """Exact p-th root of a polynomial with vanishing derivative."""
         p = self.p
         if any(c and i % p for i, c in enumerate(self.coeffs)):
             raise ValueError("polynomial is not a p-th power")
-        # over F_p every coefficient is its own p-th root
-        return Poly(p, [self.coeffs[i] for i in range(0, len(self.coeffs), p)])
+        # over F_p every coefficient is its own p-th root; the degree is a
+        # multiple of p, so the leading coefficient is kept
+        return _poly(p, self.coeffs[::p])
 
     def __repr__(self):
         return f"Poly({self.p}, {list(self.coeffs)})"
@@ -227,9 +307,7 @@ class Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) is 0."""
     a._same(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a if a.is_zero() else a.monic()
+    return _poly(a.p, _gcd_coeffs(a.coeffs, b.coeffs, a.p))
 
 
 def powmod(base: Poly, e: int, mod: Poly) -> Poly:
@@ -373,6 +451,35 @@ def is_irreducible(f: Poly) -> bool:
 
 # rational functions ----------------------------------------------------
 
+def _ratfun(num: Poly, den: Poly) -> "RatFun":
+    """Trusted RatFun: num and den coprime, of one checked p, den monic."""
+    r = _new(RatFun)
+    r.num = num
+    r.den = den
+    return r
+
+
+def _reduced(num: Poly, den: Poly) -> "RatFun":
+    """num/den in lowest terms with a monic denominator, for a nonzero den
+    of num's characteristic.  A constant part is coprime to anything, so
+    the gcd is taken only when both parts are non-constant."""
+    p = num.p
+    a, b = num.coeffs, den.coeffs
+    if not a:
+        return _ratfun(num, _poly(p, (1,)))
+    if len(a) > 1 and len(b) > 1:
+        g = poly_gcd(num, den).coeffs
+        if g != (1,):
+            a = _divmod_coeffs(a, g, p)[0]
+            b = _divmod_coeffs(b, g, p)[0]
+            num, den = _poly(p, a), _poly(p, b)
+    lc = b[-1]
+    if lc == 1:
+        return _ratfun(num, den)
+    inv = pow(lc, p - 2, p)
+    return _ratfun(_poly(p, [c * inv % p for c in a]), _poly(p, [c * inv % p for c in b]))
+
+
 class RatFun:
     """Reduced fraction of polynomials: gcd(num, den) = 1, den monic."""
 
@@ -382,20 +489,13 @@ class RatFun:
         num._same(den)
         if den.is_zero():
             raise ZeroPolynomial("zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = Poly.one(num.p)
-            return
-        g = poly_gcd(num, den)
-        if not g.is_one():
-            num, den = num // g, den // g
-        inv = pow(den.lc(), den.p - 2, den.p)
-        self.num = num.scale(inv)
-        self.den = den.scale(inv)
+        r = _reduced(num, den)
+        self.num = r.num
+        self.den = r.den
 
     @classmethod
     def from_poly(cls, f: Poly):
-        return cls(f, Poly.one(f.p))
+        return _ratfun(f, _poly(f.p, (1,)))
 
     @classmethod
     def one(cls, p):
@@ -447,29 +547,31 @@ class RatFun:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _reduced(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return _ratfun(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _reduced(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RatFun(self.num * other.num, self.den * other.den)
+        return _reduced(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroElement("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return _reduced(self.num * other.den, self.den * other.num)
 
     def inverse(self):
         if self.is_zero():
             raise ZeroElement("zero has no inverse")
-        return RatFun(self.den, self.num)
+        # already coprime: only the new denominator needs making monic
+        inv = pow(self.num.lc(), self.p - 2, self.p)
+        return _ratfun(self.den.scale(inv), self.num.scale(inv))
 
     def __repr__(self):
         return f"RatFun({self.num!r}, {self.den!r})"
@@ -504,6 +606,12 @@ class Place:
             raise ValueError(f"finite place needs a monic non-constant polynomial, got {poly}")
         if not is_irreducible(poly):
             raise ValueError(f"finite place needs an irreducible polynomial, got {poly}")
+        return cls(poly.p, poly)
+
+    @classmethod
+    def _of_irreducible(cls, poly: Poly):
+        """Trusted finite place: poly is already known to be monic and
+        irreducible (a factor() output, or the uniformizer of a place)."""
         return cls(poly.p, poly)
 
     @classmethod
@@ -545,13 +653,27 @@ def poly_valuation(f: Poly, v: Place) -> int:
     if v.poly.coeffs == (0, 1):
         # v = (x): count the zero coefficients below the lowest-degree term
         return next(i for i, c in enumerate(f.coeffs) if c)
-    count = 0
-    while True:
-        q, r = divmod(f, v.poly)
-        if not r.is_zero():
-            return count
-        f = q
-        count += 1
+    # divide by pi, pi^2, pi^4, ... while each divides what is left; the
+    # valuation left is then below 2^len(powers), so step back down
+    p, cs = f.p, f.coeffs
+    powers = []  # pi^(2^k) for every k that divided
+    pw, count = v.poly.coeffs, 0
+    while len(pw) <= len(cs):
+        q, r = _divmod_coeffs(cs, pw, p)
+        if r:
+            break
+        cs = q
+        count += 1 << len(powers)
+        powers.append(pw)
+        if 2 * len(pw) - 1 > len(cs):
+            break  # the next power is longer than what is left
+        pw = _mul_coeffs(pw, pw, p)
+    for k in range(len(powers) - 1, -1, -1):
+        q, r = _divmod_coeffs(cs, powers[k], p)
+        if not r:
+            cs = q
+            count += 1 << k
+    return count
 
 
 def valuation(r, v: Place) -> int:

@@ -168,7 +168,7 @@ def _normalize(p: int, n: int, f: Poly, v: Place) -> LocalModel:
     _reject_pth_power(f)
     if v.is_infinity:
         f_chart = infinity_chart_equation(f, q)
-        working = Place.finite(Poly.x(p))
+        working = Place._of_irreducible(Poly.x(p))
         try:
             model = _normalize_finite(p, n, f_chart, working)
         except ModelRejection as exc:
@@ -304,7 +304,7 @@ def _off_support_normality_sweep(p: int, n: int, f: Poly) -> None:
     """
     _reject_pth_power(f)
     q = p ** n
-    for v in sorted(map(Place.finite, factor(f.derivative())), key=Place.sort_key):
+    for v in sorted(map(Place._of_irreducible, factor(f.derivative())), key=Place.sort_key):
         if poly_valuation(f, v) % q == 0:
             _normalize_finite(p, n, f, v)
 
@@ -317,7 +317,7 @@ def _kummer_places(kd: KummerData, include_infinity: bool) -> list[Place]:
     for f, n in zip(kd.factors, kd.group.exponents):
         if not f.is_constant():
             _off_support_normality_sweep(p, n, f)
-            support.update(Place.finite(irr) for irr in factor(f))
+            support.update(Place._of_irreducible(irr) for irr in factor(f))
     places = sorted(support, key=Place.sort_key)
     if include_infinity:
         places.append(Place.infinity(p))

@@ -98,7 +98,7 @@ def algebra_valuation(a: AlgebraElt, model: LocalModel) -> int:
     _check_no_cancellation(model)
     if a.is_zero():
         raise ZeroElement("the zero element has no valuation")
-    place = Place.finite(model.pi)
+    place = Place._of_irreducible(model.pi)
     return min(
         model.q * valuation(coeff, place) + model.basis_valuation(m)
         for m, coeff in a.comps.items()
@@ -113,7 +113,7 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     rows remain but no nonzero entries are left.
     """
     _check_no_cancellation(model)
-    place = Place.finite(model.pi)
+    place = Place._of_irreducible(model.pi)
     q, vA = model.q, model.vA
 
     def val(elt: AlgebraElt) -> int:

@@ -399,6 +399,18 @@ def test_trivial_group_genus_is_the_base_genus(tmp_path, capsys):
     assert rep["g_Y"] == 2 and rep["deg_R"] == 0
 
 
+def test_raw_trivial_group_table_needs_no_chart_degrees(tmp_path, capsys):
+    # the one chart degree at infinity, d(0) = 0, is canonical
+    raw = {"group": {"p": 3, "exponents": []}, "kind": "cocycle", "entries": [], "g_X": 2}
+    code, rep = run(capsys, ["genus", "--input", write_covering(tmp_path, raw)])
+    assert code == 0
+    assert rep["g_Y"] == 2 and rep["deg_R"] == 0
+    # a table whose one entry alpha(0, 0) is not 1 is still refused
+    bad = dict(raw, entries=[[[], [], [0, 1]]])
+    code, rep = run(capsys, ["genus", "--input", write_covering(tmp_path, bad, "bad.json")])
+    assert code == 2 and rep["rejected"] == "HypothesisFailure"
+
+
 # the CLI contract on covering-shaped input: group order <= 9 (the trivial
 # group included), polynomials of degree <= 6, then possibly one key
 # removed or one value replaced by a value of the wrong type

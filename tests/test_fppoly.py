@@ -102,6 +102,24 @@ def test_valuation_at_x_matches_repeated_division(p):
         assert poly_valuation(f, at_x) == _valuation_by_division(f, x)
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_valuation_at_other_places_matches_repeated_division(p):
+    # degree-1 places other than (x), and every degree-2 place
+    rng = random.Random(100 + p)
+    pis = [Poly(p, [a, 1]) for a in range(1, p)]
+    pis += [g for g in (Poly(p, [a, b, 1]) for a in range(p) for b in range(p))
+            if is_irreducible(g)]
+    for pi in pis:
+        v = Place.finite(pi)
+        cases = [pi ** 40]
+        for k in range(41):  # pi^k * tail; the tail may itself be divisible by pi
+            tail = Poly(p, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randrange(7))])
+            cases.append(pi ** k * tail)
+        assert poly_valuation(pi ** 40, v) == 40
+        for f in cases:
+            assert poly_valuation(f, v) == _valuation_by_division(f, pi)
+
+
 def test_valuation_zero_raises():
     with pytest.raises(ZeroElement):
         valuation(RatFun.zero(3), Place.infinity(3))

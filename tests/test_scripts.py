@@ -90,3 +90,50 @@ def test_bench_record_takes_run_length_and_workloads_from_benchmark_json():
     cmd = bench.bench_command(declared)
     assert cmd[:len(declared["command"])] == declared["command"]
     assert float(cmd[cmd.index("--seconds") + 1]) == declared["run_seconds"]
+
+
+def _fixture_record(sha, oracle_ops, rss, poly_new, digest="d1"):
+    def run(metrics):
+        return {"seeds": [1], "attempted": 10, "failed": 0, "correct": True,
+                "digests": {"1": digest},
+                "metrics": {name: {"unit": "", "median": v, "min": v, "max": v, "n": 1}
+                            for name, v in metrics.items()}}
+    return {"git_sha": sha, "runs": {
+        "oracle-t0": run({"ops_per_ref": oracle_ops, "peak_rss_mb": rss}),
+        "oracle-t1": run({"fppoly.poly_new.count": poly_new, "fppoly.self_s": 0.5}),
+    }}
+
+
+def test_bench_record_compares_fixture_records(tmp_path, capsys):
+    bench = _bench_record()
+    declared = {
+        "workloads": [{"name": "oracle"}, {"name": "cli"}],
+        "end_to_end": [{"name": "ops_per_ref", "better": "higher", "bound": 0.2},
+                       {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}],
+        "per_layer": [{"name": "fppoly.poly_new.count"}, {"name": "fppoly.self_s"}],
+    }
+    old = _fixture_record("a" * 40, 0.8, 24.0, 416000)
+    better = _fixture_record("b" * 40, 1.2, 24.5, 20000)
+    lines, worse = bench.compare(old, better, declared)
+    assert not worse
+    assert lines[0] == "oracle: aaaaaaa -> bbbbbbb"
+    ops = next(line for line in lines if "ops_per_ref" in line).split()
+    assert ops[1:6] == ["0.8", "->", "1.2", "+50.0%", "bound"] and "WORSE" not in ops
+    assert any("digests equal" in line for line in lines)
+    layer = next(line for line in lines if "fppoly.poly_new.count" in line).split()
+    assert layer[1:] == ["416000", "20000"]
+    assert "cli: aaaaaaa -> bbbbbbb" in lines
+    # throughput down by more than 20% and memory up by more than 5% are both marked
+    slower = _fixture_record("c" * 40, 0.6, 25.5, 20000, digest="d2")
+    lines, worse = bench.compare(old, slower, declared)
+    assert worse
+    marked = [line.split()[0] for line in lines if line.endswith("WORSE")]
+    assert marked == ["ops_per_ref", "peak_rss_mb"]
+    assert any("digests DIFFER" in line for line in lines)
+    paths = []
+    for name, rec in (("old", old), ("new", slower)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(rec, fh)
+    assert bench.main(["--compare", *paths]) == 1
+    assert "ops_per_ref" in capsys.readouterr().out
