@@ -106,8 +106,11 @@ class Cocycle:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     failures: list = field(default_factory=list)  # (invariant name, offending tuple)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def first(self, name):
         for n, info in self.failures:
@@ -139,7 +142,7 @@ def validate(c: Cocycle) -> ValidationReport:
         first = next(scan, None)
         if first is not None:
             failures.append((name, tuple(map(str, first))))
-    return ValidationReport(ok=not failures, failures=failures)
+    return ValidationReport(failures)
 
 
 @dataclass(frozen=True)

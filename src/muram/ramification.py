@@ -6,12 +6,13 @@ can be rescaled by pi-powers t(m) = floor(s(m) c / p^n) so that the
 basis valuations s(m) c - p^n t(m) run over exactly {0, ..., p^n - 1};
 hitting every residue class certifies that the rescaled model is the
 full normalization (its value semigroup is all of Z_{>=0}) and one basis
-element is a uniformizer.  When c = 0 the model is integrally closed
-above pi exactly when the unit part w = f / pi^{v(f)} keeps a nonzero
-derivative mod pi (the chart equation z^{p^n} = w has no other partial
-in characteristic p).  Local exponents with 0 < gcd(c, p^n) < p^n leave
-this model class and are refused, and so is a chart equation that is a
-p-th power (the covering is then not integral).
+element is a uniformizer.  A LocalModel stores c and derives the rest.
+When c = 0 the model is integrally closed above pi exactly when the unit
+part w = f / pi^{v(f)} keeps a nonzero derivative mod pi (the chart
+equation z^{p^n} = w has no other partial in characteristic p).  Local
+exponents with 0 < gcd(c, p^n) < p^n leave this model class and are
+refused, and so is a chart equation that is a p-th power (the covering
+is then not integral).
 
 Singular points can also hide where f is a unit, so before any place is
 certified the off-support sweep sends every place of f' with v(f) = 0
@@ -24,16 +25,17 @@ layer at the places of the total one.
 
 Multiplicities: the stabilizer subgroup at a place is
 N = { m : alpha(m, -m) is a unit there } and the ramification divisor
-has multiplicity |M| / |N| - 1.  All reported data refers to the
-normalized covering; cyclic inputs are certified place by place.
-Product inputs are layer-checked per factor, but a grading of rank >= 2
-is never normal over the line (its generic fibre is not a field, see
-rh_genus), so their reports mark normality "refuted".
+has multiplicity |M| / |N| - 1; a RamReport stores N and derives the
+rest.  All reported data refers to the normalized covering; cyclic
+inputs are certified place by place.  Product inputs are layer-checked
+per factor, but a grading of rank >= 2 is never normal over the line
+(its generic fibre is not a field, see rh_genus), so their reports mark
+normality "refuted".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .covering import (
@@ -57,6 +59,7 @@ from .fppoly import (
     Place,
     Poly,
     RatFun,
+    _check_prime,
     factor,
     is_pth_power,
     poly_valuation,
@@ -69,15 +72,15 @@ from .pgroup import GElt, PGroup, Subgroup
 
 @dataclass(frozen=True)
 class LocalModel:
-    """Localized cyclic covering with certified basis valuations.
+    """Localized cyclic covering, normal above its place.
 
     ``place`` is the reporting place; ``pi`` is the uniformizer of the
     working chart (for the infinity place the data has already been
     transported to the u-chart and pi is the variable u).  ``f_red`` has
-    v_pi in [0, p^n) except for models built by ``untwisted_local_model``,
-    which keep the raw exponent so that non-normal value semigroups stay
-    visible.  ``t`` and ``vA`` are indexed by the canonical representative
-    s(m).
+    v_pi = c in [0, p^n), and c decides the rest: the rescaling
+    t(s) = floor(s c / p^n) and the basis valuations vA(s) = s c - p^n t(s),
+    indexed by the canonical representative s(m).  Every model is built
+    and certified by _normalize_finite.
     """
 
     p: int
@@ -86,9 +89,6 @@ class LocalModel:
     pi: Poly
     f_red: Poly
     c: int
-    t: tuple[int, ...]
-    vA: tuple[int, ...]
-    normality: str  # "verified" | "rejected:<reason>"
 
     @property
     def q(self) -> int:
@@ -98,8 +98,17 @@ class LocalModel:
     def group(self) -> PGroup:
         return PGroup(self.p, (self.n,) if self.n else ())
 
-    def basis_valuation(self, m: GElt) -> int:
-        return self.vA[m.residues[0]]
+    # from lists: tuple(<generator>) is allocated at a guessed length and shrunk,
+    # bypassing CPython's per-size tuple free lists, which it then refills when freed
+    @cached_property
+    def t(self) -> tuple[int, ...]:
+        q, c = self.q, self.c
+        return tuple([(s * c) // q for s in range(q)])
+
+    @cached_property
+    def vA(self) -> tuple[int, ...]:
+        q, c = self.q, self.c
+        return tuple([s * c - q * t for s, t in enumerate(self.t)])
 
     @cached_property
     def _entry_values(self) -> dict[tuple[int, int], RatFun]:
@@ -127,10 +136,6 @@ class LocalModel:
                 value = RatFun(num, self.pi ** (-exp))
             self._entry_values[(carry, exp)] = value
         return value
-
-    @property
-    def is_totally_ramified(self) -> bool:
-        return self.c != 0
 
 
 def _require_cyclic(kd: KummerData) -> Poly:
@@ -173,9 +178,7 @@ def _normalize(p: int, n: int, f: Poly, v: Place) -> LocalModel:
             model = _normalize_finite(p, n, f_chart, working)
         except ModelRejection as exc:
             raise type(exc)(f"at infinity (u-chart): {exc}") from None
-        return LocalModel(
-            p, n, v, model.pi, model.f_red, model.c, model.t, model.vA, model.normality
-        )
+        return replace(model, place=v)
     return _normalize_finite(p, n, f, v)
 
 
@@ -193,51 +196,39 @@ def _normalize_finite(p: int, n: int, f: Poly, v: Place) -> LocalModel:
             raise NonNormalModel(
                 f"unit-part derivative vanishes at {v}; the chart equation is singular there"
             )
-        zeros = (0,) * q
-        return LocalModel(p, n, v, pi, f_red, 0, zeros, zeros, "verified")
-    if c % p == 0:
+    elif c % p == 0:
         raise UnsupportedPartialRamification(
             f"local exponent {c} at {v} shares a factor with p={p}; "
             "the normalization leaves this model class"
         )
-    # from lists: tuple(<generator>) is allocated at a guessed length and shrunk,
-    # bypassing CPython's per-size tuple free lists, which it then refills when freed
-    t = tuple([(s * c) // q for s in range(q)])
-    vA = tuple([s * c - q * t[s] for s in range(q)])
-    if set(vA) != set(range(q)):
-        raise InternalInvariant(f"basis valuations {vA} at {v} miss a residue class mod {q}")
-    return LocalModel(p, n, v, pi, f_red, c, t, vA, "verified")
+    model = LocalModel(p, n, v, pi, f_red, c)
+    if c and set(model.vA) != set(range(q)):
+        raise InternalInvariant(f"basis valuations {model.vA} at {v} miss a residue class mod {q}")
+    return model
 
 
 def untwisted_local_model(kd: KummerData, v: Place) -> LocalModel:
     """Local model with the basis as given (no rescaling).
 
-    Keeps the raw local exponent; normality is certified only when the
-    raw basis valuations already realize {0, ..., p^n - 1}.
+    The given basis has valuations s v(f), which realize {0, ..., p^n - 1}
+    exactly when v(f) = 1; any other exponent raises NonNormalModel.  With
+    v(f) = 1 nothing is rescaled, so this is the normalized model.
     """
     f = _require_cyclic(kd)
-    p, n = kd.group.p, kd.group.exponents[0]
-    q = p ** n
     _reject_pth_power(f)
     if v.is_infinity:
         raise UnsupportedGroup("untwisted models are for finite places; transport the chart first")
-    c0 = poly_valuation(f, v)
-    vA = tuple(s * c0 for s in range(q))
-    if set(vA) == set(range(q)):
-        normality = "verified"
-    else:
-        normality = "rejected:value semigroup misses a residue class"
-    return LocalModel(p, n, v, v.poly, f, c0, (0,) * q, vA, normality)
+    if poly_valuation(f, v) != 1:
+        raise NonNormalModel("value semigroup misses a residue class")
+    return normalize_local_model(kd, v)
 
 
 def fixed_ideal_valuation_at(model: LocalModel) -> int:
     """Valuation of the ideal generated by all e_m, m != 0.
 
-    Equals 1 at totally ramified places of normal models, where some
-    basis element is a uniformizer.
+    Equals 1 at totally ramified places, where some basis element is a
+    uniformizer, and 0 at split places.
     """
-    if model.normality.startswith("rejected"):
-        raise NonNormalModel(model.normality.split(":", 1)[1])
     return min(model.vA[s] for s in range(1, model.q))
 
 
@@ -271,24 +262,31 @@ def multiplicity_at(c, v: Place) -> int:
     """
     kd = kummer_form(c)
     stabilizer = stabilizer_subgroup_at(c, v) if kd is None else _certified_stabilizer(kd, v)
-    return c.group.order // stabilizer.order - 1
+    return RamReport(v, stabilizer).multiplicity
 
 
 @dataclass
 class RamReport:
+    """The stabilizer N_v at a place; everything the report says is read off it."""
+
     place: Place
     stabilizer: Subgroup
-    multiplicity: int
-    totally_ramified: bool
-    torsor: bool
-    normality: str
 
-    def __post_init__(self):
-        mult = self.stabilizer.group.order // self.stabilizer.order - 1
-        given = (self.multiplicity, self.totally_ramified, self.torsor)
-        if given != (mult, self.stabilizer.is_trivial(), mult == 0):
-            raise InternalInvariant(f"(multiplicity, totally ramified, torsor) {given} "
-                                    f"at {self.place} contradicts the stabilizer")
+    @property
+    def multiplicity(self) -> int:
+        return self.stabilizer.group.order // self.stabilizer.order - 1
+
+    @property
+    def totally_ramified(self) -> bool:
+        return self.stabilizer.is_trivial()
+
+    @property
+    def torsor(self) -> bool:
+        return self.multiplicity == 0
+
+    @property
+    def normality(self) -> str:
+        return "verified" if self.stabilizer.group.rank <= 1 else "refuted"
 
 
 def _off_support_normality_sweep(p: int, n: int, f: Poly) -> None:
@@ -345,17 +343,14 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
 
     ``cov`` is a Cocycle or KummerData.  Cyclic and per-factor data is
     certified via local models (normalized semantics); raw non-cyclic
-    tables use the entries as given.  Normality is "verified" for rank
-    <= 1 and "refuted" for rank >= 2, which is never normal.  Divisors are
-    indexed by base places, which is faithful because the covering is a
-    homeomorphism on points.
+    tables use the entries as given.  Divisors are indexed by base places,
+    which is faithful because the covering is a homeomorphism on points.
     """
     group = cov.group
-    normality = "verified" if group.rank <= 1 else "refuted"
     kd = kummer_form(cov)
     if kd is not None:
         places = _kummer_places(kd, include_infinity)
-        stabilizers = [(v, _certified_stabilizer(kd, v)) for v in places]
+        reports = [RamReport(v, _certified_stabilizer(kd, v)) for v in places]
     else:
         places = support_places(cov)
         if include_infinity:
@@ -364,16 +359,12 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
             chart = InfinityChart(cov, infinity_degrees)
             chart.check_integral()
             places.insert(0, Place.infinity(group.p))
-        stabilizers = [
-            (v, stabilizer_subgroup_at(chart, chart.u_place) if v.is_infinity
-             else stabilizer_subgroup_at(cov, v))
+        reports = [
+            RamReport(v, stabilizer_subgroup_at(chart, chart.u_place) if v.is_infinity
+                      else stabilizer_subgroup_at(cov, v))
             for v in places
         ]
-    reports = []
-    for v, stab in sorted(stabilizers, key=lambda vs: vs[0].sort_key()):
-        mult = group.order // stab.order - 1
-        reports.append(RamReport(v, stab, mult, totally_ramified=stab.is_trivial(),
-                                 torsor=mult == 0, normality=normality))
+    reports.sort(key=lambda r: r.place.sort_key())
     divisor = Divisor({r.place: r.multiplicity for r in reports if r.multiplicity})
     return divisor, reports
 
@@ -459,15 +450,10 @@ def devissage_check(
 
 def _stand_in_model(p: int, n: int, c: int) -> LocalModel:
     """Local model of z^{p^n} = T^c at T = 0, standing in for a layer
-    whose base curve is not the line; lengths only depend on (p, n, c)."""
-    x = Poly.x(p)
-    if c == 0:
-        zeros = (0,) * (p ** n)
-        return LocalModel(
-            p, n, Place.finite(x), x, Poly.one(p), 0, zeros, zeros, "verified"
-        )
-    f = Poly(p, [0] * c + [1])
-    return _normalize(p, n, f, Place.finite(x))
+    whose base curve is not the line; lengths only depend on (p, n, c).
+    For c = 0 the unit 1 + T stands in."""
+    f = Poly(p, [0] * c + [1]) if c else Poly(p, [1, 1])
+    return _normalize(p, n, f, Place.finite(Poly.x(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,23 +465,23 @@ class FixedIdealReport:
     ideal_valuation: int
     multiplicity: int
     order: int
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.ideal_valuation == 1
 
 
 def fixed_ideal_relation_check(model: LocalModel) -> FixedIdealReport:
-    """At a totally ramified place the fixed ideal is the maximal ideal
-    and the divisor multiplicity is |G| - 1, so the local relation reads
-    (|G| - 1) * v(I) = multiplicity.  Verified, not assumed."""
-    if not model.is_totally_ramified:
+    """At a totally ramified place the multiplicity is |G| - 1, so the
+    relation (|G| - 1) * v(I) = multiplicity holds exactly when v(I) = 1,
+    which is what is verified on the basis valuations of the model."""
+    if model.c == 0:
         raise NotTotallyRamified(f"stabilizer at {model.place} is not trivial")
-    v_ideal = fixed_ideal_valuation_at(model)
-    mult = model.q - 1
     return FixedIdealReport(
         place=model.place,
-        ideal_valuation=v_ideal,
-        multiplicity=mult,
+        ideal_valuation=fixed_ideal_valuation_at(model),
+        multiplicity=model.q - 1,
         order=model.q,
-        holds=(v_ideal == 1 and (model.q - 1) * v_ideal == mult),
     )
 
 
@@ -520,6 +506,9 @@ def gln_regression(p: int, n: int, beta: int, gamma: int) -> GlnRegressionReport
     two sides coincide, a degeneracy the report flags explicitly; for
     n >= 2 they differ.
     """
+    _check_prime(p)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if not 0 < beta < gamma:
         raise ValueError(f"need 0 < beta < gamma, got beta={beta} gamma={gamma}")
     delta = SymbolicPlace("Delta", 1)

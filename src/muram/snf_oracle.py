@@ -21,18 +21,19 @@ routes are compared from the outside.  Pivots are inverted by
 algebra_inverse: a monomial pivot c e_m, the usual case, in closed form
 from e_m e_{-m} = alpha(m,-m) e_0, anything else by the dense solve.
 
-Valuations in A use that the rescaled basis valuations are pairwise
-distinct mod p^n, so graded components can never cancel:
-v_A(sum a_m e_m) = min_m (p^n v_pi(a_m) + v_A(e_m)).
+Valuations in A use that the basis valuations, which the local model
+derives from its exponent c != 0, are pairwise distinct mod p^n, so graded
+components can never cancel: v_A(sum a_m e_m) = min_m (p^n v_pi(a_m) + v_A(e_m)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra import AlgebraElt, algebra_inverse
-from .errors import CancellationRisk, InternalInvariant, NotTorsion, ZeroElement
+from .errors import CancellationRisk, NotTorsion, ZeroElement
 from .fppoly import Place, valuation
 from .pgroup import GElt
 from .ramification import LocalModel
@@ -84,25 +85,25 @@ def build_presentation(model: LocalModel) -> PresentationMatrix:
     return PresentationMatrix(rows=rows, labels=tuple(labels), columns=columns)
 
 
-def _check_no_cancellation(model: LocalModel) -> None:
-    residues = {v % model.q for v in model.vA}
-    if len(residues) != model.q:
-        raise CancellationRisk(
-            "basis valuations collide mod p^n; the minimum formula may cancel"
-        )
+def _valuation(model: LocalModel) -> Callable[[AlgebraElt], int]:
+    """v_A on nonzero elements, once the basis valuations are checked
+    pairwise distinct mod p^n."""
+    q, vA = model.q, model.vA
+    if len({v % q for v in vA}) != q:
+        raise CancellationRisk("basis valuations collide mod p^n; the minimum formula may cancel")
+    place = Place._of_irreducible(model.pi)
+    return lambda elt: min(
+        q * valuation(coeff, place) + vA[m.residues[0]] for m, coeff in elt.comps.items()
+    )
 
 
 def algebra_valuation(a: AlgebraElt, model: LocalModel) -> int:
     """min_m (p^n * v_pi(a_m) + v_A(e_m)); exact because the basis
     valuations are pairwise distinct mod p^n (checked)."""
-    _check_no_cancellation(model)
+    val = _valuation(model)
     if a.is_zero():
         raise ZeroElement("the zero element has no valuation")
-    place = Place._of_irreducible(model.pi)
-    return min(
-        model.q * valuation(coeff, place) + model.basis_valuation(m)
-        for m, coeff in a.comps.items()
-    )
+    return val(a)
 
 
 def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
@@ -112,16 +113,7 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     additive over block-diagonal presentations.  Raises NotTorsion when
     rows remain but no nonzero entries are left.
     """
-    _check_no_cancellation(model)
-    place = Place._of_irreducible(model.pi)
-    q, vA = model.q, model.vA
-
-    def val(elt: AlgebraElt) -> int:
-        return min(
-            q * valuation(coeff, place) + vA[m.residues[0]]
-            for m, coeff in elt.comps.items()
-        )
-
+    val = _valuation(model)
     # columns as {row: (entry, valuation)}
     columns = [
         {i: (entry, val(entry)) for i, entry in col.items()}
@@ -181,7 +173,5 @@ def oracle_multiplicity(model: LocalModel) -> int:
     minimum formula does not apply there since all basis valuations tie).
     """
     if model.c == 0:
-        if any(model.vA):
-            raise InternalInvariant(f"split place {model.place} with basis valuations {model.vA}")
         return 0
     return snf_length(build_presentation(model), model)

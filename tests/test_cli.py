@@ -231,6 +231,15 @@ def test_regress_gln_subcommand(capsys):
     assert rep["equal"] and rep["degenerate_height_one"]
 
 
+@pytest.mark.parametrize("p, n", [("2", "-1"), ("2", "0"), ("4", "2"), ("1", "2"),
+                                  ("0", "2"), ("-3", "2")])
+def test_regress_gln_refuses_bad_characteristic_or_height(capsys, p, n):
+    code = main(["regress-gln", "-p", p, "-n", n, "--beta", "1", "--gamma", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_gorenstein_subcommand(tmp_path, capsys):
     path = write_covering(tmp_path, kummer_obj(2, [2], [[0, 1]]))
     code, rep = run(capsys, ["gorenstein", "--input", path, "--include-infinity"])

@@ -1,11 +1,6 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
-
-import muram
 
 from muram.covering import Cocycle, KummerData
 from muram.divisors import Divisor
@@ -15,7 +10,7 @@ from muram.errors import (
     NotTotallyRamified,
     UnsupportedPartialRamification,
 )
-from muram.fppoly import Place, Poly, RatFun, factor
+from muram.fppoly import Place, Poly, RatFun, factor, poly_valuation
 from muram.pgroup import PGroup
 from muram.ramification import (
     devissage_check,
@@ -45,7 +40,6 @@ def cyclic(p, n, f):
 def test_normalize_minimal_case():
     m = normalize_local_model(cyclic(2, 1, X2), AT_X2)
     assert (m.c, m.t, m.vA) == (1, (0, 0), (0, 1))
-    assert m.normality == "verified"
     assert m.vA.index(1) == 1
 
 
@@ -64,10 +58,32 @@ def test_normalize_unit_place_regularity():
 
 
 def test_canonical_reject_value_semigroup():
-    m = untwisted_local_model(cyclic(2, 1, X2 ** 3), AT_X2)
-    assert m.normality.startswith("rejected")
     with pytest.raises(NonNormalModel):
-        fixed_ideal_valuation_at(m)
+        untwisted_local_model(cyclic(2, 1, X2 ** 3), AT_X2)
+
+
+def test_untwisted_model_is_normal_exactly_at_exponent_one():
+    # seeded: at every support place the given basis is the normalized one
+    # when v(f) = 1 and is refused otherwise
+    seen = set()
+    for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]:
+        rng = random.Random(100 * p + n)
+        q = p ** n
+        for _ in range(6):
+            kd = random_normal_cyclic_kummer(rng, p, n)
+            (f,) = kd.factors
+            for irr in factor(f):
+                v = Place.finite(irr)
+                exponent_one = poly_valuation(f, v) == 1
+                seen.add(exponent_one)
+                if exponent_one:
+                    m = untwisted_local_model(kd, v)
+                    assert m == normalize_local_model(kd, v)
+                    assert m.t == (0,) * q and m.vA == tuple(range(q))
+                else:
+                    with pytest.raises(NonNormalModel):
+                        untwisted_local_model(kd, v)
+    assert seen == {True, False}
 
 
 def test_canonical_reject_derivative():
@@ -266,8 +282,19 @@ def test_devissage_examples():
     assert rep3.equal
 
 
-def test_devissage_with_oracle_and_infinity():
-    rep = devissage_check(cyclic(2, 2, X2), 1, include_infinity=True, with_oracle=True)
+@pytest.mark.parametrize(
+    "f, total",
+    [
+        (X2, {AT_X2: 3, Place.infinity(2): 3}),
+        # (x) is a split support place: the oracle's upper layer there is the
+        # c = 0 stand-in model
+        (X2 ** 4 * Poly(2, [1, 1]), {Place.finite(Poly(2, [1, 1])): 3, Place.infinity(2): 3}),
+    ],
+    ids=["x", "x^4(x+1)"],
+)
+def test_devissage_with_oracle_and_infinity(f, total):
+    rep = devissage_check(cyclic(2, 2, f), 1, include_infinity=True, with_oracle=True)
+    assert rep.total == Divisor(total)
     assert rep.equal and rep.oracle_agrees
 
 
@@ -360,27 +387,6 @@ def test_gln_regression_values():
 def test_gln_regression_input_validation():
     with pytest.raises(ValueError):
         gln_regression(2, 2, 2, 2)
-
-
-def test_inconsistent_ram_report_raises_under_optimize():
-    # invariants are raises, not asserts, so `python -O` keeps them
-    code = (
-        "from muram.errors import InternalInvariant\n"
-        "from muram.fppoly import Place, Poly\n"
-        "from muram.pgroup import PGroup, Subgroup\n"
-        "from muram.ramification import RamReport\n"
-        "g = PGroup(2, (1,))\n"
-        "v = Place.finite(Poly.x(2))\n"
-        "stab = Subgroup(g, (g.zero(),))  # trivial: multiplicity 1, not a torsor\n"
-        "try:\n"
-        "    RamReport(v, stab, multiplicity=0, totally_ramified=True, torsor=True,\n"
-        "              normality='verified')\n"
-        "except InternalInvariant as exc:\n"
-        "    print('InternalInvariant:', exc)\n"
-    )
-    src = os.path.dirname(os.path.dirname(muram.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InternalInvariant:")
+    for p, n in [(4, 2), (1, 2), (0, 2), (2, 0), (2, -1)]:
+        with pytest.raises(ValueError):
+            gln_regression(p, n, 1, 2)

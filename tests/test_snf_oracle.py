@@ -43,10 +43,7 @@ def test_presentation_shape_z2():
 def test_presentation_trivial_group_is_empty():
     from muram.ramification import LocalModel
 
-    trivial = LocalModel(
-        p=2, n=0, place=AT_X2, pi=X2, f_red=Poly.one(2), c=0, t=(0,), vA=(0,),
-        normality="verified",
-    )
+    trivial = LocalModel(p=2, n=0, place=AT_X2, pi=X2, f_red=Poly.one(2), c=0)
     pm = build_presentation(trivial)
     assert pm.shape == (0, 1)
     assert all(not col for col in pm.columns)
