@@ -21,6 +21,16 @@ routes are compared from the outside.  Pivots are inverted by
 algebra_inverse: a monomial pivot c e_m, the usual case, in closed form
 from e_m e_{-m} = alpha(m,-m) e_0, anything else by the dense solve.
 
+Elimination does only the work that can change the answer (details at
+snf_length).  The pivot column is scaled once by the pivot's inverse,
+which reassociates (c pivot^{-1}) b as c (pivot^{-1} b); that is exact
+because a local model's table is a symmetric cocycle.  New valuations
+follow the ultrametric rule, and only ties are valued afresh.  Cached
+column minima give the pivot without a rescan and in the rescan's tie
+order (first column, then first row), so the pivot sequence is unchanged.
+Columns equal to an earlier one, which characteristic 2 makes
+(-e_k = e_k), are dropped before pivoting.
+
 Valuations in A use that the basis valuations, which the local model
 derives from its exponent c != 0, are pairwise distinct mod p^n, so graded
 components can never cancel: v_A(sum a_m e_m) = min_m (p^n v_pi(a_m) + v_A(e_m)).
@@ -28,7 +38,7 @@ components can never cancel: v_A(sum a_m e_m) = min_m (p^n v_pi(a_m) + v_A(e_m))
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,21 +76,20 @@ def build_presentation(model: LocalModel) -> PresentationMatrix:
     labels = []
     columns = []
     for k in elements:
+        # the k columns share one e_k and one -e_k; rows k+l and l never
+        # coincide, since k = 0 has no columns
+        if not k.is_zero():
+            e_k = AlgebraElt.basis(group, k)
+            neg_e_k = -e_k
         for l in elements:
             labels.append((k, l))
             col: dict[int, AlgebraElt] = {}
             if not k.is_zero():
-                e_k = AlgebraElt.basis(group, k)
                 top = k + l
                 if not top.is_zero():
                     col[row_index[top]] = e_k
                 if not l.is_zero():
-                    prev = col.get(row_index[l])
-                    entry = (prev - e_k) if prev is not None else -e_k
-                    if entry.is_zero():
-                        del col[row_index[l]]
-                    else:
-                        col[row_index[l]] = entry
+                    col[row_index[l]] = neg_e_k
             columns.append(col)
     return PresentationMatrix(rows=rows, labels=tuple(labels), columns=columns)
 
@@ -106,61 +115,122 @@ def algebra_valuation(a: AlgebraElt, model: LocalModel) -> int:
     return val(a)
 
 
+def _column_min(col: dict[int, tuple[AlgebraElt, int]]) -> tuple[int, int]:
+    """(minimal valuation, first row reaching it in the column's order)."""
+    row = min(col, key=lambda i: col[i][1])
+    return col[row][1], row
+
+
 def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     """Length of the cokernel by minimal-valuation pivoting.
 
     Invariant under column permutation, duplication, and unit scaling;
     additive over block-diagonal presentations.  Raises NotTorsion when
     rows remain but no nonzero entries are left.
+
+    The pivot is the first entry of minimal valuation in the first column
+    that has one, rows in the column's order.  A column equal to an earlier
+    one is dropped before pivoting: it never wins that tie, and once the
+    earlier copy is the pivot it clears to zero.  Each live column caches
+    (minimal valuation, first row reaching it) in a heap keyed by
+    (valuation, column), and a row index lists the columns meeting each
+    row, so a step visits only those.  The pivot column is scaled once,
+    s_i = pivot^{-1} b_i, and a column with entry c in the pivot row gets
+    a_i - c s_i, one product per other entry of the pivot column; the rows
+    only it has keep their entries.  The new valuation is
+    min(v(a_i), v(c) + v(b_i) - v(pivot)) when the two differ; only a tie
+    is valued afresh, and a tie that cancels drops the entry.
     """
     val = _valuation(model)
-    # columns as {row: (entry, valuation)}
-    columns = [
-        {i: (entry, val(entry)) for i, entry in col.items()}
-        for col in matrix.columns
-        if col
-    ]
+    # live columns by original index, each {row: (entry, valuation)}; each
+    # entry object (alive in matrix, so its id is stable) is valued and
+    # given a token for its value once, and equal columns have equal sets
+    # of (row, token)
+    columns: dict[int, dict[int, tuple[AlgebraElt, int]]] = {}
+    known: dict[int, tuple[int, int]] = {}
+    tokens: dict[AlgebraElt, int] = {}
+    seen: set[frozenset] = set()
+    for j, col in enumerate(matrix.columns):
+        if not col:
+            continue
+        cells = {}
+        key = []
+        for i, entry in col.items():
+            info = known.get(id(entry))
+            if info is None:
+                info = known[id(entry)] = (tokens.setdefault(entry, len(tokens)), val(entry))
+            cells[i] = (entry, info[1])
+            key.append((i, info[0]))
+        key = frozenset(key)
+        if key not in seen:
+            seen.add(key)
+            columns[j] = cells
+    mins = {j: _column_min(col) for j, col in columns.items()}
+    heap = [(v, j, i) for j, (v, i) in mins.items()]
+    heapq.heapify(heap)
+    meets: dict[int, set[int]] = {}
+    for j, col in columns.items():
+        for i in col:
+            meets.setdefault(i, set()).add(j)
     remaining = len(matrix.rows)
     total = 0
     while remaining:
-        pivot_val = math.inf
-        pivot = None
-        for cj, col in enumerate(columns):
-            for ri, (_, v) in col.items():
-                if v < pivot_val:
-                    pivot_val = v
-                    pivot = (cj, ri)
-        if pivot is None:
+        while heap:
+            pivot_val, cj, ri = heapq.heappop(heap)
+            if mins.get(cj) == (pivot_val, ri):
+                break
+        else:
             raise NotTorsion(
                 f"{remaining} generators admit no further relations; "
                 "the module is not torsion"
             )
-        cj, ri = pivot
-        pivot_col = columns[cj]
+        pivot_col = columns.pop(cj)
+        del mins[cj]
+        for i in pivot_col:
+            meets[i].discard(cj)
         inv = algebra_inverse(pivot_col[ri][0], model)
-        zero = AlgebraElt.zero(model.group)
-        new_columns = []
-        for j, col in enumerate(columns):
-            if j == cj:
-                continue
-            if ri not in col:
-                new_columns.append(col)
-                continue
-            ratio = col[ri][0].mul(inv, model)
+        scaled = {
+            i: (inv.mul(b, model), vb - pivot_val)
+            for i, (b, vb) in pivot_col.items()
+            if i != ri
+        }
+        for j in meets.pop(ri):
+            col = columns[j]
+            c, vc = col[ri]
             updated: dict[int, tuple[AlgebraElt, int]] = {}
+            # this set's order becomes the column's row order, which breaks
+            # later ties; it is the order a full rescan builds
             touched = set(col) | set(pivot_col)
             touched.discard(ri)
             for i in touched:
-                a = col[i][0] if i in col else zero
-                b = pivot_col[i][0] if i in pivot_col else zero
-                w = a - ratio.mul(b, model)
-                if not w.is_zero():
+                if i not in scaled:
+                    updated[i] = col[i]
+                    continue
+                s, vs = scaled[i]
+                prod = c.mul(s, model)
+                vp = vc + vs
+                if i not in col:
+                    updated[i] = (-prod, vp)
+                    meets.setdefault(i, set()).add(j)
+                    continue
+                a, va = col[i]
+                w = a - prod
+                if va != vp:
+                    updated[i] = (w, min(va, vp))
+                elif w:
                     updated[i] = (w, val(w))
+                else:
+                    meets[i].discard(j)
             if updated:
-                new_columns.append(updated)
-        columns = new_columns
+                columns[j] = updated
+                best = _column_min(updated)
+                if best != mins[j]:
+                    mins[j] = best
+                    heapq.heappush(heap, (best[0], j, best[1]))
+            else:
+                del columns[j], mins[j]
         remaining -= 1
-        total += int(pivot_val)
+        total += pivot_val
     return total
 
 

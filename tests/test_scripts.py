@@ -137,3 +137,21 @@ def test_bench_record_compares_fixture_records(tmp_path, capsys):
             json.dump(rec, fh)
     assert bench.main(["--compare", *paths]) == 1
     assert "ops_per_ref" in capsys.readouterr().out
+
+
+def test_path_timings_prints_one_row_per_path():
+    lines = run_script("path_timings.py", "--q", "4,8", "--repeat", "1").splitlines()
+    assert lines[0] == "| path | q=4 | q=8 |"
+    rows = [line.split(" | ") for line in lines[2:]]
+    assert [row[0] for row in rows] == [
+        "| `ramification_divisor` incl. ∞", "| `predict_genus`",
+        "| `oracle_multiplicity` at (x)", "| oracle at (x), f = x^5(x^3+x+1)",
+    ]
+    assert all(cell.rstrip(" |").endswith(" ms") for row in rows for cell in row[1:])
+
+
+def test_path_timings_refuses_a_q_that_is_no_prime_power():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "path_timings.py"),
+                           "--q", "12"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and "12 is not a prime power" in proc.stderr

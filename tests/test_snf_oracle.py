@@ -1,16 +1,19 @@
+import math
 import random
 
 import pytest
 
-from muram.algebra import AlgebraElt
+from muram.algebra import AlgebraElt, algebra_inverse
 from muram.covering import KummerData
 from muram.errors import CancellationRisk, NotTorsion
 from muram.fppoly import Place, Poly, RatFun
 from muram.pgroup import PGroup
-from muram.ramification import normalize_local_model, ramification_divisor
+from muram.ramification import multiplicity_at, normalize_local_model, ramification_divisor
 from muram.randgen import random_normal_cyclic_kummer
+from muram import snf_oracle
 from muram.snf_oracle import (
     PresentationMatrix,
+    _valuation,
     algebra_valuation,
     build_presentation,
     oracle_multiplicity,
@@ -154,6 +157,205 @@ def test_not_torsion_detected():
         snf_length(pm, m)
 
 
+# sparse elimination against a dense rescan ---------------------------------
+#
+# The reference is the straightforward elimination: rescan every entry for
+# the pivot, form col[ri] * pivot^{-1} for each column meeting the pivot
+# row, subtract its multiple of the pivot column on every row, and value
+# each new entry from scratch.
+
+def dense_snf_length(matrix, model, pivots=None):
+    val = _valuation(model)
+    columns = [{i: (e, val(e)) for i, e in col.items()} for col in matrix.columns if col]
+    remaining, total = len(matrix.rows), 0
+    while remaining:
+        pivot_val, pivot = math.inf, None
+        for cj, col in enumerate(columns):
+            for ri, (_, v) in col.items():
+                if v < pivot_val:
+                    pivot_val, pivot = v, (cj, ri)
+        if pivot is None:
+            raise NotTorsion(f"{remaining} generators left")
+        cj, ri = pivot
+        pivot_col = columns[cj]
+        if pivots is not None:
+            pivots.append((pivot_col[ri][0], pivot_val))
+        inv = algebra_inverse(pivot_col[ri][0], model)
+        zero = AlgebraElt.zero(model.group)
+        new_columns = []
+        for j, col in enumerate(columns):
+            if j == cj:
+                continue
+            if ri not in col:
+                new_columns.append(col)
+                continue
+            ratio = col[ri][0].mul(inv, model)
+            updated = {}
+            # rows in this set's order, which decides later ties within a column
+            touched = set(col) | set(pivot_col)
+            touched.discard(ri)
+            for i in touched:
+                a = col[i][0] if i in col else zero
+                b = pivot_col[i][0] if i in pivot_col else zero
+                w = a - ratio.mul(b, model)
+                if not w.is_zero():
+                    updated[i] = (w, val(w))
+            if updated:
+                new_columns.append(updated)
+        columns = new_columns
+        remaining -= 1
+        total += pivot_val
+    return total
+
+
+def _outcome(length_fn, matrix, model):
+    try:
+        return length_fn(matrix, model)
+    except NotTorsion:
+        return "not torsion"
+
+
+def _spy_pivots(monkeypatch):
+    """Record the (entry, valuation) snf_length inverts at each pivot."""
+    pivots = []
+    real = snf_oracle.algebra_inverse
+
+    def spy(a, table):
+        pivots.append((a, algebra_valuation(a, table)))
+        return real(a, table)
+
+    monkeypatch.setattr(snf_oracle, "algebra_inverse", spy)
+    return pivots
+
+
+def _assert_same_run(monkeypatch, matrix, model):
+    """Same outcome and the same pivot sequence as the dense rescan."""
+    pivots = _spy_pivots(monkeypatch)
+    expected = []
+    outcome = _outcome(snf_length, matrix, model)
+    assert outcome == _outcome(lambda pm, m: dense_snf_length(pm, m, expected), matrix, model)
+    assert pivots == expected
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+)
+def test_snf_matches_dense_rescan_on_random_models(p, n, monkeypatch):
+    rng = random.Random(1000 * p + n)
+    for _ in range(3 if p ** n <= 9 else 1):
+        kd = random_normal_cyclic_kummer(rng, p, n)
+        _, reports = ramification_divisor(kd, include_infinity=True)
+        for r in reports:
+            lm = normalize_local_model(kd, r.place)
+            if lm.c == 0:
+                continue
+            assert _assert_same_run(monkeypatch, build_presentation(lm), lm) == r.multiplicity
+
+
+def _random_monomial(rng, m):
+    # c0 + c1 pi with few choices, so equal valuations often share a leading
+    # term and their difference has a higher valuation, or is zero
+    g = m.group
+    coeff = (Poly(m.p, [rng.randrange(1, m.p)]) + Poly(m.p, [rng.randrange(2)]) * m.pi) \
+        * m.pi ** rng.randrange(3)
+    return AlgebraElt.basis(g, g.elt(rng.randrange(m.q)), RatFun.from_poly(coeff))
+
+
+def _random_sparse_presentation(rng, m, nrows, ncols):
+    """At most two nonzero monomials per column, with constant multiples of
+    earlier columns (their eliminations cancel on a tie) and exact copies."""
+    unit = m.group.zero()
+    columns = []
+    for _ in range(ncols):
+        roll = rng.random()
+        if columns and roll < 0.2:
+            columns.append(dict(rng.choice(columns)))
+        elif columns and roll < 0.4:
+            u = AlgebraElt.basis(m.group, unit, RatFun.from_poly(Poly(m.p, [rng.randrange(1, m.p)])))
+            columns.append({i: u.mul(e, m) for i, e in rng.choice(columns).items()})
+        else:
+            rows = rng.sample(range(nrows), rng.choice((1, 2, 2)))
+            columns.append({i: _random_monomial(rng, m) for i in rows})
+    rows = tuple(m.group.elements())[:nrows]
+    labels = tuple((unit, unit) for _ in columns)
+    return PresentationMatrix(rows=rows, labels=labels, columns=columns)
+
+
+@pytest.mark.parametrize("p,n,f", [(2, 2, [0, 1]), (3, 2, [0, 0, 1]), (5, 1, [0, 0, 0, 1])])
+def test_snf_matches_dense_rescan_on_random_sparse_matrices(p, n, f, monkeypatch):
+    m = model(p, n, f)
+    rng = random.Random(p * 31 + n)
+    outcomes = set()
+    for _ in range(40):
+        pm = _random_sparse_presentation(rng, m, m.q - 1, rng.randrange(1, 2 * m.q))
+        outcomes.add(_assert_same_run(monkeypatch, pm, m) == "not torsion")
+    assert outcomes == {True, False}
+
+
+def test_snf_dense_rescan_agree_when_no_column_remains():
+    m = model(3, 1, [0, 1])
+    g = m.group
+    e1 = AlgebraElt.basis(g, g.elt(1))
+    # one column meets both rows and clears to zero after the first pivot
+    pm = PresentationMatrix(
+        rows=(g.elt(1), g.elt(2)),
+        labels=((g.zero(), g.zero()),) * 2,
+        columns=[{0: e1, 1: e1}, {0: -e1, 1: -e1}],
+    )
+    for length_fn in (snf_length, dense_snf_length):
+        with pytest.raises(NotTorsion):
+            length_fn(pm, m)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real = AlgebraElt.mul
+
+    def counting(self, other, table):
+        calls.append(1)
+        return real(self, other, table)
+
+    monkeypatch.setattr(AlgebraElt, "mul", counting)
+    return calls
+
+
+def test_duplicate_columns_cost_no_products(monkeypatch):
+    # in characteristic 2, -e_k = e_k already duplicates columns; doubling
+    # the whole presentation must not add a single product
+    m = model(2, 3, [0, 0, 0, 1])  # z^8 = x^3: c = 3, so pivots meet other entries
+    pm = build_presentation(m)
+    doubled = PresentationMatrix(rows=pm.rows, labels=pm.labels * 2, columns=pm.columns * 2)
+    calls = _count_products(monkeypatch)
+    assert snf_length(pm, m) == 7
+    once = len(calls)
+    assert once > 0
+    calls.clear()
+    assert snf_length(doubled, m) == 7
+    assert len(calls) == once
+
+
+def _random_unit_monomial(rng, lm):
+    g = lm.group
+    coeff = RatFun(Poly(lm.p, [rng.randrange(1, lm.p), rng.randrange(lm.p)]),
+                   Poly(lm.p, [rng.randrange(1, lm.p), 1]))
+    return AlgebraElt.basis(g, g.elt(rng.randrange(lm.q)), coeff)
+
+
+def test_local_model_tables_are_associative():
+    # snf_length forms c * (pivot^{-1} * b) where the rescan forms
+    # (c * pivot^{-1}) * b: the two agree because the table is a cocycle
+    rng = random.Random(23)
+    for p, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (3, 3)]:
+        kd = random_normal_cyclic_kummer(rng, p, n)
+        _, reports = ramification_divisor(kd, include_infinity=True)
+        for r in reports:
+            lm = normalize_local_model(kd, r.place)
+            for _ in range(40 if lm.q <= 9 else 200):
+                a, b, c = (_random_unit_monomial(rng, lm) for _ in range(3))
+                assert a.mul(b, lm).mul(c, lm) == a.mul(b.mul(c, lm), lm)
+
+
 # oracle ---------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -193,6 +395,11 @@ def test_oracle_matches_formula_at_q64_and_q81(p, n):
     (formula,) = [r.multiplicity for r in reports if r.place == at_x]
     assert formula == p ** n - 1
     assert oracle_multiplicity(normalize_local_model(kd, at_x)) == formula
+
+
+def test_oracle_matches_formula_at_q128():
+    kd = KummerData(PGroup(2, (7,)), (X2,))
+    assert oracle_multiplicity(normalize_local_model(kd, AT_X2)) == multiplicity_at(kd, AT_X2) == 127
 
 
 # independent validation of the presentation ---------------------------------
