@@ -5,8 +5,9 @@ For each q = p^n in --q, on a model built afresh for every run, it times
 ramification_divisor(include_infinity=True), predict_genus and
 oracle_multiplicity at (x).  For q = 2^n it also times the oracle at (x)
 on f = x^5 (x^3 + x + 1) over F_2, whose local exponent there is
-c = 5 mod q.  The oracle rows stop at --oracle-max-q.  The output is the
-markdown table of measurements kept in ROADMAP.md:
+c = 5 mod q.  The oracle rows stop at q = 128, the size ROADMAP.md
+item 4 targets.  The output is the markdown table of measurements kept
+in ROADMAP.md:
 
     PYTHONPATH=src python scripts/path_timings.py --q 16,27,32,64,128 --repeat 3
 """
@@ -20,6 +21,7 @@ from muram.ramification import normalize_local_model, ramification_divisor
 from muram.snf_oracle import oracle_multiplicity
 
 C5_FAMILY = [0, 0, 0, 0, 0, 1, 1, 0, 1]  # x^5 (x^3 + x + 1) over F_2
+ORACLE_MAX_Q = 128
 
 
 def prime_power(q):
@@ -44,20 +46,20 @@ def best_of(repeat, prepare, run):
 
 
 def fmt(seconds):
-    """Two significant digits, in ms below 0.1 s (as in ROADMAP.md)."""
+    """Two significant digits in ms below 0.1 s, else seconds to 0.01 s."""
     if seconds is None:
         return "—"
-    return f"{seconds * 1e3:.2g} ms" if seconds < 0.1 else f"{seconds:.2g} s"
+    return f"{seconds * 1e3:.2g} ms" if seconds < 0.1 else f"{seconds:.2f} s"
 
 
-def timings(q, repeat, oracle_max_q):
+def timings(q, repeat):
     p, n = prime_power(q)
 
     def kummer(coeffs=(0, 1)):
         return KummerData(PGroup(p, (n,)), (Poly(p, list(coeffs)),))
 
     def oracle(coeffs):
-        if q > oracle_max_q:
+        if q > ORACLE_MAX_Q:
             return None
         at_x = Place.finite(Poly.x(p))
         return best_of(repeat, lambda: normalize_local_model(kummer(coeffs), at_x),
@@ -77,14 +79,12 @@ def main(argv=None):
     ap.add_argument("--q", default="16,27,32,64,128",
                     help="comma-separated prime powers (default: %(default)s)")
     ap.add_argument("--repeat", type=int, default=3, help="runs per cell, best kept")
-    ap.add_argument("--oracle-max-q", type=int, default=128,
-                    help="largest q at which the oracle is timed (default: %(default)s)")
     args = ap.parse_args(argv)
     qs = [int(q) for q in args.q.split(",")]
     for q in qs:
         if prime_power(q) is None:
             ap.error(f"{q} is not a prime power")
-    columns = {q: timings(q, args.repeat, args.oracle_max_q) for q in qs}
+    columns = {q: timings(q, args.repeat) for q in qs}
     print("| path | " + " | ".join(f"q={q}" for q in qs) + " |")
     print("|---" * (len(qs) + 1) + "|")
     for path in columns[qs[0]]:

@@ -39,6 +39,7 @@ components can never cancel: v_A(sum a_m e_m) = min_m (p^n v_pi(a_m) + v_A(e_m))
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,25 +74,24 @@ def build_presentation(model: LocalModel) -> PresentationMatrix:
     elements = list(group.elements())
     rows = tuple(m for m in elements if not m.is_zero())
     row_index = {m: i for i, m in enumerate(rows)}
-    labels = []
-    columns = []
+    labels = tuple((k, l) for k in elements for l in elements)
+    columns: list[dict[int, AlgebraElt]] = []
     for k in elements:
-        # the k columns share one e_k and one -e_k; rows k+l and l never
-        # coincide, since k = 0 has no columns
-        if not k.is_zero():
-            e_k = AlgebraElt.basis(group, k)
-            neg_e_k = -e_k
+        if k.is_zero():
+            columns.extend({} for _ in elements)
+            continue
+        # the k columns share one e_k and one -e_k; rows k+l and l differ
+        e_k = AlgebraElt.basis(group, k)
+        neg_e_k = -e_k
         for l in elements:
-            labels.append((k, l))
-            col: dict[int, AlgebraElt] = {}
-            if not k.is_zero():
-                top = k + l
-                if not top.is_zero():
-                    col[row_index[top]] = e_k
-                if not l.is_zero():
-                    col[row_index[l]] = neg_e_k
+            col = {}
+            top = row_index.get(k + l)  # None when k + l = 0, which is no row
+            if top is not None:
+                col[top] = e_k
+            if l in row_index:
+                col[row_index[l]] = neg_e_k
             columns.append(col)
-    return PresentationMatrix(rows=rows, labels=tuple(labels), columns=columns)
+    return PresentationMatrix(rows=rows, labels=labels, columns=columns)
 
 
 def _valuation(model: LocalModel) -> Callable[[AlgebraElt], int]:
@@ -117,8 +117,11 @@ def algebra_valuation(a: AlgebraElt, model: LocalModel) -> int:
 
 def _column_min(col: dict[int, tuple[AlgebraElt, int]]) -> tuple[int, int]:
     """(minimal valuation, first row reaching it in the column's order)."""
-    row = min(col, key=lambda i: col[i][1])
-    return col[row][1], row
+    best = None
+    for i, (_, v) in col.items():
+        if best is None or v < best[0]:
+            best = (v, i)
+    return best
 
 
 def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
@@ -150,6 +153,12 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     known: dict[int, tuple[int, int]] = {}
     tokens: dict[AlgebraElt, int] = {}
     seen: set[frozenset] = set()
+    # each column's (minimal valuation, first row reaching it), a heap of
+    # (valuation, column, row) holding the current ones among stale ones,
+    # and the live columns meeting each row
+    mins: dict[int, tuple[int, int]] = {}
+    heap: list[tuple[int, int, int]] = []
+    meets: defaultdict[int, set[int]] = defaultdict(set)
     for j, col in enumerate(matrix.columns):
         if not col:
             continue
@@ -162,16 +171,15 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
             cells[i] = (entry, info[1])
             key.append((i, info[0]))
         key = frozenset(key)
-        if key not in seen:
-            seen.add(key)
-            columns[j] = cells
-    mins = {j: _column_min(col) for j, col in columns.items()}
-    heap = [(v, j, i) for j, (v, i) in mins.items()]
+        if key in seen:
+            continue
+        seen.add(key)
+        columns[j] = cells
+        v, i = mins[j] = _column_min(cells)
+        heap.append((v, j, i))
+        for i in cells:
+            meets[i].add(j)
     heapq.heapify(heap)
-    meets: dict[int, set[int]] = {}
-    for j, col in columns.items():
-        for i in col:
-            meets.setdefault(i, set()).add(j)
     remaining = len(matrix.rows)
     total = 0
     while remaining:
@@ -211,7 +219,7 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
                 vp = vc + vs
                 if i not in col:
                     updated[i] = (-prod, vp)
-                    meets.setdefault(i, set()).add(j)
+                    meets[i].add(j)
                     continue
                 a, va = col[i]
                 w = a - prod
