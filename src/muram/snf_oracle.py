@@ -134,10 +134,11 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     The pivot is the first entry of minimal valuation in the first column
     that has one, rows in the column's order.  A column equal to an earlier
     one is dropped before pivoting: it never wins that tie, and once the
-    earlier copy is the pivot it clears to zero.  Each live column caches
-    (minimal valuation, first row reaching it) in a heap keyed by
-    (valuation, column), and a row index lists the columns meeting each
-    row, so a step visits only those.  The pivot column is scaled once,
+    earlier copy is the pivot it clears to zero.  Each live column's
+    (minimal valuation, first row reaching it) sits in a heap keyed by
+    (valuation, column), where an entry whose column has changed since is
+    skipped, and a row index lists the columns meeting each row, so a step
+    visits only those.  The pivot column is scaled once,
     s_i = pivot^{-1} b_i, and a column with entry c in the pivot row gets
     a_i - c s_i, one product per other entry of the pivot column; the rows
     only it has keep their entries.  The new valuation is
@@ -147,16 +148,14 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     val = _valuation(model)
     # live columns by original index, each {row: (entry, valuation)}; each
     # entry object (alive in matrix, so its id is stable) is valued and
-    # given a token for its value once, and equal columns have equal sets
-    # of (row, token)
+    # given a token for its value once, and equal columns have equal sorted
+    # (row, token) pairs
     columns: dict[int, dict[int, tuple[AlgebraElt, int]]] = {}
     known: dict[int, tuple[int, int]] = {}
     tokens: dict[AlgebraElt, int] = {}
-    seen: set[frozenset] = set()
-    # each column's (minimal valuation, first row reaching it), a heap of
-    # (valuation, column, row) holding the current ones among stale ones,
-    # and the live columns meeting each row
-    mins: dict[int, tuple[int, int]] = {}
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    # (valuation, column, row) of each column minimum as it arose, current
+    # or stale, and the live columns meeting each row
     heap: list[tuple[int, int, int]] = []
     meets: defaultdict[int, set[int]] = defaultdict(set)
     for j, col in enumerate(matrix.columns):
@@ -170,12 +169,13 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
                 info = known[id(entry)] = (tokens.setdefault(entry, len(tokens)), val(entry))
             cells[i] = (entry, info[1])
             key.append((i, info[0]))
-        key = frozenset(key)
+        key.sort()
+        key = tuple(key)
         if key in seen:
             continue
         seen.add(key)
         columns[j] = cells
-        v, i = mins[j] = _column_min(cells)
+        v, i = _column_min(cells)
         heap.append((v, j, i))
         for i in cells:
             meets[i].add(j)
@@ -185,7 +185,7 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     while remaining:
         while heap:
             pivot_val, cj, ri = heapq.heappop(heap)
-            if mins.get(cj) == (pivot_val, ri):
+            if cj in columns and _column_min(columns[cj]) == (pivot_val, ri):
                 break
         else:
             raise NotTorsion(
@@ -193,7 +193,6 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
                 "the module is not torsion"
             )
         pivot_col = columns.pop(cj)
-        del mins[cj]
         for i in pivot_col:
             meets[i].discard(cj)
         inv = algebra_inverse(pivot_col[ri][0], model)
@@ -204,6 +203,7 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
         }
         for j in meets.pop(ri):
             col = columns[j]
+            old = _column_min(col)
             c, vc = col[ri]
             updated: dict[int, tuple[AlgebraElt, int]] = {}
             # this set's order becomes the column's row order, which breaks
@@ -232,11 +232,10 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
             if updated:
                 columns[j] = updated
                 best = _column_min(updated)
-                if best != mins[j]:
-                    mins[j] = best
+                if best != old:
                     heapq.heappush(heap, (best[0], j, best[1]))
             else:
-                del columns[j], mins[j]
+                del columns[j]
         remaining -= 1
         total += pivot_val
     return total
