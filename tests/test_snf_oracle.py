@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from muram import snf_oracle
 from muram.algebra import AlgebraElt, algebra_inverse
 from muram.covering import KummerData
 from muram.errors import CancellationRisk, NotTorsion
@@ -10,7 +11,6 @@ from muram.fppoly import Place, Poly, RatFun
 from muram.pgroup import PGroup
 from muram.ramification import multiplicity_at, normalize_local_model, ramification_divisor
 from muram.randgen import random_normal_cyclic_kummer
-from muram import snf_oracle
 from muram.snf_oracle import (
     PresentationMatrix,
     _valuation,
@@ -335,7 +335,7 @@ def test_duplicate_columns_cost_no_products(monkeypatch):
     assert len(calls) == once
 
 
-def _random_unit_monomial(rng, lm):
+def _random_rational_monomial(rng, lm):
     g = lm.group
     coeff = RatFun(Poly(lm.p, [rng.randrange(1, lm.p), rng.randrange(lm.p)]),
                    Poly(lm.p, [rng.randrange(1, lm.p), 1]))
@@ -352,7 +352,7 @@ def test_local_model_tables_are_associative():
         for r in reports:
             lm = normalize_local_model(kd, r.place)
             for _ in range(40 if lm.q <= 9 else 200):
-                a, b, c = (_random_unit_monomial(rng, lm) for _ in range(3))
+                a, b, c = (_random_rational_monomial(rng, lm) for _ in range(3))
                 assert a.mul(b, lm).mul(c, lm) == a.mul(b.mul(c, lm), lm)
 
 
