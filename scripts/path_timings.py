@@ -3,7 +3,9 @@
 
 For each q = p^n in --q, on a model built afresh for every run, it times
 ramification_divisor(include_infinity=True), predict_genus and
-oracle_multiplicity at (x).  For q = 2^n it also times the oracle at (x)
+oracle_multiplicity at (x), and validate plus forward_decompose on the
+dense table of z^q = x under a seeded random_integral_twist.  For
+q = 2^n it also times the oracle at (x)
 on f = x^5 (x^3 + x + 1) over F_2, whose local exponent there is
 c = 5 mod q.  The oracle rows stop at q = 128, the size ROADMAP.md
 item 4 targets.  The output is the markdown table of measurements kept
@@ -13,11 +15,14 @@ in ROADMAP.md:
 """
 
 import argparse
+import random
 import time
 
 from muram import GlobalModel, KummerData, PGroup, Poly, predict_genus
+from muram.covering import Cocycle, forward_decompose, validate
 from muram.fppoly import Place
 from muram.ramification import normalize_local_model, ramification_divisor
+from muram.randgen import random_integral_twist
 from muram.snf_oracle import oracle_multiplicity
 
 C5_FAMILY = [0, 0, 0, 0, 0, 1, 1, 0, 1]  # x^5 (x^3 + x + 1) over F_2
@@ -65,10 +70,21 @@ def timings(q, repeat):
         return best_of(repeat, lambda: normalize_local_model(kummer(coeffs), at_x),
                        oracle_multiplicity)
 
+    def raw_table(table):
+        validate(table)
+        forward_decompose(table)
+
+    group = PGroup(p, (n,))
+    twisted = KummerData(group, (Poly.x(p),), random_integral_twist(random.Random(q), group))
+    pairs = {(m, k): a for m, k, a in twisted.to_cocycle().pairs()}
+
     return {
         "`ramification_divisor` incl. ∞": best_of(
             repeat, kummer, lambda kd: ramification_divisor(kd, include_infinity=True)),
         "`predict_genus`": best_of(repeat, lambda: GlobalModel(kummer()), predict_genus),
+        # a fresh Cocycle per run: the table keeps its decomposition
+        "`validate` + `forward_decompose`, twisted table": best_of(
+            repeat, lambda: Cocycle.from_entries(group, pairs), raw_table),
         "`oracle_multiplicity` at (x)": oracle((0, 1)),
         "oracle at (x), f = x^5(x^3+x+1)": oracle(C5_FAMILY) if p == 2 else None,
     }

@@ -16,8 +16,12 @@ determined by the column alpha(i, 1): with beta_0 = beta_1 = 1,
 beta_{i+1} = beta_i alpha(i, 1) and f the product of the column, the
 table is the Kummer data of f twisted by b(i) = 1/beta_i.
 cocycle_from_column rebuilds a table that way (columns that force
-denominators are rejected) and forward_decompose checks a table against
-it.
+denominators are rejected).  A raw cyclic Cocycle is compared with the
+reconstruction from its own column once, in polynomials, and keeps the
+outcome: forward_decompose, kummer_form and validate all read it.  A
+table equal to its reconstruction is valid, so validate scans the q^3
+triples only for product groups, or to name the first failing tuples of
+a cyclic table that differs from its reconstruction.
 
 A table is anything with ``group``, ``entry(m, n)`` and
 ``entry_valuation(m, n, place)``: Cocycle stores its entries, KummerData
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     CharMismatch,
-    InternalInvariant,
     NonIntegralCocycle,
     UnsupportedDecomposition,
     ZeroEntry,
@@ -41,13 +44,18 @@ from .pgroup import GElt, PGroup, sigma
 
 
 class Cocycle:
-    """Full symmetric table of structure constants with Poly entries."""
+    """Full symmetric table of structure constants with Poly entries.
 
-    __slots__ = ("group", "_entries")
+    The entries are not changed after construction, so a cyclic table's
+    decomposition is decided on first use and kept (see _decomposition).
+    """
+
+    __slots__ = ("group", "_entries", "_decomposition")
 
     def __init__(self, group: PGroup, entries: dict):
         self.group = group
         self._entries = entries
+        self._decomposition = None
         for (m, n), a in entries.items():
             if a.p != group.p:
                 raise CharMismatch(f"entry ({m},{n}) has characteristic {a.p}")
@@ -121,8 +129,17 @@ class ValidationReport:
 
 def validate(c: Cocycle) -> ValidationReport:
     """Check normalization, symmetry, and the associativity relation,
-    reporting the first violating tuple per invariant."""
+    reporting the first violating tuple per invariant.
+
+    A cyclic table equal to the reconstruction from its column has no
+    failures: the reconstruction is normalized and symmetric, and it is a
+    cocycle because sigma is one and b(m) b(n) / b(m+n) is a coboundary.
+    The scans run for product groups and for cyclic tables that differ
+    from their reconstruction.
+    """
     group = c.group
+    if group.is_cyclic and not isinstance(_decomposition(c), str):
+        return ValidationReport([])
     elements = list(group.elements())
     one = Poly.one(group.p)
     zero = group.zero()
@@ -266,9 +283,7 @@ def cocycle_from_column(group: PGroup, column) -> Cocycle:
     """Rebuild the full table of a cyclic covering from its first column
     (alpha(1,1), ..., alpha(q-1,1)).
 
-    Raises NonIntegralCocycle when some rebuilt entry has a denominator;
-    the rebuilt table always satisfies the table invariants and slices
-    back to the input column.
+    Raises NonIntegralCocycle when some rebuilt entry has a denominator.
     """
     if not group.is_cyclic or group.order < 2:
         raise UnsupportedDecomposition("column reconstruction needs a cyclic group of order >= 2")
@@ -279,58 +294,73 @@ def cocycle_from_column(group: PGroup, column) -> Cocycle:
     for a in column:
         if a.is_zero():
             raise ZeroEntry("column entries must be nonzero")
-    col = {i: column[i - 1] for i in range(1, q)}  # col[i] = alpha(i, 1)
-    _, kd = _column_kummer(group, col)
+    beta, f = _column_betas(column)
+    b = {group.elt(i): RatFun.from_poly(beta_i).inverse() for i, beta_i in enumerate(beta)}
+    kd = KummerData(group, (f,), b)
     elements = list(group.elements())
-    c = Cocycle(group, {(m, n): kd.entry(m, n) for m in elements for n in elements})
-    report = validate(c)
-    if not report.ok:
-        raise InternalInvariant(f"reconstructed table failed validation: {report.failures}")
-    one = group.elt(1)
-    for i in range(1, q):
-        if c.entry(group.elt(i), one) != col[i]:
-            raise InternalInvariant(f"reconstructed table does not slice back at ({i},1)")
-    return c
+    return Cocycle(group, {(m, n): kd.entry(m, n) for m in elements for n in elements})
 
 
-def _column_kummer(group: PGroup, col) -> tuple[list[RatFun], KummerData]:
-    """(betas, Kummer data) of the column col[i] = alpha(i, 1): beta_0 =
-    beta_1 = 1, beta_{i+1} = beta_i alpha(i, 1), and the table
-    beta_{i+j} beta_i^{-1} beta_j^{-1} f^{sigma(i,j)} is f, the product
-    of the column, twisted by b(i) = 1/beta_i."""
-    q = group.order
-    beta = [RatFun.one(group.p)] * q
-    for i in range(1, q - 1):
-        beta[i + 1] = beta[i] * col[i]
-    f = Poly.one(group.p)
-    for i in range(1, q):
-        f = f * col[i]
-    b = {group.elt(i): beta_i.inverse() for i, beta_i in enumerate(beta)}
-    return beta, KummerData(group, (f,), b)
+def _column_betas(column: list[Poly]) -> tuple[list[Poly], Poly]:
+    """(betas, f) of the column (alpha(1,1), ..., alpha(q-1,1)): beta_0 =
+    beta_1 = 1, beta_{i+1} = beta_i alpha(i, 1), and f the product of the
+    column.  The table they determine is beta_{i+j} beta_i^{-1}
+    beta_j^{-1} f^{sigma(i,j)}: f twisted by b(i) = 1/beta_i."""
+    one = Poly.one(column[0].p)
+    beta = [one, one]
+    for a in column[:-1]:
+        beta.append(beta[-1] * a)
+    return beta, beta[-1] * column[-1]
+
+
+def _decomposition(c: Cocycle):
+    """The cyclic table's (betas, f), or the refusal message, decided once
+    per Cocycle by _reconstruct."""
+    d = c._decomposition
+    if d is None:
+        d = c._decomposition = _reconstruct(c)
+    return d
+
+
+def _reconstruct(c: Cocycle):
+    """(betas, f) when c equals the reconstruction from its column, else
+    the refusal message at the first differing (m, n) in row order.
+
+    All of alpha, beta and f are polynomials, so alpha(i,j) = beta_{i+j}
+    beta_i^{-1} beta_j^{-1} f^{sigma(i,j)} is tested as alpha(i,j) beta_i
+    beta_j = beta_{i+j mod q} f^{sigma(i,j)}, with no fraction formed.
+    """
+    q = c.group.order
+    elements = list(c.group.elements())  # elements[i] has residue i
+    e = c.entry
+    beta, f = _column_betas([e(m, elements[1]) for m in elements[1:]])
+    beta_f = [b * f for b in beta]  # the right side when i + j carries
+    for i, m in enumerate(elements):
+        beta_i = beta[i]
+        for j, n in enumerate(elements):
+            k = i + j
+            if e(m, n) * beta_i * beta[j] != (beta[k] if k < q else beta_f[k - q]):
+                return f"table is not a valid symmetric cocycle at ({m},{n})"
+    return [RatFun.from_poly(b) for b in beta], f
 
 
 def forward_decompose(c: Cocycle):
     """Recover (betas, f) with alpha(i,j) = beta_{i+j} beta_i^{-1}
-    beta_j^{-1} f^{sigma(i,j)} from a validated cyclic table.
+    beta_j^{-1} f^{sigma(i,j)} from a cyclic table.
 
     beta_0 = beta_1 = 1 and f is the product of the first column.  The
-    identity is checked for every pair before returning.
+    identity holds for every pair, or UnsupportedDecomposition names the
+    first pair where it fails; the outcome is kept on the Cocycle.
     """
-    group = c.group
-    if not group.is_cyclic:
+    if not c.group.is_cyclic:
         raise UnsupportedDecomposition(
             "only cyclic tables decompose; present product data as KummerData"
         )
-    one = group.elt(1)
-    col = {i: c.entry(group.elt(i), one) for i in range(1, group.order)}
-    beta, kd = _column_kummer(group, col)
-    for m in group.elements():
-        for n in group.elements():
-            if kd.raw_entry(m, n) != c.entry(m, n):
-                raise UnsupportedDecomposition(
-                    f"table is not a valid symmetric cocycle at ({m},{n})"
-                )
-    return beta, kd.factors[0]
+    d = _decomposition(c)
+    if isinstance(d, str):
+        raise UnsupportedDecomposition(d)
+    betas, f = d
+    return list(betas), f
 
 
 def twist(c: Cocycle, b: dict) -> Cocycle:

@@ -371,6 +371,28 @@ def test_raw_cyclic_table_is_decomposed_once(tmp_path, capsys, monkeypatch, comm
     assert len(calls) == 1
 
 
+def test_validate_reconstructs_a_raw_cyclic_table_once(tmp_path, capsys, monkeypatch):
+    import random
+
+    from muram import covering
+    from muram.randgen import random_integral_twist
+
+    calls = []
+    reconstruct = covering._reconstruct
+
+    def counted(c):
+        calls.append(c)
+        return reconstruct(c)
+
+    monkeypatch.setattr(covering, "_reconstruct", counted)
+    g = PGroup(3, (2,))
+    twisted = covering.KummerData(g, (Poly.x(3),), random_integral_twist(random.Random(4), g))
+    path = write_covering(tmp_path, covering_to_obj(twisted.to_cocycle()))
+    code, rep = run(capsys, ["validate", "--input", path])
+    assert (code, rep["ok"], rep["failures"]) == (0, True, [])
+    assert len(calls) == 1
+
+
 TRIVIAL_GROUP = {"group": {"p": 3, "exponents": []}, "kind": "kummer", "f": []}
 
 FILE_COMMANDS = [

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from muram import covering
 from muram.covering import (
     Cocycle,
     InfinityChart,
@@ -23,11 +24,13 @@ from muram.errors import (
 )
 from muram.fppoly import Place, Poly, RatFun, valuation
 from muram.pgroup import PGroup, sigma
+from muram.ramification import ramification_divisor
 from muram.randgen import (
     random_column,
     random_cyclic_cocycle,
     random_integral_column,
     random_integral_twist,
+    random_nonzero_poly,
     random_normal_cyclic_kummer,
 )
 
@@ -89,9 +92,10 @@ def test_validate_reports_symmetry_failure():
     entries = dict(base._entries)
     entries[(g.elt(1), g.elt(2))] = Poly(3, [1, 1])
     broken = Cocycle(g, entries)
-    rep = validate(broken)
-    assert not rep.ok
-    assert rep.first("symmetry") or rep.first("cocycle identity")
+    assert validate(broken).failures == [
+        ("symmetry", ("1", "2")),
+        ("cocycle identity", ("1", "1", "1")),
+    ]
 
 
 def test_validate_reports_normalization_failure():
@@ -298,3 +302,123 @@ def test_infinity_chart_view_rejects_like_dense_chart():
         view.check_integral()
     with pytest.raises(ValueError, match="no chart degree given for 1"):
         InfinityChart(cube, {})
+
+
+def _scan_validate(c):
+    """Reference validate: the first violating tuple of each invariant,
+    found by scanning every pair and every triple of the table."""
+    elements = list(c.group.elements())
+    one = Poly.one(c.group.p)
+    zero = c.group.zero()
+    e = c.entry
+    scans = [
+        ("normalization", ((zero, m) for m in elements if e(zero, m) != one or e(m, zero) != one)),
+        ("symmetry", (
+            (m, n) for i, m in enumerate(elements) for n in elements[i:] if e(m, n) != e(n, m)
+        )),
+        ("cocycle identity", (
+            (l, m, n) for l in elements for m in elements for n in elements
+            if e(l, m) * e(l + m, n) != e(m, n) * e(l, m + n)
+        )),
+    ]
+    failures = []
+    for name, scan in scans:
+        first = next(scan, None)
+        if first is not None:
+            failures.append((name, tuple(map(str, first))))
+    return failures
+
+
+def _ratfun_decompose_refusal(c):
+    """Reference forward_decompose for a cyclic table: rebuild every entry
+    as a reduced RatFun from the column and return the refusal message at
+    the first differing pair, or None."""
+    g = c.group
+    one = g.elt(1)
+    betas = [RatFun.one(g.p)] * g.order
+    for i in range(1, g.order - 1):
+        betas[i + 1] = betas[i] * c.entry(g.elt(i), one)
+    f = Poly.one(g.p)
+    for i in range(1, g.order):
+        f = f * c.entry(g.elt(i), one)
+    kd = KummerData(g, (f,), {g.elt(i): b.inverse() for i, b in enumerate(betas)})
+    for m in g.elements():
+        for n in g.elements():
+            if kd.raw_entry(m, n) != c.entry(m, n):
+                return f"table is not a valid symmetric cocycle at ({m},{n})"
+    return None
+
+
+def _corruptions(rng, c):
+    """c with a scaled entry, with a scaled symmetric pair, and with a
+    broken normalization."""
+    g = c.group
+    elements = list(g.elements())
+    factor = random_nonzero_poly(rng, g.p, 2)
+    while factor.is_one():
+        factor = random_nonzero_poly(rng, g.p, 2)
+    m, n = rng.choice(elements), rng.choice(elements)
+    scaled = dict(c._entries)
+    scaled[(m, n)] = scaled[(m, n)] * factor
+    pair = dict(c._entries)
+    pair[(m, n)] = pair[(m, n)] * factor
+    if n != m:
+        pair[(n, m)] = pair[(n, m)] * factor
+    normalization = dict(c._entries)
+    k = rng.choice(elements)
+    normalization[(g.zero(), k)] = factor
+    return [Cocycle(g, scaled), Cocycle(g, pair), Cocycle(g, normalization)]
+
+
+@pytest.mark.parametrize(
+    "p,n,count",
+    [(2, 1, 8), (2, 2, 8), (2, 3, 6), (3, 1, 8), (3, 2, 4), (5, 1, 6), (2, 4, 2), (3, 3, 1)],
+)
+def test_reconstruction_matches_the_scans(p, n, count):
+    rng = random.Random(1000 * p + n)
+    for _ in range(count):
+        valid = random_cyclic_cocycle(rng, p, n)
+        for c in [valid] + _corruptions(rng, valid):
+            expected = _scan_validate(c)
+            assert validate(c).failures == expected
+            refusal = _ratfun_decompose_refusal(c)
+            if refusal is None:
+                assert expected == []
+                betas, f = forward_decompose(c)
+                assert betas[0].is_one() and betas[1].is_one()
+            else:
+                with pytest.raises(UnsupportedDecomposition) as excinfo:
+                    forward_decompose(c)
+                assert str(excinfo.value) == refusal
+
+
+def test_product_tables_take_the_scans(monkeypatch):
+    def refuse(c):
+        raise AssertionError("a product table was compared with a column reconstruction")
+
+    monkeypatch.setattr(covering, "_reconstruct", refuse)
+    g = PGroup(2, (1, 1))
+    valid = KummerData(g, (Poly(2, [0, 1]), Poly(2, [1, 1, 1])), random_integral_twist(
+        random.Random(5), g)).to_cocycle()
+    for c in [valid] + _corruptions(random.Random(6), valid):
+        assert validate(c).failures == _scan_validate(c)
+    assert validate(valid).ok
+    with pytest.raises(UnsupportedDecomposition, match="only cyclic tables decompose"):
+        forward_decompose(valid)
+
+
+def test_raw_cyclic_cocycle_is_reconstructed_once(monkeypatch):
+    calls = []
+    reconstruct = covering._reconstruct
+
+    def counted(c):
+        calls.append(c)
+        return reconstruct(c)
+
+    monkeypatch.setattr(covering, "_reconstruct", counted)
+    g = PGroup(2, (3,))
+    c = KummerData(g, (Poly.x(2),), random_integral_twist(random.Random(8), g)).to_cocycle()
+    assert validate(c).ok
+    forward_decompose(c)
+    ramification_divisor(c, include_infinity=True)
+    assert calls == [c]

@@ -145,6 +145,7 @@ def test_path_timings_prints_one_row_per_path():
     rows = [line.split(" | ") for line in lines[2:]]
     assert [row[0] for row in rows] == [
         "| `ramification_divisor` incl. ∞", "| `predict_genus`",
+        "| `validate` + `forward_decompose`, twisted table",
         "| `oracle_multiplicity` at (x)", "| oracle at (x), f = x^5(x^3+x+1)",
     ]
     assert all(cell.rstrip(" |").endswith(" ms") for row in rows for cell in row[1:])
