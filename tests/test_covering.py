@@ -398,8 +398,8 @@ def test_product_tables_take_the_scans(monkeypatch):
 
     monkeypatch.setattr(covering, "_reconstruct", refuse)
     g = PGroup(2, (1, 1))
-    valid = KummerData(g, (Poly(2, [0, 1]), Poly(2, [1, 1, 1])), random_integral_twist(
-        random.Random(5), g)).to_cocycle()
+    twist_b = random_integral_twist(random.Random(5), g)
+    valid = KummerData(g, (Poly(2, [0, 1]), Poly(2, [1, 1, 1])), twist_b).to_cocycle()
     for c in [valid] + _corruptions(random.Random(6), valid):
         assert validate(c).failures == _scan_validate(c)
     assert validate(valid).ok
