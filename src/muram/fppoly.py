@@ -341,6 +341,8 @@ def _squarefree_decomposition(f: Poly) -> dict[Poly, int]:
             out[g] = out.get(g, 0) + m * p
         return out
     c = poly_gcd(f, df)
+    if c.is_one():
+        return {f: 1}
     w = f // c
     i = 1
     while w.degree() > 0:
@@ -359,6 +361,8 @@ def _squarefree_decomposition(f: Poly) -> dict[Poly, int]:
 
 def _distinct_degree(f: Poly):
     """f monic squarefree -> [(product of degree-d irreducibles, d)]."""
+    if f.degree() == 1:
+        return [(f, 1)]
     p = f.p
     out = []
     x = Poly.x(p)
@@ -411,17 +415,24 @@ def factor(f: Poly) -> dict[Poly, int]:
     multiplicity) reproduces f exactly.  Constants factor as the empty
     multiset.  The equal-degree split is seeded from f alone (tuples of
     ints hash alike in every process), so the factors and their order
-    depend on nothing but f.
+    depend on nothing but f.  The generator is made at the first part
+    that has to be split, which is the first draw either way.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.is_constant():
         return {}
-    rng = random.Random(hash((f.p, f.coeffs)))
+    rng = None
     out: dict[Poly, int] = {}
     for sqfree, mult in _squarefree_decomposition(f.monic()).items():
         for prod, d in _distinct_degree(sqfree):
-            for irr in _equal_degree_split(prod, d, rng):
+            if prod.degree() == d:
+                irrs = (prod,)
+            else:
+                if rng is None:
+                    rng = random.Random(hash((f.p, f.coeffs)))
+                irrs = _equal_degree_split(prod, d, rng)
+            for irr in irrs:
                 out[irr] = out.get(irr, 0) + mult
     return out
 

@@ -15,13 +15,16 @@ refused, and so is a chart equation that is a p-th power (the covering
 is then not integral).
 
 Singular points can also hide where f is a unit, so before any place is
-certified the off-support sweep sends every place of f' with v(f) = 0
-mod p^n, in Place.sort_key order, to the same unit-part derivative test.
-ramification_divisor takes its places from one helper: the sweep, the
-support of f in order, then infinity if asked.  Its certified stabilizer
-is the one place a multiplicity of Kummer data is decided:
-multiplicity_at and both layers of devissage_check read it, the lower
-layer at the places of the total one.
+certified a sweep factors f once and finds every singular place of the
+affine chart: a prime of f whose multiplicity p^n divides gets the same
+unit-part derivative test, and every prime of f' that f does not share
+is singular.  ramification_divisor reads the rest off that one
+factorization and builds no LocalModel: the local exponent at a finite
+place is the multiplicity of f there mod p^n (0 off the support), and at
+infinity it is q ceil(deg f / q) - deg f.  Its certified stabilizer is
+the one place a multiplicity of Kummer data is decided: multiplicity_at
+(from local models) and both layers of devissage_check read it, the
+lower layer with the total one's exponents mod p^m.
 
 Multiplicities: the stabilizer subgroup at a place is
 N = { m : alpha(m, -m) is a unit there } and the ramification divisor
@@ -35,7 +38,7 @@ normality "refuted".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .covering import (
@@ -47,7 +50,6 @@ from .covering import (
 from .divisors import Divisor, SymbolicPlace, pullback
 from .errors import (
     InternalInvariant,
-    ModelRejection,
     NonIntegralModel,
     NonNormalModel,
     NotASubgroup,
@@ -62,6 +64,7 @@ from .fppoly import (
     _check_prime,
     factor,
     is_pth_power,
+    poly_gcd,
     poly_valuation,
 )
 from .pgroup import GElt, PGroup, Subgroup
@@ -169,42 +172,59 @@ def _reject_pth_power(f: Poly) -> None:
 
 
 def _normalize(p: int, n: int, f: Poly, v: Place) -> LocalModel:
-    q = p ** n
     _reject_pth_power(f)
     if v.is_infinity:
-        f_chart = infinity_chart_equation(f, q)
-        working = Place._of_irreducible(Poly.x(p))
-        try:
-            model = _normalize_finite(p, n, f_chart, working)
-        except ModelRejection as exc:
-            raise type(exc)(f"at infinity (u-chart): {exc}") from None
-        return replace(model, place=v)
+        f = infinity_chart_equation(f, p ** n)
     return _normalize_finite(p, n, f, v)
 
 
 def _normalize_finite(p: int, n: int, f: Poly, v: Place) -> LocalModel:
+    """Local model of z^{p^n} = f at v; at infinity f is the u-chart
+    equation and the model works at u = 0."""
     q = p ** n
-    pi = v.poly
-    c0 = poly_valuation(f, v)
-    c = c0 % q
-    f_red = f
-    for _ in range(c0 - c):
-        f_red = f_red // pi
-    if c == 0:
-        # c0 is a multiple of q here, so f_red is already the unit part
-        if (f_red.derivative() % pi).is_zero():
-            raise NonNormalModel(
-                f"unit-part derivative vanishes at {v}; the chart equation is singular there"
-            )
-    elif c % p == 0:
-        raise UnsupportedPartialRamification(
-            f"local exponent {c} at {v} shares a factor with p={p}; "
-            "the normalization leaves this model class"
-        )
+    at = Place._of_irreducible(Poly.x(p)) if v.is_infinity else v
+    pi = at.poly
+    c0 = poly_valuation(f, at)
+    f_red = f // pi ** (c0 - c0 % q) if c0 >= q else f
+    c = _local_exponent(p, n, c0, v, f_red)
     model = LocalModel(p, n, v, pi, f_red, c)
     if c and set(model.vA) != set(range(q)):
         raise InternalInvariant(f"basis valuations {model.vA} at {v} miss a residue class mod {q}")
     return model
+
+
+def _singular_at(v: Place) -> NonNormalModel:
+    return NonNormalModel(
+        f"unit-part derivative vanishes at {v}; the chart equation is singular there"
+    )
+
+
+def _local_exponent(p: int, n: int, c0: int, v: Place, unit_part: Poly | None = None) -> int:
+    """The local exponent c = c0 mod p^n of a chart equation of valuation
+    c0 at v, or the rejection of its local model.
+
+    At c = 0 the model is normal exactly when the derivative of the unit
+    part does not vanish at the place; ``unit_part`` is tested when given
+    (None: a sweep has already passed it).  A c that is nonzero and not
+    prime to p is refused.  At infinity c0 and the unit part are read on
+    the u-chart at u = 0, and a rejection says so.
+    """
+    c = c0 % (p ** n)
+    at = Place._of_irreducible(Poly.x(p)) if v.is_infinity else v
+    if c == 0:
+        if unit_part is None or (unit_part.derivative() % at.poly):
+            return 0
+        exc = _singular_at(at)
+    elif c % p:
+        return c
+    else:
+        exc = UnsupportedPartialRamification(
+            f"local exponent {c} at {at} shares a factor with p={p}; "
+            "the normalization leaves this model class"
+        )
+    if v.is_infinity:
+        raise type(exc)(f"at infinity (u-chart): {exc}")
+    raise exc
 
 
 def untwisted_local_model(kd: KummerData, v: Place) -> LocalModel:
@@ -289,51 +309,93 @@ class RamReport:
         return "verified" if self.stabilizer.group.rank <= 1 else "refuted"
 
 
-def _off_support_normality_sweep(p: int, n: int, f: Poly) -> None:
-    """Reject singular points hiding over places where f is a unit.
+def _off_support_normality_sweep(p: int, n: int, f: Poly) -> dict[Poly, int]:
+    """Reject every singular point of z^{p^n} = f over the affine line,
+    and return factor(f).
 
-    The chart z^{p^n} = f is singular over pi exactly when the unit part
-    of f has derivative divisible by pi; at places with v(f) = 0 mod p^n
-    this means pi | f'.  Each such place of f' goes, in Place.sort_key
-    order, to the unit-part derivative test of _normalize_finite, so the
-    least singular place is the one named.  Without this sweep a cuspidal
-    model (e.g. z^2 = 1 + x^3 over x = 0) would sail through with a wrong
-    divisor.
+    The chart is singular over pi exactly when v_pi(f) = 0 mod p^n and
+    the unit part of f has derivative divisible by pi.  One factorization
+    of f gives both kinds of such places:
+    - a prime of f whose multiplicity p^n divides gets the unit-part
+      derivative test (such a pi always divides f');
+    - f is a unit at every prime of f' that f does not share, and each
+      of those is singular, so f' is stripped of the primes of f by gcds
+      and factored only when something is left.
+    The least singular place in Place.sort_key order is the one named.
+    Without this sweep a cuspidal model (e.g. z^2 = 1 + x^3 over x = 0)
+    would sail through with a wrong divisor.
     """
     _reject_pth_power(f)
     q = p ** n
-    for v in sorted(map(Place._of_irreducible, factor(f.derivative())), key=Place.sort_key):
-        if poly_valuation(f, v) % q == 0:
-            _normalize_finite(p, n, f, v)
-
-
-def _kummer_places(kd: KummerData, include_infinity: bool) -> list[Place]:
-    """Sweep every non-constant chart equation, then list the places of
-    their supports in Place.sort_key order, and infinity last if asked."""
-    p = kd.group.p
-    support = set()
-    for f, n in zip(kd.factors, kd.group.exponents):
-        if not f.is_constant():
-            _off_support_normality_sweep(p, n, f)
-            support.update(Place._of_irreducible(irr) for irr in factor(f))
-    places = sorted(support, key=Place.sort_key)
-    if include_infinity:
-        places.append(Place.infinity(p))
-    return places
-
-
-def _certified_stabilizer(kd: KummerData, v: Place) -> Subgroup:
-    """Elements trivial on every factor whose local model at v is
-    totally ramified; constant chart equations are units everywhere."""
-    group = kd.group
-    ramified = [
-        not f.is_constant() and _normalize(group.p, n_i, f, v).c != 0
-        for f, n_i in zip(kd.factors, group.exponents)
+    factors = factor(f)
+    singular = [
+        irr for irr, m in factors.items()
+        if m % q == 0 and not (f // irr ** m).derivative() % irr
     ]
+    g = f.derivative()
+    h = poly_gcd(g, f)
+    while h.degree() > 0:
+        g = g // h
+        h = poly_gcd(g, h)
+    if g.degree() > 0:
+        singular.extend(factor(g))
+    if singular:
+        raise _singular_at(min(map(Place._of_irreducible, singular), key=Place.sort_key))
+    return factors
+
+
+def _kummer_exponents(kd: KummerData, include_infinity: bool) -> dict[Place, tuple[int, ...]]:
+    """Sweep every non-constant chart equation, then map each place of
+    their supports, in Place.sort_key order, and infinity last if asked,
+    to its certified local exponents, one per factor.  At a finite place
+    they are the sweeps' multiplicities (0 off a support), at infinity
+    they are read off the degrees; a constant equation is a unit
+    everywhere."""
+    p = kd.group.p
+    charts = [
+        (n, f, {} if f.is_constant() else {
+            Place._of_irreducible(irr): m
+            for irr, m in _off_support_normality_sweep(p, n, f).items()
+        })
+        for f, n in zip(kd.factors, kd.group.exponents)
+    ]
+    places = sorted({v for _, _, mults in charts for v in mults}, key=Place.sort_key)
+    exponents = {
+        v: tuple(_local_exponent(p, n, mults.get(v, 0), v) for n, _, mults in charts)
+        for v in places
+    }
+    if include_infinity:
+        exponents[Place.infinity(p)] = tuple(
+            0 if f.is_constant() else _infinity_exponent(p, n, f) for n, f, _ in charts
+        )
+    return exponents
+
+
+def _infinity_exponent(p: int, n: int, f: Poly) -> int:
+    """Local exponent at infinity: the u-chart equation has valuation
+    q*ceil(deg f / q) - deg f at u = 0, and is rev(f) when that is 0."""
+    c0 = -f.degree() % p ** n
+    return _local_exponent(p, n, c0, Place.infinity(p), None if c0 else f.reversed_coeffs())
+
+
+def _certified_stabilizer(
+    kd: KummerData, v: Place, exponents: tuple[int, ...] | None = None
+) -> Subgroup:
+    """Elements trivial on every factor whose local exponent at v is
+    nonzero (totally ramified there).  ``exponents`` are the certified
+    local exponents when the caller has them; otherwise each factor's
+    local model is built and certified.  Constant chart equations are
+    units everywhere."""
+    group = kd.group
+    if exponents is None:
+        exponents = [
+            0 if f.is_constant() else _normalize(group.p, n_i, f, v).c
+            for f, n_i in zip(kd.factors, group.exponents)
+        ]
     members = [
         m
         for m in group.elements()
-        if all(not t or r == 0 for t, r in zip(ramified, m.residues))
+        if all(not c or r == 0 for c, r in zip(exponents, m.residues))
     ]
     return Subgroup(group, tuple(members))
 
@@ -346,27 +408,33 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
     tables use the entries as given.  Divisors are indexed by base places,
     which is faithful because the covering is a homeomorphism on points.
     """
-    group = cov.group
     kd = kummer_form(cov)
     if kd is not None:
-        places = _kummer_places(kd, include_infinity)
-        reports = [RamReport(v, _certified_stabilizer(kd, v)) for v in places]
-    else:
-        places = support_places(cov)
-        if include_infinity:
-            if infinity_degrees is None:
-                raise ValueError("non-cyclic raw tables need explicit chart degrees at infinity")
-            chart = InfinityChart(cov, infinity_degrees)
-            chart.check_integral()
-            places.insert(0, Place.infinity(group.p))
-        reports = [
-            RamReport(v, stabilizer_subgroup_at(chart, chart.u_place) if v.is_infinity
-                      else stabilizer_subgroup_at(cov, v))
-            for v in places
-        ]
+        return _kummer_divisor(kd, _kummer_exponents(kd, include_infinity))
+    places = support_places(cov)
+    if include_infinity:
+        if infinity_degrees is None:
+            raise ValueError("non-cyclic raw tables need explicit chart degrees at infinity")
+        chart = InfinityChart(cov, infinity_degrees)
+        chart.check_integral()
+        places.insert(0, Place.infinity(cov.group.p))
+    reports = [
+        RamReport(v, stabilizer_subgroup_at(chart, chart.u_place) if v.is_infinity
+                  else stabilizer_subgroup_at(cov, v))
+        for v in places
+    ]
     reports.sort(key=lambda r: r.place.sort_key())
-    divisor = Divisor({r.place: r.multiplicity for r in reports if r.multiplicity})
-    return divisor, reports
+    return _divisor_of(reports), reports
+
+
+def _kummer_divisor(kd: KummerData, exponents: dict) -> tuple[Divisor, list[RamReport]]:
+    """Divisor and reports of Kummer data from _kummer_exponents."""
+    reports = [RamReport(v, _certified_stabilizer(kd, v, c)) for v, c in exponents.items()]
+    return _divisor_of(reports), reports
+
+
+def _divisor_of(reports: list[RamReport]) -> Divisor:
+    return Divisor({r.place: r.multiplicity for r in reports if r.multiplicity})
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +464,12 @@ def devissage_check(
     """Verify R_total = R_upper + pullback(R_lower) place by place.
 
     R_total is ramification_divisor of z^{p^n} = f, rejections included;
-    R_lower is the certified stabilizer of w^{p^m} = f at R_total's places.
-    Once R_total passes, the lower layer's own sweep finds nothing: its
-    extra places have v(f) = 0 mod p^m but not mod p^n, so they lie in the
+    R_lower is the certified stabilizer of w^{p^m} = f at R_total's places,
+    whose local exponents are R_total's mod p^m.  Once R_total passes, the
+    lower layer rejects nothing: a certified exponent is 0 or prime to p,
+    and so is its residue mod p^m, and at 0 both layers test the same unit
+    part.  Nor does the lower layer's own sweep find anything: its extra
+    places have v(f) = 0 mod p^m but not mod p^n, so they lie in the
     support, where R_total has already refused them.  R_upper is
     p^{n-m} - 1 where R_total is totally ramified (a certified local
     exponent is 0 or prime to p), and each place of R_total pulls back
@@ -416,11 +487,13 @@ def devissage_check(
             oracle_agrees=True if with_oracle else None,
         )
     e = p ** (n - m)
-    total, reports = ramification_divisor(kd, include_infinity)
+    exponents = _kummer_exponents(kd, include_infinity)
+    total, reports = _kummer_divisor(kd, exponents)
     layer = KummerData(PGroup(p, (m,)), (f,))
-    lower = Divisor(
-        {r.place: p ** m // _certified_stabilizer(layer, r.place).order - 1 for r in reports}
-    )
+    lower = Divisor({
+        v: p ** m // _certified_stabilizer(layer, v, (c % p ** m,)).order - 1
+        for v, (c,) in exponents.items()
+    })
     upper = Divisor({r.place: e - 1 for r in reports if r.totally_ramified})
     indices = {r.place: e for r in reports}
     oracle_ok = None
