@@ -349,8 +349,9 @@ def _kummer_exponents(kd: KummerData, include_infinity: bool) -> dict[Place, tup
     their supports, in Place.sort_key order, and infinity last if asked,
     to its certified local exponents, one per factor.  At a finite place
     they are the sweeps' multiplicities (0 off a support), at infinity
-    they are read off the degrees; a constant equation is a unit
-    everywhere."""
+    they are read off the degrees, where the finite sweep did not look,
+    so the unit part rev(f) is tested there; a constant equation is a
+    unit everywhere."""
     p = kd.group.p
     charts = [
         (n, f, {} if f.is_constant() else {
@@ -365,17 +366,14 @@ def _kummer_exponents(kd: KummerData, include_infinity: bool) -> dict[Place, tup
         for v in places
     }
     if include_infinity:
-        exponents[Place.infinity(p)] = tuple(
-            0 if f.is_constant() else _infinity_exponent(p, n, f) for n, f, _ in charts
+        # the u-chart equation is u^c0 rev(f), c0 = q ceil(deg f / q) - deg f
+        infinity = Place.infinity(p)
+        exponents[infinity] = tuple(
+            0 if f.is_constant()
+            else _local_exponent(p, n, -f.degree() % p ** n, infinity, f.reversed_coeffs())
+            for n, f, _ in charts
         )
     return exponents
-
-
-def _infinity_exponent(p: int, n: int, f: Poly) -> int:
-    """Local exponent at infinity: the u-chart equation has valuation
-    q*ceil(deg f / q) - deg f at u = 0, and is rev(f) when that is 0."""
-    c0 = -f.degree() % p ** n
-    return _local_exponent(p, n, c0, Place.infinity(p), None if c0 else f.reversed_coeffs())
 
 
 def _certified_stabilizer(
