@@ -2,8 +2,10 @@
 """Best-of-N wall times of the main paths on z^q = x over F_p.
 
 For each q = p^n in --q, on a model built afresh for every run, it times
-ramification_divisor(include_infinity=True), predict_genus and
-oracle_multiplicity at (x), and validate plus forward_decompose on the
+ramification_divisor(include_infinity=True), the two hypothesis checks
+of predict_genus that the divisor does not make (check_chart_consistency,
+and gorenstein_places at the places of the divisor), oracle_multiplicity
+at (x), and validate plus forward_decompose on the
 dense table of z^q = x under a seeded random_integral_twist.  For
 q = 2^n it also times the oracle at (x)
 on f = x^5 (x^3 + x + 1) over F_2, whose local exponent there is
@@ -18,11 +20,12 @@ import argparse
 import random
 import time
 
-from muram import GlobalModel, KummerData, PGroup, Poly, predict_genus
+from muram import GlobalModel, KummerData, PGroup, Poly
 from muram.covering import Cocycle, forward_decompose, validate
 from muram.fppoly import Place
 from muram.ramification import normalize_local_model, ramification_divisor
 from muram.randgen import random_integral_twist
+from muram.rh_genus import check_chart_consistency, gorenstein_places
 from muram.snf_oracle import oracle_multiplicity
 
 C5_FAMILY = [0, 0, 0, 0, 0, 1, 1, 0, 1]  # x^5 (x^3 + x + 1) over F_2
@@ -70,6 +73,10 @@ def timings(q, repeat):
         return best_of(repeat, lambda: normalize_local_model(kummer(coeffs), at_x),
                        oracle_multiplicity)
 
+    def divisor_places():
+        gm = GlobalModel(kummer())
+        return gm, [r.place for r in gm.ramification_divisor()[1]]
+
     def raw_table(table):
         validate(table)
         forward_decompose(table)
@@ -81,7 +88,10 @@ def timings(q, repeat):
     return {
         "`ramification_divisor` incl. ∞": best_of(
             repeat, kummer, lambda kd: ramification_divisor(kd, include_infinity=True)),
-        "`predict_genus`": best_of(repeat, lambda: GlobalModel(kummer()), predict_genus),
+        "`check_chart_consistency`": best_of(
+            repeat, lambda: GlobalModel(kummer()), check_chart_consistency),
+        "`gorenstein_places`": best_of(
+            repeat, divisor_places, lambda args: list(gorenstein_places(*args))),
         # a fresh Cocycle per run: the table keeps its decomposition
         "`validate` + `forward_decompose`, twisted table": best_of(
             repeat, lambda: Cocycle.from_entries(group, pairs), raw_table),

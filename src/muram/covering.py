@@ -23,15 +23,24 @@ table equal to its reconstruction is valid, so validate scans the q^3
 triples only for product groups, or to name the first failing tuples of
 a cyclic table that differs from its reconstruction.
 
-A table is anything with ``group``, ``entry(m, n)`` and
-``entry_valuation(m, n, place)``: Cocycle stores its entries, KummerData
-adds the valuations of its chart equations and twist without building
-any entry, and InfinityChart is a view of either on the chart at infinity.
+A table is anything with ``group``, ``entry(m, n)``,
+``entry_valuation(m, n, place)`` and ``potential(place)``: Cocycle stores
+its entries and has no potential, and InfinityChart is a view of either
+kind of table on the chart at infinity.  KummerData builds no entry to
+answer a valuation.  Once per place v it forms the integer potential
+
+    P_v(m) = sum_i m_i v(f_i) |G|/q_i + |G| v(b(m)),
+
+and then v(alpha(m, n)) = (P_v(m) + P_v(n) - P_v(m+n)) / |G| exactly,
+because |G| sigma_i(m, n) = (m_i + n_i - (m+n)_i) |G|/q_i.  The chart at
+infinity over Kummer data has the potential Q(m) = |G| d(m) + P_inf(m)
+at u = 0, so its u-exponents are read off Q in the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CharMismatch,
@@ -92,6 +101,10 @@ class Cocycle:
 
     def entry_valuation(self, m: GElt, n: GElt, v: Place) -> int:
         return valuation(self.entry(m, n), v)
+
+    def potential(self, v: Place) -> None:
+        """Stored entries need not come from a potential."""
+        return None
 
     def pairs(self):
         """Canonically ordered (m, n, alpha(m,n)) with m <= n."""
@@ -190,7 +203,7 @@ class KummerData:
             b0 = self.twist.get(self.group.zero())
             if b0 is not None and not as_ratfun(b0).is_one():
                 raise ValueError("twist must send 0 to 1")
-        object.__setattr__(self, "_valuations", {})  # place -> _valuations_at(place)
+        object.__setattr__(self, "_potentials", {})  # place -> potential(place)
 
     def twist_at(self, m: GElt) -> RatFun:
         """Twist value at m; elements without an explicit value twist by 1."""
@@ -220,23 +233,27 @@ class KummerData:
         return a.as_poly()
 
     def entry_valuation(self, m: GElt, n: GElt, v: Place) -> int:
-        """v(alpha(m,n)) = sum_i sigma_i(m,n) v(f_i) + v(b(m)) + v(b(n)) - v(b(m+n))."""
-        vf, vb = self._valuations_at(v)
-        out = sum(e for s, e in zip(sigma(m, n), vf) if s)
-        if vb:
-            out += vb.get(m, 0) + vb.get(n, 0) - vb.get(m + n, 0)
-        return out
+        """v(alpha(m,n)) = (P_v(m) + P_v(n) - P_v(m+n)) / |G|, exactly."""
+        pot = self.potential(v)
+        return (pot[m] + pot[n] - pot[m + n]) // self.group.order
 
-    def _valuations_at(self, v: Place):
-        """(v(f_i) per factor, {m: v(b(m))} where nonzero), once per place."""
-        vals = self._valuations.get(v)
-        if vals is None:
-            vb = {m: valuation(self.twist_at(m), v) for m in self.twist or ()}
-            vals = self._valuations[v] = (
-                tuple(valuation(f, v) for f in self.factors),
-                {m: e for m, e in vb.items() if e},
-            )
-        return vals
+    def potential(self, v: Place) -> dict:
+        """{m: P_v(m)}, P_v(m) = sum_i m_i v(f_i) |G|/q_i + |G| v(b(m)),
+        formed once per place."""
+        pot = self._potentials.get(v)
+        if pot is None:
+            group = self.group
+            order = group.order
+            weights = [valuation(f, v) * (order // q)
+                       for f, q in zip(self.factors, group.factor_orders)]
+            pot = {m: sum(r * w for r, w in zip(m.residues, weights))
+                   for m in group.elements()}
+            for m in self.twist or ():
+                e = valuation(self.twist_at(m), v)
+                if e and m in pot:
+                    pot[m] += order * e
+            self._potentials[v] = pot
+        return pot
 
     def check_integral(self) -> None:
         """Raise what to_cocycle() raises, at the same first pair, without
@@ -392,7 +409,9 @@ class InfinityChart:
     Substituting x = 1/u and twisting by b(m) = u^{d(m)} turns alpha(m, n)
     into rev(alpha) * u^e, e = d(m) + d(n) - d(m+n) - deg alpha, a polynomial
     in u when e >= 0.  rev(alpha) has a nonzero constant term, so e is the
-    u-valuation; it is read off the table's valuation at infinity.
+    u-valuation.  Over a table with a potential, e = (Q(m) + Q(n) - Q(m+n))
+    / |G| with Q(m) = |G| d(m) + P_inf(m); otherwise it is read off the
+    table's valuation at infinity.
     """
 
     def __init__(self, table, degrees: dict):
@@ -405,9 +424,26 @@ class InfinityChart:
         self._infinity = Place.infinity(group.p)
         self.u_place = Place._of_irreducible(Poly.x(group.p))
 
+    @cached_property
+    def _u_potential(self) -> dict | None:
+        """{m: |G| d(m) + P_inf(m)} when the table has a potential, else None."""
+        pot = self.table.potential(self._infinity)
+        if pot is None:
+            return None
+        order = self.group.order
+        return {m: order * d + pot[m] for m, d in self._d.items()}
+
+    def potential(self, v: Place) -> dict | None:
+        """The u-potential at u = 0 over a table with a potential, else None."""
+        return self._u_potential if v == self.u_place else None
+
     def u_exponent(self, m: GElt, n: GElt) -> int:
-        d = self._d
-        exponent = d[m] + d[n] - d[m + n] + self.table.entry_valuation(m, n, self._infinity)
+        pot = self._u_potential
+        if pot is None:
+            d = self._d
+            exponent = d[m] + d[n] - d[m + n] + self.table.entry_valuation(m, n, self._infinity)
+        else:
+            exponent = (pot[m] + pot[n] - pot[m + n]) // self.group.order
         if exponent < 0:
             raise NonIntegralCocycle(
                 f"entry ({m},{n}) needs u-exponent {exponent}; increase the chart degrees"

@@ -4,8 +4,18 @@ A graded covering is Gorenstein over a place exactly when some index l
 has every structure constant alpha(i, j) with i + j = l a unit there;
 the dual basis vector at l then generates the dual module, and the
 matrix M(phi) = (alpha(i,j) phi_{i+j}) of a candidate generator phi is
-monomial for phi = e_l^*.  For cyclic groups the determinant collapses
-to a twisted power sum
+monomial for phi = e_l^*.  gorenstein_at scans the anti-diagonals of any
+table and is the reference.  A table with a potential P at v, so that
+v(alpha(m, n)) = (P(m) + P(n) - P(m+n)) / |G|, is decided in O(|G|) by
+the sum rule, provided it is integral at v: the valuations on
+anti-diagonal l add up to (2 sum_m P(m) - |G| P(l)) / |G|, because l - i
+runs over G as i does, and a sum of nonnegative terms is 0 exactly when
+every term is.  So l is all units iff |G| P(l) = 2 sum_m P(m)
+(gorenstein_from_potential).  On a non-integral table the rule can
+accept a diagonal whose negative and positive valuations cancel, so
+callers establish integrality first.
+
+For cyclic groups the determinant collapses to a twisted power sum
 
     det M(phi) = eps * sum_l c_l phi_l^{p^n},    c_l = prod_{i+j=l} alpha(i,j)
 
@@ -34,6 +44,16 @@ def gorenstein_at(c, v: Place):
     elements = list(c.group.elements())
     for l in elements:
         if all(c.entry_valuation(i, l - i, v) == 0 for i in elements):
+            return True, l
+    return False, None
+
+
+def gorenstein_from_potential(group: PGroup, potential: dict):
+    """gorenstein_at of an integral table with potential P at the place:
+    the first l in canonical order with |G| P(l) = 2 sum_m P(m)."""
+    twice = 2 * sum(potential.values())
+    for l in group.elements():
+        if group.order * potential[l] == twice:
             return True, l
     return False, None
 

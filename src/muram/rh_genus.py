@@ -23,6 +23,10 @@ checks should have rejected the model.
 The chart at infinity is a view over the affine table, the two charts
 must glue into an integral model (check_chart_consistency), and every
 hypothesis is read off entry valuations, so no dense table is built.
+Once the model is known to be integral, a Gorenstein verdict on Kummer
+data, or on the chart at infinity over it, comes from the table's
+potential by the sum rule in O(|G|) (see gorenstein); a raw table is
+scanned anti-diagonal by anti-diagonal with gorenstein_at.
 
 Degrees are computed over the prime field; residue fields of points
 over a place are the place's own residue field (finite fields admit no
@@ -51,7 +55,7 @@ from .errors import (
     UnsupportedDecomposition,
 )
 from .fppoly import is_pth_power
-from .gorenstein import gorenstein_at
+from .gorenstein import gorenstein_at, gorenstein_from_potential
 from .ramification import ramification_divisor
 
 BASE_FIELD_NOTE = (
@@ -113,14 +117,20 @@ def check_chart_consistency(gm: GlobalModel) -> None:
 
 
 def gorenstein_places(gm: GlobalModel, places):
-    """gorenstein_at per place: finite places on the affine table,
-    infinity at u = 0 on the chart at infinity."""
+    """(verdict, witness) per place: finite places on the affine table,
+    infinity at u = 0 on the chart at infinity.  The caller establishes
+    integrality first; a table with a potential then gets the sum rule,
+    and one without is scanned by gorenstein_at."""
     for v in places:
+        table = gm.covering
         if v.is_infinity:
-            chart = gm.infinity_chart()
-            yield gorenstein_at(chart, chart.u_place)
+            table = gm.infinity_chart()
+            v = table.u_place
+        potential = table.potential(v)
+        if potential is None:
+            yield gorenstein_at(table, v)
         else:
-            yield gorenstein_at(gm.covering, v)
+            yield gorenstein_from_potential(table.group, potential)
 
 
 @dataclass

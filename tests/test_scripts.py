@@ -144,7 +144,8 @@ def test_path_timings_prints_one_row_per_path():
     assert lines[0] == "| path | q=4 | q=8 |"
     rows = [line.split(" | ") for line in lines[2:]]
     assert [row[0] for row in rows] == [
-        "| `ramification_divisor` incl. ∞", "| `predict_genus`",
+        "| `ramification_divisor` incl. ∞", "| `check_chart_consistency`",
+        "| `gorenstein_places`",
         "| `validate` + `forward_decompose`, twisted table",
         "| `oracle_multiplicity` at (x)", "| oracle at (x), f = x^5(x^3+x+1)",
     ]
