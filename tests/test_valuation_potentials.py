@@ -164,8 +164,8 @@ def test_potentials_exist_only_where_they_are_exact():
 
 def integral_models(seed, count):
     """(GlobalModel, places) of integrally twisted Kummer data with chart
-    degrees at which the chart at infinity is integral: the first of
-    canonical + s * distance(m), s = 0, 1, 2, ..., that is, or one more."""
+    degrees canonical(m) + s * distance(m), where s is the least value at
+    which the chart at infinity is integral, or one more."""
     rng = random.Random(seed)
     out = []
     for k in range(count):
