@@ -23,7 +23,10 @@ prints, for every workload, each end-to-end metric's median in both
 records, its relative move and its bound in ``BENCHMARK.json``, marking
 with WORSE every metric that moved the wrong way by more than its bound
 (the exit status is then 1), whether the report digests agree, and the
-per-layer medians of the traced runs side by side.  It runs nothing.
+per-layer medians of the traced runs side by side.  Next to
+``peak_rss_mb`` it prints the ops attempted over the seeds in both
+records and their ratio: a run keeps a record per pass, so a peak that
+rises with the ops attempted shows as such.  It runs nothing.
 """
 
 from __future__ import annotations
@@ -140,6 +143,12 @@ def _median(run: dict | None, name: str):
     return (run or {}).get("metrics", {}).get(name, {}).get("median")
 
 
+def _attempted_line(base: dict | None, change: dict | None) -> str:
+    a, b = (run["attempted"] if run else None for run in (base, change))
+    ratio = f"x{b / a:.2f}" if a and b is not None else "-"
+    return f"  {'attempted':<12} {_fmt(a):>10} -> {_fmt(b):<10} {ratio:>7}  ops over the seeds"
+
+
 def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], bool]:
     """Report lines comparing two BENCH records workload by workload, and
     whether some end-to-end median is worse than its bound."""
@@ -158,6 +167,8 @@ def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], bool]:
             any_worse |= worse
             lines.append(f"  {name:<12} {_fmt(a):>10} -> {_fmt(b):<10} {move:+7.1%}"
                          f"  bound {bound:.0%}{'  WORSE' if worse else ''}")
+            if name == "peak_rss_mb":
+                lines.append(_attempted_line(base, change))
         if base and change:
             same = base["digests"] == change["digests"]
             lines.append(f"  digests {'equal' if same else 'DIFFER'} "

@@ -19,7 +19,7 @@ characteristic by construction, so it only drops the zero ones.
 from __future__ import annotations
 
 from .errors import CharMismatch, NotInvertible
-from .fppoly import RatFun, _reduced, as_ratfun
+from .fppoly import Poly, RatFun, _reduced, as_ratfun
 from .pgroup import GElt, PGroup
 
 
@@ -30,6 +30,15 @@ def _elt(group: PGroup, comps: dict) -> "AlgebraElt":
     a.group = group
     a.comps = {m: v for m, v in comps.items() if v.num.coeffs}
     return a
+
+
+def _times(f: Poly, g: Poly) -> Poly:
+    """f * g, with no product formed when a factor is 1."""
+    if f.coeffs == (1,):
+        return g
+    if g.coeffs == (1,):
+        return f
+    return f * g
 
 
 class AlgebraElt:
@@ -103,7 +112,8 @@ class AlgebraElt:
                 k = m + n
                 e = as_ratfun(table.entry(m, n))
                 # a * b * alpha(m, n), multiplied out and reduced once
-                term = _reduced(a.num * b.num * e.num, a.den * b.den * e.den)
+                term = _reduced(_times(_times(a.num, b.num), e.num),
+                                _times(_times(a.den, b.den), e.den))
                 out[k] = out[k] + term if k in out else term
         return _elt(self.group, out)
 

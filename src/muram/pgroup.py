@@ -4,8 +4,13 @@ A group is Z/p^{n_1} x ... x Z/p^{n_r} with n_1 >= ... >= n_r >= 1.
 Elements are tuples of canonical residues.  Each group interns its
 elements: ``elt``, ``zero``, ``elements()`` and the arithmetic hand out
 the one ``GElt`` the group holds for a residue tuple, so an element and
-its hash are built once per group.  Elements still compare by value:
-elements of two equal groups built separately are equal and hash equal.
+its hash are built once per group.  A cyclic group keeps them in a list
+indexed by residue, filled lazily as elements are first asked for, and
+adds, subtracts and negates by indexing it: Python's negative indices
+give the residue mod q, so no ``%`` and no tuple are needed.  A product
+group keeps them in a dict keyed by the residue tuple and does its
+arithmetic componentwise.  Elements still compare by value: elements of
+two equal groups built separately are equal and hash equal.
 The carry function sigma returns one carry bit per factor; it is the
 symmetric 2-cocycle that turns a tuple of chart equations into a
 multiplication table, so its cocycle identity is what downstream
@@ -29,7 +34,7 @@ class PGroup:
     """Treated as immutable: the invariants and the hash are computed at
     construction; the element table fills as elements are first asked for."""
 
-    __slots__ = ("p", "exponents", "factor_orders", "order", "_hash", "_elts")
+    __slots__ = ("p", "exponents", "factor_orders", "order", "_hash", "_line", "_elts")
 
     def __init__(self, p: int, exponents: tuple[int, ...]):
         # no p-group of order > 1 within MAX_ORDER has p > MAX_ORDER; refuse before trial division
@@ -52,7 +57,10 @@ class PGroup:
         self.factor_orders = tuple(p ** n for n in exponents)
         self.order = prod(self.factor_orders)
         self._hash = hash((p, exponents))
-        self._elts = {}  # canonical residues -> the group's GElt
+        # the group's GElts: by residue on a cyclic group, else by residue tuple
+        cyclic = len(exponents) == 1
+        self._line = [None] * self.order if cyclic else None
+        self._elts = None if cyclic else {}
 
     @property
     def rank(self) -> int:
@@ -64,6 +72,12 @@ class PGroup:
 
     def _intern(self, residues: tuple[int, ...]) -> "GElt":
         """The group's element with these canonical residues."""
+        line = self._line
+        if line is not None:
+            m = line[residues[0]]
+            if m is None:
+                m = line[residues[0]] = GElt(self, residues)
+            return m
         m = self._elts.get(residues)
         if m is None:
             m = self._elts[residues] = GElt(self, residues)
@@ -84,6 +98,11 @@ class PGroup:
 
     def elements(self):
         """All elements in the canonical (lexicographic) order."""
+        line = self._line
+        if line is not None:
+            for r, m in enumerate(line):
+                yield m or self._intern((r,))
+            return
         for residues in product(*(range(q) for q in self.factor_orders)):
             yield self._intern(residues)
 
@@ -135,25 +154,42 @@ class GElt:
             raise GroupMismatch(f"elements of {group} and {other.group}")
         return group
 
+    # On a cyclic group the result is read off the group's residue list;
+    # only a residue not interned yet goes through _intern.
+
     def __add__(self, other):
         group = self.group
         if other.__class__ is not GElt or other.group is not group:
             group = self._same(other)
-        return group._intern(tuple([
-            (a + b) % q for a, b, q in zip(self.residues, other.residues, group.factor_orders)
-        ]))
+        line = group._line
+        if line is None:
+            return group._intern(tuple([
+                (a + b) % q for a, b, q in zip(self.residues, other.residues, group.factor_orders)
+            ]))
+        s = self.residues[0] + other.residues[0]
+        if s >= group.order:
+            s -= group.order
+        return line[s] or group._intern((s,))
 
     def __neg__(self):
         group = self.group
-        return group._intern(tuple([-a % q for a, q in zip(self.residues, group.factor_orders)]))
+        line = group._line
+        if line is None:
+            return group._intern(tuple([-a % q for a, q in zip(self.residues, group.factor_orders)]))
+        a = self.residues[0]
+        return line[-a] or group._intern((-a % group.order,))
 
     def __sub__(self, other):
         group = self.group
         if other.__class__ is not GElt or other.group is not group:
             group = self._same(other)
-        return group._intern(tuple([
-            (a - b) % q for a, b, q in zip(self.residues, other.residues, group.factor_orders)
-        ]))
+        line = group._line
+        if line is None:
+            return group._intern(tuple([
+                (a - b) % q for a, b, q in zip(self.residues, other.residues, group.factor_orders)
+            ]))
+        d = self.residues[0] - other.residues[0]
+        return line[d] or group._intern((d % group.order,))
 
     def is_zero(self):
         return not any(self.residues)

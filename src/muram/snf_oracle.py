@@ -22,9 +22,9 @@ algebra_inverse: a monomial pivot c e_m, the usual case, in closed form
 from e_m e_{-m} = alpha(m,-m) e_0, anything else by the dense solve.
 
 Elimination does only the work that can change the answer (details at
-snf_length).  The pivot column is scaled once by the pivot's inverse,
-which reassociates (c pivot^{-1}) b as c (pivot^{-1} b); that is exact
-because a local model's table is a symmetric cocycle.  New valuations
+snf_length).  The pivot column is scaled once by minus the pivot's
+inverse, which reassociates (c pivot^{-1}) b as c (pivot^{-1} b); that is
+exact because a local model's table is a symmetric cocycle.  New valuations
 follow the ultrametric rule, and only ties are valued afresh.  Cached
 column minima give the pivot without a rescan and in the rescan's tie
 order (first column, then first row), so the pivot sequence is unchanged.
@@ -139,9 +139,9 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     (valuation, column), where an entry whose column has changed since is
     skipped, and a row index lists the columns meeting each row, so a step
     visits only those.  The pivot column is scaled once,
-    s_i = pivot^{-1} b_i, and a column with entry c in the pivot row gets
-    a_i - c s_i, one product per other entry of the pivot column; the rows
-    only it has keep their entries.  The new valuation is
+    s_i = -pivot^{-1} b_i, and a column with entry c in the pivot row gets
+    a_i + c s_i, one product per other entry of the pivot column, and c s_i
+    itself where it had no entry; the rows only it has keep their entries.  The new valuation is
     min(v(a_i), v(c) + v(b_i) - v(pivot)) when the two differ; only a tie
     is valued afresh, and a tie that cancels drops the entry.
     """
@@ -195,7 +195,7 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
         pivot_col = columns.pop(cj)
         for i in pivot_col:
             meets[i].discard(cj)
-        inv = algebra_inverse(pivot_col[ri][0], model)
+        inv = -algebra_inverse(pivot_col[ri][0], model)
         scaled = {
             i: (inv.mul(b, model), vb - pivot_val)
             for i, (b, vb) in pivot_col.items()
@@ -218,11 +218,11 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
                 prod = c.mul(s, model)
                 vp = vc + vs
                 if i not in col:
-                    updated[i] = (-prod, vp)
+                    updated[i] = (prod, vp)
                     meets[i].add(j)
                     continue
                 a, va = col[i]
-                w = a - prod
+                w = a + prod
                 if va != vp:
                     updated[i] = (w, min(va, vp))
                 elif w:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from muram import pgroup
@@ -152,14 +154,98 @@ def test_element_hash_is_the_hash_of_group_and_residues(group):
         assert hash(m) == hash((m.group, m.residues))
 
 
-def test_mixed_operands_still_refused():
-    a, b = PGroup(2, (1,)).elt(1), PGroup(2, (2,)).elt(1)
-    for op in (lambda: a + b, lambda: a - b, lambda: sigma(a, b)):
+@pytest.mark.parametrize("left, right", [
+    ((2, (1,)), (2, (2,))),
+    ((2, (2,)), (2, (1, 1))),  # both of order 4
+    ((3, (1,)), (2, (1,))),
+    ((2, (2, 1)), (3, (1, 1))),
+], ids=str)
+def test_mixed_operands_still_refused(left, right):
+    a, b = (g.elt((1,) * g.rank) for g in (PGroup(*left), PGroup(*right)))
+    for op in (lambda: a + b, lambda: a - b, lambda: sigma(a, b),
+               lambda: b + a, lambda: b - a, lambda: sigma(b, a)):
         with pytest.raises(GroupMismatch):
             op()
     for op in (lambda: a + 1, lambda: a - (1,), lambda: sigma(a, 1)):
         with pytest.raises(TypeError):
             op()
+
+
+# residue lookup on cyclic groups, tuple path on products -----------------------
+
+# (p, invariant factor exponents): cyclic of order 2, 3, 4, 5, 8, 9, 25, 27, 32
+# and 256, then Z/4 x Z/2 and Z/9 x Z/3 on the tuple path
+ARITHMETIC_GROUPS = [(2, (1,)), (3, (1,)), (2, (2,)), (5, (1,)), (2, (3,)), (3, (2,)),
+                     (5, (2,)), (3, (3,)), (2, (5,)), (2, (8,)), (2, (2, 1)), (3, (2, 1))]
+
+
+@pytest.mark.parametrize("p, exponents", ARITHMETIC_GROUPS, ids=str)
+def test_arithmetic_is_the_componentwise_residue_formula(p, exponents):
+    """On every pair of a freshly built group, so that results are met both
+    before and after they are first interned."""
+    group = PGroup(p, exponents)
+    orders = group.factor_orders
+    all_residues = list(product(*(range(q) for q in orders)))
+    for r in all_residues:
+        m = group.elt(r)
+        for s in all_residues:
+            n = group.elt(s)
+            total, diff = m + n, m - n
+            assert total.residues == tuple((a + b) % q for a, b, q in zip(r, s, orders))
+            assert diff.residues == tuple((a - b) % q for a, b, q in zip(r, s, orders))
+            assert total is group.elt(total.residues) and diff is group.elt(diff.residues)
+        neg = -m
+        assert neg.residues == tuple(-a % q for a, q in zip(r, orders))
+        assert neg is group.elt(neg.residues)
+    elements = list(group.elements())
+    assert [m.residues for m in elements] == all_residues
+    assert all(m is group.elt(m.residues) for m in elements)
+
+
+def test_elements_interns_what_arithmetic_has_not():
+    group = PGroup(3, (3,))
+    seen = [group.elt(4) + group.elt(5), -group.elt(1), group.elt(2) - group.elt(7)]
+    elements = list(group.elements())
+    assert [m.residues for m in elements] == [(r,) for r in range(27)]
+    assert elements[9] is seen[0] and elements[26] is seen[1] and elements[22] is seen[2]
+
+
+@pytest.mark.parametrize("p, n, r, s", [(2, 4, 5, 7), (3, 2, 5, 6)], ids=["Z/16", "Z/9"])
+def test_cyclic_arithmetic_interns_a_new_residue_once(monkeypatch, p, n, r, s):
+    """A result not yet interned goes through _intern once; after that the
+    operators read it off the residue list (Z/9 wraps around)."""
+    calls = []
+    intern = PGroup._intern
+
+    def spy(group, residues):
+        calls.append(residues)
+        return intern(group, residues)
+
+    monkeypatch.setattr(PGroup, "_intern", spy)
+    group = PGroup(p, (n,))
+    q = group.order
+    a, b = group.elt(r), group.elt(s)
+    calls.clear()
+    results = [a + b, a - b, -a]
+    new = [((r + s) % q,), ((r - s) % q,), (-r % q,)]
+    assert [m.residues for m in results] == new and calls == new
+    calls.clear()
+    again = [a + b, a - b, -a]
+    assert all(m is n for m, n in zip(again, results)) and calls == []
+    assert all(m is group.elt(m.residues) for m in results)
+
+
+@pytest.mark.parametrize("exponents", [(2,), (2, 1), (1, 1)], ids=str)
+def test_equal_groups_mix_into_the_left_operands_group(exponents):
+    g, h = PGroup(3, exponents), PGroup(3, exponents)
+    for m in g.elements():
+        for n in h.elements():
+            for left, right in ((m, n), (n, m)):
+                total, diff = left + right, left - right
+                assert total.group is left.group and diff.group is left.group
+                assert total is left.group.elt(total.residues)
+                assert diff is left.group.elt(diff.residues)
+                assert total == right.group.elt(total.residues)
 
 
 @pytest.mark.parametrize("group", [PGroup(2, (2, 1)), PGroup(3, (2, 1))], ids=str)

@@ -92,9 +92,9 @@ def test_bench_record_takes_run_length_and_workloads_from_benchmark_json():
     assert float(cmd[cmd.index("--seconds") + 1]) == declared["run_seconds"]
 
 
-def _fixture_record(sha, oracle_ops, rss, poly_new, digest="d1"):
+def _fixture_record(sha, oracle_ops, rss, poly_new, digest="d1", attempted=10):
     def run(metrics):
-        return {"seeds": [1], "attempted": 10, "failed": 0, "correct": True,
+        return {"seeds": [1], "attempted": attempted, "failed": 0, "correct": True,
                 "digests": {"1": digest},
                 "metrics": {name: {"unit": "", "median": v, "min": v, "max": v, "n": 1}
                             for name, v in metrics.items()}}
@@ -113,12 +113,15 @@ def test_bench_record_compares_fixture_records(tmp_path, capsys):
         "per_layer": [{"name": "fppoly.poly_new.count"}, {"name": "fppoly.self_s"}],
     }
     old = _fixture_record("a" * 40, 0.8, 24.0, 416000)
-    better = _fixture_record("b" * 40, 1.2, 24.5, 20000)
+    better = _fixture_record("b" * 40, 1.2, 24.5, 20000, attempted=25)
     lines, worse = bench.compare(old, better, declared)
     assert not worse
     assert lines[0] == "oracle: aaaaaaa -> bbbbbbb"
     ops = next(line for line in lines if "ops_per_ref" in line).split()
     assert ops[1:6] == ["0.8", "->", "1.2", "+50.0%", "bound"] and "WORSE" not in ops
+    # the ops attempted in both records and their ratio follow the peak RSS
+    rss = next(i for i, line in enumerate(lines) if "peak_rss_mb" in line)
+    assert lines[rss + 1].split()[:5] == ["attempted", "10", "->", "25", "x2.50"]
     assert any("digests equal" in line for line in lines)
     layer = next(line for line in lines if "fppoly.poly_new.count" in line).split()
     assert layer[1:] == ["416000", "20000"]
