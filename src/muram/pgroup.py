@@ -154,9 +154,6 @@ class GElt:
             raise GroupMismatch(f"elements of {group} and {other.group}")
         return group
 
-    # On a cyclic group the result is read off the group's residue list;
-    # only a residue not interned yet goes through _intern.
-
     def __add__(self, other):
         group = self.group
         if other.__class__ is not GElt or other.group is not group:

@@ -141,7 +141,8 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     visits only those.  The pivot column is scaled once,
     s_i = -pivot^{-1} b_i, and a column with entry c in the pivot row gets
     a_i + c s_i, one product per other entry of the pivot column, and c s_i
-    itself where it had no entry; the rows only it has keep their entries.  The new valuation is
+    itself where it had no entry; the rows only it has keep their entries.
+    The new valuation is
     min(v(a_i), v(c) + v(b_i) - v(pivot)) when the two differ; only a tie
     is valued afresh, and a tie that cancels drops the entry.
     """
@@ -195,9 +196,9 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
         pivot_col = columns.pop(cj)
         for i in pivot_col:
             meets[i].discard(cj)
-        inv = -algebra_inverse(pivot_col[ri][0], model)
+        neg_inv = -algebra_inverse(pivot_col[ri][0], model)
         scaled = {
-            i: (inv.mul(b, model), vb - pivot_val)
+            i: (neg_inv.mul(b, model), vb - pivot_val)
             for i, (b, vb) in pivot_col.items()
             if i != ri
         }
