@@ -21,9 +21,11 @@ perfbench/.
 
 prints, for every workload, each end-to-end metric's median in both
 records, its relative move and its bound in ``BENCHMARK.json``, marking
-with WORSE every metric that moved the wrong way by more than its bound
-(the exit status is then 1), whether the report digests agree, and the
-per-layer medians of the traced runs side by side.  Next to
+with WORSE every metric that moved the wrong way by more than its bound,
+whether the report digests agree, and the per-layer medians of the
+traced runs side by side.  It exits 1, naming the workload on a last
+line, when a metric is WORSE, when the report digests differ, or when
+more ops fail.  Next to
 ``peak_rss_mb`` it prints the ops attempted over the seeds in both
 records and their ratio: a run keeps a record per pass, so a peak that
 rises with the ops attempted shows as such.  It runs nothing.
@@ -149,13 +151,15 @@ def _attempted_line(base: dict | None, change: dict | None) -> str:
     return f"  {'attempted':<12} {_fmt(a):>10} -> {_fmt(b):<10} {ratio:>7}  ops over the seeds"
 
 
-def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], bool]:
+def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], list[str]]:
     """Report lines comparing two BENCH records workload by workload, and
-    whether some end-to-end median is worse than its bound."""
-    lines, any_worse = [], False
+    one line per workload where some end-to-end median is worse than its
+    bound, the report digests differ or more ops fail."""
+    lines, refused = [], []
     for workload in (w["name"] for w in bench["workloads"]):
         base, change = old["runs"].get(f"{workload}-t0"), new["runs"].get(f"{workload}-t0")
         lines.append(f"{workload}: {old['git_sha'][:7]} -> {new['git_sha'][:7]}")
+        reasons = []
         for metric in bench["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
             a, b = _median(base, name), _median(change, name)
@@ -164,7 +168,8 @@ def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], bool]:
                 continue
             move = (b - a) / a if a else 0.0
             worse = (move if metric["better"] == "lower" else -move) > bound
-            any_worse |= worse
+            if worse:
+                reasons.append(f"{name} worse")
             lines.append(f"  {name:<12} {_fmt(a):>10} -> {_fmt(b):<10} {move:+7.1%}"
                          f"  bound {bound:.0%}{'  WORSE' if worse else ''}")
             if name == "peak_rss_mb":
@@ -175,6 +180,12 @@ def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], bool]:
                          f"(seeds {' '.join(sorted(base['digests']))} -> "
                          f"{' '.join(sorted(change['digests']))}); "
                          f"failed ops {base['failed']} -> {change['failed']}")
+            if not same:
+                reasons.append("report digests differ")
+            if change["failed"] > base["failed"]:
+                reasons.append("more ops fail")
+        if reasons:
+            refused.append(f"{workload}: {', '.join(reasons)}")
         base, change = old["runs"].get(f"{workload}-t1"), new["runs"].get(f"{workload}-t1")
         if base or change:
             lines.append("  per layer (trace 1, medians):")
@@ -182,7 +193,7 @@ def compare(old: dict, new: dict, bench: dict) -> tuple[list[str], bool]:
                 name = metric["name"]
                 lines.append(f"    {name:<44} {_fmt(_median(base, name)):>12} "
                              f"{_fmt(_median(change, name)):>12}")
-    return lines, any_worse
+    return lines, refused
 
 
 def main(argv=None) -> int:
@@ -200,9 +211,9 @@ def main(argv=None) -> int:
         for path in args.compare:
             with open(path) as fh:
                 records.append(json.load(fh))
-        lines, worse = compare(*records, bench)
-        print("\n".join(lines))
-        return 1 if worse else 0
+        lines, refused = compare(*records, bench)
+        print("\n".join(lines + [f"REFUSED {line}" for line in refused]))
+        return 1 if refused else 0
     sha, dirty = git_state(args.repo)
     reports = []
     for workload in args.workloads:

@@ -88,7 +88,7 @@ def _ram_reports(reports) -> list:
 # handlers ------------------------------------------------------------------
 
 def _cmd_validate(args):
-    cov, _, _ = _load_covering(args.input)
+    cov, _ = _load_covering(args.input)
     cocycle = cov.to_cocycle() if isinstance(cov, KummerData) else cov
     rep = validate(cocycle)
     out = _report_base("validate")
@@ -98,7 +98,7 @@ def _cmd_validate(args):
 
 
 def _cmd_ramify(args):
-    cov, degrees, _ = _load_covering(args.input)
+    cov, degrees = _load_covering(args.input)
     divisor, reports = ramification_divisor(
         cov, include_infinity=args.include_infinity, infinity_degrees=degrees
     )
@@ -116,9 +116,9 @@ def _cmd_oracle(args):
             "only cyclic tables decompose; present product data as KummerData"
         )
     place = _parse_place(args.place, cov.group.p)
-    model = normalize_local_model(cov, place)
+    # the formula first: a model that ramify refuses gets ramify's rejection
     formula = multiplicity_at(cov, place)
-    oracle = oracle_multiplicity(model)
+    oracle = oracle_multiplicity(normalize_local_model(cov, place))
     out = _report_base("oracle")
     out["place"] = place_to_obj(place)
     out["formula"] = formula
@@ -132,7 +132,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_devissage(args):
-    cov, _, _ = _load_covering(args.input)
+    cov, _ = _load_covering(args.input)
     if not isinstance(cov, KummerData):
         raise ModelRejection("devissage expects Kummer-form input")
     rep = devissage_check(
@@ -156,7 +156,7 @@ def _cmd_devissage(args):
 def _cmd_gorenstein(args):
     if args.search:
         return _gorenstein_search(args)
-    cov, degrees, _ = _load_covering(args.input)
+    cov, degrees = _load_covering(args.input)
     gm = GlobalModel(cov, degrees)
     if isinstance(cov, KummerData):
         cov.check_integral()
@@ -221,12 +221,11 @@ def _gorenstein_search(args):
 
 
 def _cmd_genus(args):
-    cov, degrees, g_X = _load_covering(args.input)
-    gm = GlobalModel(cov, degrees, g_X)
-    rep = predict_genus(gm)
+    cov, degrees = _load_covering(args.input)
+    rep = predict_genus(GlobalModel(cov, degrees))
     out = _report_base("genus")
     out["group_order"] = rep.group_order
-    out["g_X"] = rep.g_X
+    out["g_X"] = 0
     out["deg_R"] = rep.deg_R
     out["divisor"] = divisor_to_obj(rep.divisor)
     out["rhs"] = rep.rhs

@@ -23,8 +23,9 @@ factorization and builds no LocalModel: the local exponent at a finite
 place is the multiplicity of f there mod p^n (0 off the support), and at
 infinity it is q ceil(deg f / q) - deg f.  Its certified stabilizer is
 the one place a multiplicity of Kummer data is decided: multiplicity_at
-(from local models) and both layers of devissage_check read it, the
-lower layer with the total one's exponents mod p^m.
+reads the divisor it reports, rejections included, and both layers of
+devissage_check read it, the lower layer with the total one's exponents
+mod p^m.
 
 Multiplicities: the stabilizer subgroup at a place is
 N = { m : alpha(m, -m) is a unit there } and the ramification divisor
@@ -49,7 +50,6 @@ from .covering import (
 )
 from .divisors import Divisor, SymbolicPlace, pullback
 from .errors import (
-    InternalInvariant,
     NonIntegralModel,
     NonNormalModel,
     NotASubgroup,
@@ -180,17 +180,14 @@ def _normalize(p: int, n: int, f: Poly, v: Place) -> LocalModel:
 
 def _normalize_finite(p: int, n: int, f: Poly, v: Place) -> LocalModel:
     """Local model of z^{p^n} = f at v; at infinity f is the u-chart
-    equation and the model works at u = 0."""
+    equation and the model works at u = 0.  _local_exponent certifies it:
+    a c prime to p is a unit mod p^n, so s c mod p^n hits every residue."""
     q = p ** n
     at = Place._of_irreducible(Poly.x(p)) if v.is_infinity else v
     pi = at.poly
     c0 = poly_valuation(f, at)
     f_red = f // pi ** (c0 - c0 % q) if c0 >= q else f
-    c = _local_exponent(p, n, c0, v, f_red)
-    model = LocalModel(p, n, v, pi, f_red, c)
-    if c and set(model.vA) != set(range(q)):
-        raise InternalInvariant(f"basis valuations {model.vA} at {v} miss a residue class mod {q}")
-    return model
+    return LocalModel(p, n, v, pi, f_red, _local_exponent(p, n, c0, v, f_red))
 
 
 def _singular_at(v: Place) -> NonNormalModel:
@@ -273,16 +270,13 @@ def stabilizer_subgroup_at(c, v: Place) -> Subgroup:
 
 
 def multiplicity_at(c, v: Place) -> int:
-    """|M| / |N_v| - 1 for the stabilizer ramification_divisor reports at v.
+    """The multiplicity ramification_divisor reports at v, infinity
+    included exactly when v is infinity, and 0 where it reports none.
 
-    Kummer data and cyclic tables (decomposed first) read the certified
-    stabilizer of the normalization, and a failed certification
-    propagates its rejection; a raw product table reads N_v off the
-    entries as given.
+    Whatever that divisor refuses is refused here too, with the same
+    exception, even when the refused place is not v.
     """
-    kd = kummer_form(c)
-    stabilizer = stabilizer_subgroup_at(c, v) if kd is None else _certified_stabilizer(kd, v)
-    return RamReport(v, stabilizer).multiplicity
+    return ramification_divisor(c, include_infinity=v.is_infinity)[0].multiplicity(v)
 
 
 @dataclass
@@ -376,20 +370,11 @@ def _kummer_exponents(kd: KummerData, include_infinity: bool) -> dict[Place, tup
     return exponents
 
 
-def _certified_stabilizer(
-    kd: KummerData, v: Place, exponents: tuple[int, ...] | None = None
-) -> Subgroup:
-    """Elements trivial on every factor whose local exponent at v is
-    nonzero (totally ramified there).  ``exponents`` are the certified
-    local exponents when the caller has them; otherwise each factor's
-    local model is built and certified.  Constant chart equations are
-    units everywhere."""
-    group = kd.group
-    if exponents is None:
-        exponents = [
-            0 if f.is_constant() else _normalize(group.p, n_i, f, v).c
-            for f, n_i in zip(kd.factors, group.exponents)
-        ]
+def _certified_stabilizer(group: PGroup, exponents: tuple[int, ...]) -> Subgroup:
+    """Elements of group trivial on every factor whose local exponent at
+    a place is nonzero (totally ramified there).  ``exponents`` are the
+    certified local exponents at that place, one per factor, as
+    _kummer_exponents gives them."""
     members = [
         m
         for m in group.elements()
@@ -427,7 +412,7 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
 
 def _kummer_divisor(kd: KummerData, exponents: dict) -> tuple[Divisor, list[RamReport]]:
     """Divisor and reports of Kummer data from _kummer_exponents."""
-    reports = [RamReport(v, _certified_stabilizer(kd, v, c)) for v, c in exponents.items()]
+    reports = [RamReport(v, _certified_stabilizer(kd.group, c)) for v, c in exponents.items()]
     return _divisor_of(reports), reports
 
 
@@ -487,9 +472,9 @@ def devissage_check(
     e = p ** (n - m)
     exponents = _kummer_exponents(kd, include_infinity)
     total, reports = _kummer_divisor(kd, exponents)
-    layer = KummerData(PGroup(p, (m,)), (f,))
+    layer = PGroup(p, (m,))
     lower = Divisor({
-        v: p ** m // _certified_stabilizer(layer, v, (c % p ** m,)).order - 1
+        v: p ** m // _certified_stabilizer(layer, (c % p ** m,)).order - 1
         for v, (c,) in exponents.items()
     })
     upper = Divisor({r.place: e - 1 for r in reports if r.totally_ramified})

@@ -1,10 +1,10 @@
 """Global assembly over the projective line: degrees and the genus formula.
 
 A global model is affine covering data plus chart degrees at infinity
-(canonical unless overridden) and the base genus.  The predicted genus
-solves
+(canonical unless overridden).  Its base X is the projective line, of
+genus 0, so the predicted genus solves
 
-    2 g(Y) - 2 = |G| (2 g(X) - 2) + deg(R)
+    2 g(Y) - 2 = |G| (2 g(X) - 2) + deg(R) = deg(R) - 2 |G|
 
 from the full ramification divisor, both charts included.  Hypotheses
 are verified first: the covering must be integral (no chart equation of
@@ -16,9 +16,9 @@ answer.  A grading of rank >= 2 is never normal: K = F_p(x) has
 of degree p^N = max q_k, while its generic fibre has dimension |G| > p^N
 over K and so is not a field.  It fails the normality hypothesis before
 anything is computed.  A non-integral genus is
-reported as a flag, never rounded.  GlobalModel refuses g_X < 0, so a
-negative genus is an internal invariant violation: the hypothesis
-checks should have rejected the model.
+reported as a flag, never rounded.  A negative genus is an internal
+invariant violation: the hypothesis checks should have rejected the
+model.
 
 The chart at infinity is a view over the affine table, the two charts
 must glue into an integral model (check_chart_consistency), and every
@@ -71,16 +71,12 @@ class GlobalModel:
     Its Kummer form is decided on first use and kept (a table that does
     not decompose raises each time); the chart degrees, the integrality
     check and the ramification divisor read it, so a raw cyclic table is
-    decomposed once.  A negative base genus is refused with ValueError.
+    decomposed once.  The base is the projective line, so there is no
+    base genus to give.
     """
 
     covering: object  # Cocycle | KummerData
     infinity_degrees: dict | None = None
-    g_X: int = 0
-
-    def __post_init__(self):
-        if self.g_X < 0:
-            raise ValueError(f"base genus g_X = {self.g_X} is negative")
 
     @cached_property
     def kummer(self) -> KummerData | None:
@@ -136,10 +132,9 @@ def gorenstein_places(gm: GlobalModel, places):
 @dataclass
 class GenusReport:
     group_order: int
-    g_X: int
     deg_R: int
     divisor: Divisor
-    rhs: int  # |G|(2 g_X - 2) + deg R
+    rhs: int  # deg R - 2|G|
     g_Y: int | None
     non_integer: bool
     per_place: list = field(default_factory=list)
@@ -209,7 +204,7 @@ def predict_genus(gm: GlobalModel) -> GenusReport:
     if failures:
         raise HypothesisFailure(failures)
 
-    rhs = group.order * (2 * gm.g_X - 2) + deg_R
+    rhs = deg_R - 2 * group.order
     non_integer = rhs % 2 != 0
     g_Y = None if non_integer else (rhs + 2) // 2
     if g_Y is not None and g_Y < 0:
@@ -218,7 +213,6 @@ def predict_genus(gm: GlobalModel) -> GenusReport:
         )
     return GenusReport(
         group_order=group.order,
-        g_X=gm.g_X,
         deg_R=deg_R,
         divisor=divisor,
         rhs=rhs,

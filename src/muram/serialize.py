@@ -9,15 +9,16 @@ twists inside them are bare coefficient arrays:
      "kind": "kummer",
      "f": [[0, 1]],
      "twist": [{"elt": [1], "num": [0, 1], "den": [1]}],
-     "infinity_degrees": [0, 1, 1],
-     "g_X": 0}
+     "infinity_degrees": [0, 1, 1]}
 
     {"group": {"p": 2, "exponents": [2]},
      "kind": "cocycle",
      "entries": [[[1], [1], [0, 1]], ...]}        # i, j, alpha(i, j); i <= j
 
 Cyclic group elements may be given as bare integers instead of
-one-element arrays.  Reports include a schema_version field.
+one-element arrays.  The base is the projective line: a base genus key
+is written as 0 and read only as 0.  Any other key is refused.  Reports
+include a schema_version field.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ def group_to_obj(g: PGroup) -> dict:
     return {"p": g.p, "exponents": list(g.exponents)}
 
 def group_from_obj(obj, path: str = "$.group") -> PGroup:
+    _known(obj, ("p", "exponents"), path)
     p = _at(_get(obj, "p", path), int, f"{path}.p")
     return PGroup(p, tuple(_ints(_get(obj, "exponents", path), f"{path}.exponents")))
 
@@ -68,7 +70,7 @@ def elt_from_obj(group: PGroup, obj, path: str = "$") -> GElt:
 
 # coverings ---------------------------------------------------------------
 
-def covering_to_obj(cov, infinity_degrees=None, g_X: int = 0) -> dict:
+def covering_to_obj(cov, infinity_degrees=None) -> dict:
     if isinstance(cov, KummerData):
         out = {
             "group": group_to_obj(cov.group),
@@ -98,18 +100,30 @@ def covering_to_obj(cov, infinity_degrees=None, g_X: int = 0) -> dict:
         out["infinity_degrees"] = [
             0 if m.is_zero() else infinity_degrees[m] for m in order
         ]
-    out["g_X"] = g_X
+    out["g_X"] = 0
     return out
 
 
+_COVERING_KEYS = {
+    "kummer": ("group", "kind", "f", "twist", "infinity_degrees", "g_X"),
+    "cocycle": ("group", "kind", "entries", "infinity_degrees", "g_X"),
+}
+
+
 def covering_from_obj(obj):
-    """-> (covering, infinity_degrees or None, g_X).
+    """-> (covering, infinity_degrees or None).
 
     Malformed input (a wrong type, an element of the wrong length, a zero
-    twist denominator) raises ValueError naming its path, e.g. ``$.f[0][1]``."""
+    twist denominator, an unknown key, a nonzero base genus) raises
+    ValueError naming its path, e.g. ``$.f[0][1]``."""
     group = group_from_obj(_get(obj, "group", "$"))
     p = group.p
     kind = obj.get("kind", "kummer")
+    if kind not in ("kummer", "cocycle"):
+        raise ValueError(f"unknown covering kind {kind!r}")
+    _known(obj, _COVERING_KEYS[kind], "$")
+    if _at(obj.get("g_X", 0), int, "$.g_X"):
+        raise ValueError(f"$.g_X: the base is the projective line, of genus 0, got {obj['g_X']}")
     if kind == "kummer":
         fs = _at(_get(obj, "f", "$"), list, "$.f")
         factors = tuple(Poly(p, _ints(cs, f"$.f[{i}]")) for i, cs in enumerate(fs))
@@ -118,13 +132,14 @@ def covering_from_obj(obj):
             twist = {}
             for i, rec in enumerate(_at(obj["twist"], list, "$.twist")):
                 at = f"$.twist[{i}]"
+                _known(rec, ("elt", "num", "den"), at)
                 m = elt_from_obj(group, _get(rec, "elt", at), f"{at}.elt")
                 num, den = (_ints(_get(rec, key, at), f"{at}.{key}") for key in ("num", "den"))
                 if not any(c % p for c in den):
                     raise ValueError(f"{at}.den: zero denominator")
                 twist[m] = RatFun(Poly(p, num), Poly(p, den))
         cov = KummerData(group, factors, twist)
-    elif kind == "cocycle":
+    else:
         entries = {}
         for k, rec in enumerate(_at(_get(obj, "entries", "$"), list, "$.entries")):
             at = f"$.entries[{k}]"
@@ -134,8 +149,6 @@ def covering_from_obj(obj):
             key = (elt_from_obj(group, i, f"{at}[0]"), elt_from_obj(group, j, f"{at}[1]"))
             entries[key] = Poly(p, _ints(cs, f"{at}[2]"))
         cov = Cocycle.from_entries(group, entries)
-    else:
-        raise ValueError(f"unknown covering kind {kind!r}")
     degrees = None
     if obj.get("infinity_degrees") is not None:
         order = list(group.elements())
@@ -145,7 +158,7 @@ def covering_from_obj(obj):
                 f"infinity_degrees must list {len(order)} integers in canonical element order"
             )
         degrees = {m: d for m, d in zip(order, given) if not m.is_zero()}
-    return cov, degrees, _at(obj.get("g_X", 0), int, "$.g_X")
+    return cov, degrees
 
 
 _KINDS = {int: "an integer", list: "an array", dict: "an object"}
@@ -156,6 +169,15 @@ def _at(value, kind, path: str):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{path}: expected {_KINDS[kind]}, got {json.dumps(value, default=repr)}")
     return value
+
+
+def _known(obj, keys, path: str):
+    """obj if it is an object whose keys are all among keys; ValueError
+    naming the first other key otherwise."""
+    for key in _at(obj, dict, path):
+        if key not in keys:
+            raise ValueError(f"{path}.{key}: unknown key")
+    return obj
 
 
 def _get(obj, key: str, path: str):

@@ -131,6 +131,16 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert code == 0 and rep["agree"]
 
 
+def test_oracle_refuses_what_ramify_refuses(tmp_path, capsys):
+    # z^2 = x^5 + x^2 over F_2 is singular at (x); (x + 1) alone is fine
+    path = write_covering(tmp_path, kummer_obj(2, [1], [[0, 0, 1, 0, 0, 1]]))
+    assert main(["ramify", "--input", path]) == 2
+    refused = capsys.readouterr()
+    assert json.loads(refused.out)["rejected"] == "NonNormalModel"
+    assert main(["oracle", "--input", path, "--place", "1,1"]) == 2
+    assert capsys.readouterr() == refused
+
+
 def test_devissage_subcommand(tmp_path, capsys):
     path = write_covering(tmp_path, kummer_obj(2, [2], [[0, 1]]))
     code, rep = run(capsys, ["devissage", "--input", path, "-m", "1", "--with-oracle"])
@@ -339,11 +349,26 @@ def test_malformed_covering_is_exit_1(tmp_path, capsys, obj):
     [
         ("ramify", kummer_obj(1000000000000000003, [1], [[0, 1]]),
          "characteristic 1000000000000000003 exceeds"),
-        ("genus", kummer_obj(2, [1], [[0, 1]], g_X=-8), "base genus g_X = -8 is negative"),
+        # the base is the projective line, of genus 0
+        ("genus", kummer_obj(2, [1], [[0, 1]], g_X=-8), "$.g_X: "),
+        ("genus", kummer_obj(2, [1], [[0, 1]], g_X=1), "$.g_X: "),
         # refused from the exponent, before 3^4000000 is computed
         ("ramify", kummer_obj(3, [4000000], [[0, 1]]), "group order 3^4000000 exceeds 65536"),
+        # a misspelled key is refused, not ignored
+        ("genus", kummer_obj(2, [1], [[0, 1]], twsit=[{"elt": [1], "num": [1], "den": [0, 1]}]),
+         "$.twsit: unknown key"),
+        ("genus", kummer_obj(2, [1], [[0, 1]], infinity_degree=[0, 5]),
+         "$.infinity_degree: unknown key"),
+        ("ramify", {"group": {"p": 2, "exponents": [1], "exponent": [3]}, "kind": "kummer",
+                    "f": [[0, 1]]}, "$.group.exponent: unknown key"),
+        ("ramify", kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1], "num": [1], "dem": [1]}]),
+         "$.twist[0].dem: unknown key"),
+        ("ramify", {"group": {"p": 2, "exponents": [1]}, "kind": "cocycle", "entries": [],
+                    "f": [[0, 1]]}, "$.f: unknown key"),
     ],
-    ids=["huge-characteristic", "negative-g_X", "huge-exponent"],
+    ids=["huge-characteristic", "negative-g_X", "positive-g_X", "huge-exponent",
+         "misspelled-twist", "misspelled-infinity-degrees", "misspelled-group-exponents",
+         "misspelled-twist-record-key", "kummer-key-in-a-cocycle"],
 )
 def test_refused_input_is_exit_1(tmp_path, capsys, command, obj, message):
     path = write_covering(tmp_path, obj)
@@ -423,19 +448,19 @@ def test_trivial_group_gets_a_documented_exit(tmp_path, capsys, command):
 
 
 def test_trivial_group_genus_is_the_base_genus(tmp_path, capsys):
-    # rank 0 is no product grading: the covering is the identity
-    path = write_covering(tmp_path, dict(TRIVIAL_GROUP, g_X=2))
+    # rank 0 is no product grading: the covering is the identity of the line
+    path = write_covering(tmp_path, TRIVIAL_GROUP)
     code, rep = run(capsys, ["genus", "--input", path])
     assert code == 0
-    assert rep["g_Y"] == 2 and rep["deg_R"] == 0
+    assert rep["g_Y"] == 0 and rep["deg_R"] == 0
 
 
 def test_raw_trivial_group_table_needs_no_chart_degrees(tmp_path, capsys):
     # the one chart degree at infinity, d(0) = 0, is canonical
-    raw = {"group": {"p": 3, "exponents": []}, "kind": "cocycle", "entries": [], "g_X": 2}
+    raw = {"group": {"p": 3, "exponents": []}, "kind": "cocycle", "entries": []}
     code, rep = run(capsys, ["genus", "--input", write_covering(tmp_path, raw)])
     assert code == 0
-    assert rep["g_Y"] == 2 and rep["deg_R"] == 0
+    assert rep["g_Y"] == 0 and rep["deg_R"] == 0
     # a table whose one entry alpha(0, 0) is not 1 is still refused
     bad = dict(raw, entries=[[[], [], [0, 1]]])
     code, rep = run(capsys, ["genus", "--input", write_covering(tmp_path, bad, "bad.json")])

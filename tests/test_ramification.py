@@ -167,7 +167,7 @@ def test_verified_multiplicity_reports_the_normalization():
 
 def seeded_tables(form):
     """Seeded cyclic Kummer data, twisted Kummer data, raw cyclic tables
-    (twisted) or raw product tables."""
+    (twisted) or raw product tables; nothing for any other form."""
     rng = random.Random(41)
     for p, exps in [(2, (1,)), (3, (1,)), (2, (2,)), (3, (2,)), (2, (1, 1)), (3, (1, 1)),
                     (2, (2, 1))]:
@@ -186,14 +186,38 @@ def seeded_tables(form):
                 yield twisted if form == "twisted" else twisted.to_cocycle()
 
 
-@pytest.mark.parametrize("form", ["kummer", "twisted", "raw cyclic", "raw product"])
+# z^2 = f over F_2, singular at (x + 1), (x) and (x): ramify refuses each
+REFUSED_F2 = [X2 ** 5 + X2 ** 4 + X2 ** 3, X2 ** 5 + X2 ** 2, X2 ** 5 + X2 ** 4 + X2 ** 2]
+
+
+@pytest.mark.parametrize("form", ["kummer", "twisted", "raw cyclic", "raw product", "refused"])
 def test_multiplicity_at_is_what_ramify_reports(form):
     checked = 0
+    if form == "refused":
+        for f in REFUSED_F2:
+            for c in (cyclic(2, 1, f), cyclic(2, 1, f).to_cocycle()):
+                with pytest.raises(NonNormalModel) as refused:
+                    ramification_divisor(c)
+                for irr in factor(f):
+                    with pytest.raises(NonNormalModel) as raised:
+                        multiplicity_at(c, Place.finite(irr))
+                    assert raised.type is refused.type, f"{f} at {irr}"
+                    assert str(raised.value) == str(refused.value), f"{f} at {irr}"
+                    checked += 1
     for c in seeded_tables(form):
         for r in ramification_divisor(c)[1]:
             assert multiplicity_at(c, r.place) == r.multiplicity, f"{c} at {r.place}"
             checked += 1
     assert checked >= 6
+
+
+def test_multiplicity_at_infinity_of_a_raw_product_table_needs_chart_degrees():
+    raw = KummerData(PGroup(2, (1, 1)), (X2, Poly(2, [1, 1]))).to_cocycle()
+    with pytest.raises(ValueError) as refused:
+        ramification_divisor(raw, include_infinity=True)
+    with pytest.raises(ValueError) as raised:
+        multiplicity_at(raw, Place.infinity(2))
+    assert (raised.type, str(raised.value)) == (refused.type, str(refused.value))
 
 
 # divisors -------------------------------------------------------------------

@@ -213,12 +213,6 @@ def test_genus_report_per_place_table():
     assert rep.notes
 
 
-def test_g_X_passed_through():
-    rep = predict_genus(GlobalModel(cyclic(2, 1, X2), g_X=1))
-    # 2g-2 = 2*(2*1-2) + 2 = 2, so g = 2
-    assert rep.g_Y == 2
-
-
 def test_accepted_models_have_rational_total_space():
     # every accepted cyclic model must come out at deg_R = 2(q-1), g = 0:
     # the function field embeds in the rational field of the q-th root chart

@@ -92,9 +92,9 @@ def test_bench_record_takes_run_length_and_workloads_from_benchmark_json():
     assert float(cmd[cmd.index("--seconds") + 1]) == declared["run_seconds"]
 
 
-def _fixture_record(sha, oracle_ops, rss, poly_new, digest="d1", attempted=10):
+def _fixture_record(sha, oracle_ops, rss, poly_new, digest="d1", attempted=10, failed=0):
     def run(metrics):
-        return {"seeds": [1], "attempted": attempted, "failed": 0, "correct": True,
+        return {"seeds": [1], "attempted": attempted, "failed": failed, "correct": not failed,
                 "digests": {"1": digest},
                 "metrics": {name: {"unit": "", "median": v, "min": v, "max": v, "n": 1}
                             for name, v in metrics.items()}}
@@ -114,8 +114,8 @@ def test_bench_record_compares_fixture_records(tmp_path, capsys):
     }
     old = _fixture_record("a" * 40, 0.8, 24.0, 416000)
     better = _fixture_record("b" * 40, 1.2, 24.5, 20000, attempted=25)
-    lines, worse = bench.compare(old, better, declared)
-    assert not worse
+    lines, refused = bench.compare(old, better, declared)
+    assert refused == []
     assert lines[0] == "oracle: aaaaaaa -> bbbbbbb"
     ops = next(line for line in lines if "ops_per_ref" in line).split()
     assert ops[1:6] == ["0.8", "->", "1.2", "+50.0%", "bound"] and "WORSE" not in ops
@@ -128,18 +128,32 @@ def test_bench_record_compares_fixture_records(tmp_path, capsys):
     assert "cli: aaaaaaa -> bbbbbbb" in lines
     # throughput down by more than 20% and memory up by more than 5% are both marked
     slower = _fixture_record("c" * 40, 0.6, 25.5, 20000, digest="d2")
-    lines, worse = bench.compare(old, slower, declared)
-    assert worse
+    lines, refused = bench.compare(old, slower, declared)
+    assert refused == ["oracle: ops_per_ref worse, peak_rss_mb worse, report digests differ"]
     marked = [line.split()[0] for line in lines if line.endswith("WORSE")]
     assert marked == ["ops_per_ref", "peak_rss_mb"]
     assert any("digests DIFFER" in line for line in lines)
-    paths = []
-    for name, rec in (("old", old), ("new", slower)):
-        paths.append(str(tmp_path / f"{name}.json"))
-        with open(paths[-1], "w") as fh:
-            json.dump(rec, fh)
-    assert bench.main(["--compare", *paths]) == 1
-    assert "ops_per_ref" in capsys.readouterr().out
+    # equal metrics still refuse the change when the reports or the failed ops differ
+    same_metrics = {
+        "digests": _fixture_record("d" * 40, 0.8, 24.0, 416000, digest="d2"),
+        "failed": _fixture_record("e" * 40, 0.8, 24.0, 416000, failed=2),
+    }
+    for key, rec in same_metrics.items():
+        lines, refused = bench.compare(old, rec, declared)
+        assert not any(line.endswith("WORSE") for line in lines)
+        assert refused == [{"digests": "oracle: report digests differ",
+                            "failed": "oracle: more ops fail"}[key]]
+    for new, code in ((slower, 1), (same_metrics["digests"], 1), (same_metrics["failed"], 1),
+                      (better, 0)):
+        paths = []
+        for name, rec in (("old", old), ("new", new)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump(rec, fh)
+        assert bench.main(["--compare", *paths]) == code
+        out = capsys.readouterr().out
+        assert "ops_per_ref" in out
+        assert ("REFUSED oracle: " in out) == (code == 1)
 
 
 def test_path_timings_prints_one_row_per_path():
