@@ -331,6 +331,14 @@ def _render_table(obj, indent=0):
     return lines
 
 
+def count(text: str) -> int:
+    """A --count value: an integer of at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="muram",
@@ -363,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="covering JSON file")
     sp.add_argument("--include-infinity", action="store_true")
     sp.add_argument("--search", action="store_true", help="fuzz for non-Gorenstein places")
-    sp.add_argument("--count", type=int, default=100)
+    sp.add_argument("--count", type=count, default=100)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("genus", help="genus prediction from the ramification divisor")
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fuzz", help="randomized cross-checks of all invariants")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=10)
+    sp.add_argument("--count", type=count, default=10)
     sp.add_argument(
         "--pn",
         action="append",

@@ -114,8 +114,10 @@ def covering_from_obj(obj):
     """-> (covering, infinity_degrees or None).
 
     Malformed input (a wrong type, an element of the wrong length, a zero
-    twist denominator, an unknown key, a nonzero base genus) raises
-    ValueError naming its path, e.g. ``$.f[0][1]``."""
+    twist denominator, an unknown key, a nonzero base genus, a second
+    twist record for one element or a second entry for one pair) raises
+    ValueError naming its path, e.g. ``$.f[0][1]``.  A null twist or
+    infinity_degrees is absent."""
     group = group_from_obj(_get(obj, "group", "$"))
     p = group.p
     kind = obj.get("kind", "kummer")
@@ -127,18 +129,19 @@ def covering_from_obj(obj):
     if kind == "kummer":
         fs = _at(_get(obj, "f", "$"), list, "$.f")
         factors = tuple(Poly(p, _ints(cs, f"$.f[{i}]")) for i, cs in enumerate(fs))
-        twist = None
-        if obj.get("twist"):
-            twist = {}
-            for i, rec in enumerate(_at(obj["twist"], list, "$.twist")):
-                at = f"$.twist[{i}]"
-                _known(rec, ("elt", "num", "den"), at)
-                m = elt_from_obj(group, _get(rec, "elt", at), f"{at}.elt")
-                num, den = (_ints(_get(rec, key, at), f"{at}.{key}") for key in ("num", "den"))
-                if not any(c % p for c in den):
-                    raise ValueError(f"{at}.den: zero denominator")
-                twist[m] = RatFun(Poly(p, num), Poly(p, den))
-        cov = KummerData(group, factors, twist)
+        twist = {}
+        recs = obj.get("twist")  # null means no twist
+        for i, rec in enumerate([] if recs is None else _at(recs, list, "$.twist")):
+            at = f"$.twist[{i}]"
+            _known(rec, ("elt", "num", "den"), at)
+            m = elt_from_obj(group, _get(rec, "elt", at), f"{at}.elt")
+            if m in twist:
+                raise ValueError(f"{at}: repeats the element {m}")
+            num, den = (_ints(_get(rec, key, at), f"{at}.{key}") for key in ("num", "den"))
+            if not any(c % p for c in den):
+                raise ValueError(f"{at}.den: zero denominator")
+            twist[m] = RatFun(Poly(p, num), Poly(p, den))
+        cov = KummerData(group, factors, twist or None)
     else:
         entries = {}
         for k, rec in enumerate(_at(_get(obj, "entries", "$"), list, "$.entries")):
@@ -147,6 +150,8 @@ def covering_from_obj(obj):
                 raise ValueError(f"{at}: expected [i, j, coefficients]")
             i, j, cs = rec
             key = (elt_from_obj(group, i, f"{at}[0]"), elt_from_obj(group, j, f"{at}[1]"))
+            if key in entries:
+                raise ValueError(f"{at}: repeats the pair ({key[0]}, {key[1]})")
             entries[key] = Poly(p, _ints(cs, f"{at}[2]"))
         cov = Cocycle.from_entries(group, entries)
     degrees = None

@@ -18,22 +18,28 @@ quotients stay integral because the pivot valuation is minimal), split
 off A/(pivot), and recurse; the length is the sum of pivot valuations.
 Nothing here consults the closed-form multiplicity |M/N_y| - 1; the two
 routes are compared from the outside.  Pivots are inverted by
-algebra_inverse: a monomial pivot c e_m, the usual case, in closed form
-from e_m e_{-m} = alpha(m,-m) e_0, anything else by the dense solve.
+algebra_inverse, in closed form from e_m e_{-m} = alpha(m,-m) e_0.
 
+The presentation is graded: column (k, l) holds only +-e_k, a unit
+multiple of the one basis element e_k.  Pivoting keeps it so on a local
+model's table, which is a normalized symmetric cocycle.  A pivot u e_k
+scales an entry b e_k of its column to -pivot^{-1} b e_k = -(b/u) e_0,
+and a column of grade k' with entry c e_{k'} in the pivot row gets
+c (-(b/u)) alpha(k', 0) e_{k'} = -(cb/u) e_{k'} added.  So every entry
+stays c e_k with c in F_p^x (a sum of two is again one, or zero and
+dropped), of valuation v_A(e_k), and one valuation per column decides
+every pivot; snf_length refuses any other column.
 Elimination does only the work that can change the answer (details at
 snf_length).  The pivot column is scaled once by minus the pivot's
 inverse, which reassociates (c pivot^{-1}) b as c (pivot^{-1} b); that is
-exact because a local model's table is a symmetric cocycle.  New valuations
-follow the ultrametric rule, and only ties are valued afresh.  Cached
-column minima give the pivot without a rescan and in the rescan's tie
-order (first column, then first row), so the pivot sequence is unchanged.
-Columns equal to an earlier one, which characteristic 2 makes
-(-e_k = e_k), are dropped before pivoting.
+exact because the table is a symmetric cocycle.  Columns equal to an earlier one,
+which characteristic 2 makes (-e_k = e_k), are dropped before pivoting.
 
-Valuations in A use that the basis valuations, which the local model
-derives from its exponent c != 0, are pairwise distinct mod p^n, so graded
-components can never cancel: v_A(sum a_m e_m) = min_m (p^n v_pi(a_m) + v_A(e_m)).
+algebra_valuation values any element: the basis valuations, which the
+local model derives from its exponent c != 0, are pairwise distinct mod
+p^n, so graded components can never cancel:
+v_A(sum a_m e_m) = min_m (p^n v_pi(a_m) + v_A(e_m)).  snf_length checks
+the same condition, which a split place (c = 0) fails.
 """
 
 from __future__ import annotations
@@ -94,12 +100,18 @@ def build_presentation(model: LocalModel) -> PresentationMatrix:
     return PresentationMatrix(rows=rows, labels=labels, columns=columns)
 
 
-def _valuation(model: LocalModel) -> Callable[[AlgebraElt], int]:
-    """v_A on nonzero elements, once the basis valuations are checked
-    pairwise distinct mod p^n."""
+def _basis_valuations(model: LocalModel) -> tuple[int, ...]:
+    """vA, once checked pairwise distinct mod p^n."""
     q, vA = model.q, model.vA
     if len({v % q for v in vA}) != q:
         raise CancellationRisk("basis valuations collide mod p^n; the minimum formula may cancel")
+    return vA
+
+
+def _valuation(model: LocalModel) -> Callable[[AlgebraElt], int]:
+    """v_A on nonzero elements, once the basis valuations are checked
+    pairwise distinct mod p^n."""
+    q, vA = model.q, _basis_valuations(model)
     place = Place._of_irreducible(model.pi)
     return lambda elt: min(
         q * valuation(coeff, place) + vA[m.residues[0]] for m, coeff in elt.comps.items()
@@ -115,78 +127,79 @@ def algebra_valuation(a: AlgebraElt, model: LocalModel) -> int:
     return val(a)
 
 
-def _column_min(col: dict[int, tuple[AlgebraElt, int]]) -> tuple[int, int]:
-    """(minimal valuation, first row reaching it in the column's order)."""
-    best = None
-    for i, (_, v) in col.items():
-        if best is None or v < best[0]:
-            best = (v, i)
-    return best
+def _unit_multiple(entry: AlgebraElt) -> tuple[int, int]:
+    """(s, c) with entry = c e_k, k of residue s and c in F_p^x;
+    ValueError otherwise."""
+    if len(entry.comps) == 1:
+        ((k, coeff),) = entry.comps.items()
+        if len(coeff.num.coeffs) == 1 and coeff.den.coeffs == (1,):
+            return k.residues[0], coeff.num.coeffs[0]
+    raise ValueError(f"entry {entry} is not a unit multiple of one basis element")
 
 
 def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
-    """Length of the cokernel by minimal-valuation pivoting.
+    """Length of the cokernel of a graded presentation by minimal-valuation
+    pivoting.
 
-    Invariant under column permutation, duplication, and unit scaling;
-    additive over block-diagonal presentations.  Raises NotTorsion when
-    rows remain but no nonzero entries are left.
+    Every column must be graded: each of its entries is c e_k with
+    c in F_p^x, for one k per column, as ``build_presentation`` makes
+    them; anything else raises ValueError.  Elimination keeps columns
+    graded (see the module docstring), so every entry of a column has the
+    valuation v_A(e_k) of its grade for as long as it lives, and nothing
+    is valued after setup.  Invariant under column permutation,
+    duplication, and unit scaling; additive over block-diagonal
+    presentations.  Raises NotTorsion when rows remain but no nonzero
+    entries are left.
 
-    The pivot is the first entry of minimal valuation in the first column
-    that has one, rows in the column's order.  A column equal to an earlier
-    one is dropped before pivoting: it never wins that tie, and once the
-    earlier copy is the pivot it clears to zero.  Each live column's
-    (minimal valuation, first row reaching it) sits in a heap keyed by
-    (valuation, column), where an entry whose column has changed since is
-    skipped, and a row index lists the columns meeting each row, so a step
-    visits only those.  The pivot column is scaled once,
-    s_i = -pivot^{-1} b_i, and a column with entry c in the pivot row gets
-    a_i + c s_i, one product per other entry of the pivot column, and c s_i
-    itself where it had no entry; the rows only it has keep their entries.
-    The new valuation is
-    min(v(a_i), v(c) + v(b_i) - v(pivot)) when the two differ; only a tie
-    is valued afresh, and a tie that cancels drops the entry.
+    The pivot is the first row, in the column's own order, of the first
+    live column of minimal valuation; a heap keyed by (valuation, column)
+    gives that column.  A column equal to an earlier one is dropped
+    before pivoting: it never wins that tie, and once the earlier copy is
+    the pivot it clears to zero.  A row index lists the columns meeting
+    each row, so a step visits only those.  The pivot column is scaled
+    once, s_i = -pivot^{-1} b_i, and a column with entry c in the pivot
+    row gets a_i + c s_i, one product per other entry of the pivot
+    column, and c s_i itself where it had no entry; the rows only it has
+    keep their entries, and an entry that cancels is dropped.
     """
-    val = _valuation(model)
-    # live columns by original index, each {row: (entry, valuation)}; each
-    # entry object (alive in matrix, so its id is stable) is valued and
-    # given a token for its value once, and equal columns have equal sorted
-    # (row, token) pairs
-    columns: dict[int, dict[int, tuple[AlgebraElt, int]]] = {}
+    vA = _basis_valuations(model)
+    # live columns by original index, each {row: entry}; each entry object
+    # (alive in matrix, so its id is stable) is read once for its grade and
+    # coefficient, and equal columns have equal sorted (row, (grade,
+    # coefficient)) pairs
+    columns: dict[int, dict[int, AlgebraElt]] = {}
     known: dict[int, tuple[int, int]] = {}
-    tokens: dict[AlgebraElt, int] = {}
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    # (valuation, column, row) of each column minimum as it arose, current
-    # or stale, and the live columns meeting each row
-    heap: list[tuple[int, int, int]] = []
+    seen: set[tuple[tuple[int, tuple[int, int]], ...]] = set()
+    # (valuation, column) of every column kept, and the live columns
+    # meeting each row
+    heap: list[tuple[int, int]] = []
     meets: defaultdict[int, set[int]] = defaultdict(set)
     for j, col in enumerate(matrix.columns):
         if not col:
             continue
-        cells = {}
-        key = []
+        cells = []
         for i, entry in col.items():
-            info = known.get(id(entry))
-            if info is None:
-                info = known[id(entry)] = (tokens.setdefault(entry, len(tokens)), val(entry))
-            cells[i] = (entry, info[1])
-            key.append((i, info[0]))
-        key.sort()
-        key = tuple(key)
+            if id(entry) not in known:
+                known[id(entry)] = _unit_multiple(entry)
+            cells.append((i, known[id(entry)]))
+        grades = {s for _, (s, _) in cells}
+        if len(grades) != 1:
+            raise ValueError(f"column {j} mixes {len(grades)} grades")
+        key = tuple(sorted(cells))
         if key in seen:
             continue
         seen.add(key)
-        columns[j] = cells
-        v, i = _column_min(cells)
-        heap.append((v, j, i))
-        for i in cells:
+        columns[j] = col
+        heap.append((vA[grades.pop()], j))
+        for i in col:
             meets[i].add(j)
     heapq.heapify(heap)
     remaining = len(matrix.rows)
     total = 0
     while remaining:
         while heap:
-            pivot_val, cj, ri = heapq.heappop(heap)
-            if cj in columns and _column_min(columns[cj]) == (pivot_val, ri):
+            pivot_val, cj = heapq.heappop(heap)
+            if cj in columns:
                 break
         else:
             raise NotTorsion(
@@ -194,47 +207,33 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
                 "the module is not torsion"
             )
         pivot_col = columns.pop(cj)
+        ri = next(iter(pivot_col))
         for i in pivot_col:
             meets[i].discard(cj)
-        neg_inv = -algebra_inverse(pivot_col[ri][0], model)
-        scaled = {
-            i: (neg_inv.mul(b, model), vb - pivot_val)
-            for i, (b, vb) in pivot_col.items()
-            if i != ri
-        }
+        neg_inv = -algebra_inverse(pivot_col[ri], model)
+        scaled = {i: neg_inv.mul(b, model) for i, b in pivot_col.items() if i != ri}
         for j in meets.pop(ri):
             col = columns[j]
-            old = _column_min(col)
-            c, vc = col[ri]
-            updated: dict[int, tuple[AlgebraElt, int]] = {}
-            # this set's order becomes the column's row order, which breaks
-            # later ties; it is the order a full rescan builds
+            c = col[ri]
+            updated: dict[int, AlgebraElt] = {}
+            # this set's order becomes the column's row order, which picks
+            # later pivot rows; it is the order a full rescan builds
             touched = set(col) | set(pivot_col)
             touched.discard(ri)
             for i in touched:
                 if i not in scaled:
                     updated[i] = col[i]
                     continue
-                s, vs = scaled[i]
-                prod = c.mul(s, model)
-                vp = vc + vs
-                if i not in col:
-                    updated[i] = (prod, vp)
+                w = c.mul(scaled[i], model)
+                if i in col:
+                    w = col[i] + w
+                if w:
+                    updated[i] = w
                     meets[i].add(j)
-                    continue
-                a, va = col[i]
-                w = a + prod
-                if va != vp:
-                    updated[i] = (w, min(va, vp))
-                elif w:
-                    updated[i] = (w, val(w))
                 else:
                     meets[i].discard(j)
             if updated:
                 columns[j] = updated
-                best = _column_min(updated)
-                if best != old:
-                    heapq.heappush(heap, (best[0], j, best[1]))
             else:
                 del columns[j]
         remaining -= 1

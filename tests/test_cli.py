@@ -365,10 +365,26 @@ def test_malformed_covering_is_exit_1(tmp_path, capsys, obj):
          "$.twist[0].dem: unknown key"),
         ("ramify", {"group": {"p": 2, "exponents": [1]}, "kind": "cocycle", "entries": [],
                     "f": [[0, 1]]}, "$.f: unknown key"),
+        # a twist that is no array is refused, not read as untwisted
+        ("ramify", kummer_obj(2, [1], [[0, 1]], twist=0), "$.twist: expected an array"),
+        ("ramify", kummer_obj(2, [1], [[0, 1]], twist={}), "$.twist: expected an array"),
+        ("ramify", kummer_obj(2, [1], [[0, 1]], twist=""), "$.twist: expected an array"),
+        ("ramify", kummer_obj(2, [1], [[0, 1]], twist=False), "$.twist: expected an array"),
+        # a second record for one element or pair would replace the first;
+        # 1, [1] and [3] are one element of Z/2
+        ("ramify", kummer_obj(2, [1], [[0, 1]], twist=[{"elt": 1, "num": [1], "den": [1]},
+                                                      {"elt": [3], "num": [0, 1], "den": [1]}]),
+         "$.twist[1]: repeats the element 1"),
+        ("ramify", {"group": {"p": 2, "exponents": [1]}, "kind": "cocycle",
+                    "entries": [[[0], [0], [1]], [[0], [1], [1]], [[1], [1], [0, 1]],
+                                [1, [3], [1, 1]]]},
+         "$.entries[3]: repeats the pair (1, 1)"),
     ],
     ids=["huge-characteristic", "negative-g_X", "positive-g_X", "huge-exponent",
          "misspelled-twist", "misspelled-infinity-degrees", "misspelled-group-exponents",
-         "misspelled-twist-record-key", "kummer-key-in-a-cocycle"],
+         "misspelled-twist-record-key", "kummer-key-in-a-cocycle", "twist-zero",
+         "twist-object", "twist-string", "twist-false", "repeated-twist-element",
+         "repeated-entry-pair"],
 )
 def test_refused_input_is_exit_1(tmp_path, capsys, command, obj, message):
     path = write_covering(tmp_path, obj)
@@ -376,6 +392,37 @@ def test_refused_input_is_exit_1(tmp_path, capsys, command, obj, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("twist", [None, []], ids=["null", "empty"])
+def test_null_or_empty_twist_is_untwisted(tmp_path, capsys, twist):
+    plain = run(capsys, ["ramify", "--input", write_covering(tmp_path, kummer_obj(2, [1], [[0, 1]]))])
+    path = write_covering(tmp_path, kummer_obj(2, [1], [[0, 1]], twist=twist), "twisted.json")
+    assert run(capsys, ["ramify", "--input", path]) == plain
+
+
+def test_mirror_entry_is_left_to_validate(tmp_path, capsys):
+    # (0, 1) and (1, 0) are two pairs; validate judges whether they agree
+    obj = {"group": {"p": 2, "exponents": [1]}, "kind": "cocycle",
+           "entries": [[[0], [0], [1]], [[0], [1], [1]], [[1], [0], [1]], [[1], [1], [0, 1]]]}
+    code, rep = run(capsys, ["validate", "--input", write_covering(tmp_path, obj)])
+    assert code == 0 and rep["ok"]
+
+
+@pytest.mark.parametrize("argv", [["gorenstein", "--search", "--count", "-1"],
+                                  ["fuzz", "--count", "-3"]])
+def test_negative_count_is_a_usage_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--count: must be at least 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["gorenstein", "--search", "--count", "0"],
+                                  ["fuzz", "--count", "0"]])
+def test_zero_count_checks_nothing(capsys, argv):
+    code, rep = run(capsys, argv)
+    assert code == 0
+    assert rep.get("checked_places", 0) == 0 and rep.get("checked", {}).get("models", 0) == 0
 
 
 @pytest.mark.parametrize("command", [["genus"], ["gorenstein", "--include-infinity"]])

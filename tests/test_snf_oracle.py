@@ -110,14 +110,18 @@ def _diag_presentation(m, entries):
     return PresentationMatrix(rows=rows, labels=labels, columns=cols)
 
 
-def test_snf_diagonal_uniformizer_powers():
-    # diagonal (pi_A, pi_A^2): entries of valuation 1 and 2, length 3
-    m = model(2, 1, [0, 1])
+def test_snf_refuses_ungraded_columns():
+    # x e_0 is no unit multiple of a basis element, and a column holding
+    # e_1 and e_2 has no single grade
+    m = model(2, 2, [0, 1])
     g = m.group
-    pi_A = AlgebraElt.basis(g, g.elt(1))  # v_A = 1
-    pi_A_sq = AlgebraElt(g, {g.zero(): RatFun.from_poly(X2)})  # v_A = 2
-    pm = _diag_presentation(m, [pi_A, pi_A_sq])
-    assert snf_length(pm, m) == 3
+    e1, e2 = AlgebraElt.basis(g, g.elt(1)), AlgebraElt.basis(g, g.elt(2))
+    x_e0 = AlgebraElt(g, {g.zero(): RatFun.from_poly(X2)})
+    for col in ({0: x_e0}, {0: e1, 1: e2}, {0: e1 + e2}):
+        pm = PresentationMatrix(rows=tuple(g.elements())[1:], labels=((g.zero(), g.zero()),),
+                                columns=[col])
+        with pytest.raises(ValueError):
+            snf_length(pm, m)
 
 
 def test_snf_invariant_under_permutation_and_unit_scaling():
@@ -253,18 +257,14 @@ def test_snf_matches_dense_rescan_on_random_models(p, n, monkeypatch):
             assert _assert_same_run(monkeypatch, build_presentation(lm), lm) == r.multiplicity
 
 
-def _random_monomial(rng, m):
-    # c0 + c1 pi with few choices, so equal valuations often share a leading
-    # term and their difference has a higher valuation, or is zero
-    g = m.group
-    coeff = (Poly(m.p, [rng.randrange(1, m.p)]) + Poly(m.p, [rng.randrange(2)]) * m.pi) \
-        * m.pi ** rng.randrange(3)
-    return AlgebraElt.basis(g, g.elt(rng.randrange(m.q)), RatFun.from_poly(coeff))
+def _random_unit_multiple(rng, m, k):
+    return AlgebraElt.basis(m.group, k, RatFun.from_poly(Poly(m.p, [rng.randrange(1, m.p)])))
 
 
 def _random_sparse_presentation(rng, m, nrows, ncols):
-    """At most two nonzero monomials per column, with constant multiples of
-    earlier columns (their eliminations cancel on a tie) and exact copies."""
+    """At most two nonzero entries per column, unit multiples of one e_k
+    per column, with constant multiples of earlier columns (their
+    eliminations cancel on a tie) and exact copies."""
     unit = m.group.zero()
     columns = []
     for _ in range(ncols):
@@ -272,11 +272,12 @@ def _random_sparse_presentation(rng, m, nrows, ncols):
         if columns and roll < 0.2:
             columns.append(dict(rng.choice(columns)))
         elif columns and roll < 0.4:
-            u = AlgebraElt.basis(m.group, unit, RatFun.from_poly(Poly(m.p, [rng.randrange(1, m.p)])))
+            u = _random_unit_multiple(rng, m, unit)
             columns.append({i: u.mul(e, m) for i, e in rng.choice(columns).items()})
         else:
+            k = m.group.elt(rng.randrange(m.q))
             rows = rng.sample(range(nrows), rng.choice((1, 2, 2)))
-            columns.append({i: _random_monomial(rng, m) for i in rows})
+            columns.append({i: _random_unit_multiple(rng, m, k) for i in rows})
     rows = tuple(m.group.elements())[:nrows]
     labels = tuple((unit, unit) for _ in columns)
     return PresentationMatrix(rows=rows, labels=labels, columns=columns)
@@ -386,9 +387,9 @@ def test_oracle_agrees_with_formula_on_random_models():
                 assert oracle_multiplicity(lm) == r.multiplicity
 
 
-@pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (2, 8)])
 def test_oracle_matches_formula_at_q64_and_q81(p, n):
-    # z^q = x is totally ramified at (x): multiplicity q - 1 (63 and 80)
+    # z^q = x is totally ramified at (x): multiplicity q - 1 (63, 80 and 255)
     kd = KummerData(PGroup(p, (n,)), (Poly.x(p),))
     at_x = Place.finite(Poly.x(p))
     _, reports = ramification_divisor(kd)
