@@ -59,6 +59,17 @@ def _load_covering(path):
     return covering_from_obj(obj)
 
 
+def _load_kummer(path) -> KummerData:
+    """The covering file at path in Kummer form (see kummer_form); a raw
+    product table has none and is refused."""
+    cov = kummer_form(_load_covering(path)[0])
+    if cov is None:
+        raise UnsupportedDecomposition(
+            "only cyclic tables decompose; present product data as KummerData"
+        )
+    return cov
+
+
 def _parse_place(text: str, p: int) -> Place:
     if text.strip().lower() in ("infinity", "inf", "oo"):
         return Place.infinity(p)
@@ -110,11 +121,7 @@ def _cmd_ramify(args):
 
 
 def _cmd_oracle(args):
-    cov = kummer_form(_load_covering(args.input)[0])
-    if cov is None:
-        raise UnsupportedDecomposition(
-            "only cyclic tables decompose; present product data as KummerData"
-        )
+    cov = _load_kummer(args.input)
     place = _parse_place(args.place, cov.group.p)
     # the formula first: a model that ramify refuses gets ramify's rejection
     formula = multiplicity_at(cov, place)
@@ -132,12 +139,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_devissage(args):
-    cov, _ = _load_covering(args.input)
-    if not isinstance(cov, KummerData):
-        raise ModelRejection("devissage expects Kummer-form input")
-    rep = devissage_check(
-        cov, args.layer, include_infinity=args.include_infinity, with_oracle=args.with_oracle
-    )
+    rep = devissage_check(_load_kummer(args.input), args.layer,
+                          include_infinity=args.include_infinity, with_oracle=args.with_oracle)
     out = _report_base("devissage")
     out["total"] = divisor_to_obj(rep.total)
     out["lower"] = divisor_to_obj(rep.lower)

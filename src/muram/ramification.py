@@ -60,14 +60,13 @@ from .errors import (
 from .fppoly import (
     Place,
     Poly,
-    RatFun,
     _check_prime,
     factor,
     is_pth_power,
     poly_gcd,
     poly_valuation,
 )
-from .pgroup import GElt, PGroup, Subgroup
+from .pgroup import MAX_ORDER, GElt, PGroup, Subgroup
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +113,18 @@ class LocalModel:
         return tuple([s * c - q * t for s, t in enumerate(self.t)])
 
     @cached_property
-    def _entry_values(self) -> dict[tuple[int, int], RatFun]:
+    def _entry_values(self) -> dict[tuple[int, int], Poly]:
         return {}
 
-    def entry(self, i: GElt, j: GElt) -> RatFun:
+    def entry(self, i: GElt, j: GElt) -> Poly:
         """Structure constant of the rescaled basis:
-        f_red^{sigma(i,j)} * pi^{t(i+j) - t(i) - t(j)}.
+        f_red^{sigma(i,j)} * pi^{t(i+j) - t(i) - t(j)}, a polynomial.
 
         An entry depends only on (carry, exponent).  For the rescaled
         t(m) = floor(s(m) c / p^n) the exponent is 0 or 1 without a carry
         and -c or 1 - c with one, so each of those few entries is built
-        once per model.
+        once per model; a negative exponent comes with the factor f_red,
+        of v_pi = c, and divides it exactly.
         """
         q = self.q
         si, sj = i.residues[0], j.residues[0]
@@ -133,10 +133,7 @@ class LocalModel:
         value = self._entry_values.get((carry, exp))
         if value is None:
             num = self.f_red if carry else Poly.one(self.p)
-            if exp >= 0:
-                value = RatFun.from_poly(num * self.pi ** exp)
-            else:
-                value = RatFun(num, self.pi ** (-exp))
+            value = num * self.pi ** exp if exp >= 0 else num // self.pi ** -exp
             self._entry_values[(carry, exp)] = value
         return value
 
@@ -560,15 +557,21 @@ def gln_regression(p: int, n: int, beta: int, gamma: int) -> GlnRegressionReport
     The three divisors live on the vanishing locus of the determinant;
     the lower-layer divisor pulls back with index p^beta.  For n = 1 the
     two sides coincide, a degeneracy the report flags explicitly; for
-    n >= 2 they differ.
+    n >= 2 they differ.  p and p^(n gamma) are held to the order bound, the
+    first before trial division and the second before the power is formed.
     """
+    if p > MAX_ORDER:
+        raise ValueError(f"p={p} exceeds the order bound {MAX_ORDER}")
     _check_prime(p)
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if not 0 < beta < gamma:
         raise ValueError(f"need 0 < beta < gamma, got beta={beta} gamma={gamma}")
+    e = n * gamma
+    if e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
+        raise ValueError(f"p^(n*gamma) = {p}^{e} exceeds the order bound {MAX_ORDER}")
     delta = SymbolicPlace("Delta", 1)
-    lhs = Divisor({delta: p ** (n * gamma) - 1})
+    lhs = Divisor({delta: p ** e - 1})
     base_part = Divisor({delta: p ** (n * beta) - 1})
     residual = Divisor({delta: p ** (n * (gamma - beta)) - 1})
     pulled = pullback(residual, {delta: p ** beta})

@@ -114,7 +114,8 @@ def covering_from_obj(obj):
     """-> (covering, infinity_degrees or None).
 
     Malformed input (a wrong type, an element of the wrong length, a zero
-    twist denominator, an unknown key, a nonzero base genus, a second
+    twist or twist denominator, a nonzero chart degree for the identity,
+    an unknown key, a nonzero base genus, a second
     twist record for one element or a second entry for one pair) raises
     ValueError naming its path, e.g. ``$.f[0][1]``.  A null twist or
     infinity_degrees is absent."""
@@ -138,6 +139,8 @@ def covering_from_obj(obj):
             if m in twist:
                 raise ValueError(f"{at}: repeats the element {m}")
             num, den = (_ints(_get(rec, key, at), f"{at}.{key}") for key in ("num", "den"))
+            if not any(c % p for c in num):
+                raise ValueError(f"{at}.num: zero twist")
             if not any(c % p for c in den):
                 raise ValueError(f"{at}.den: zero denominator")
             twist[m] = RatFun(Poly(p, num), Poly(p, den))
@@ -162,7 +165,9 @@ def covering_from_obj(obj):
             raise ValueError(
                 f"infinity_degrees must list {len(order)} integers in canonical element order"
             )
-        degrees = {m: d for m, d in zip(order, given) if not m.is_zero()}
+        if given[0]:
+            raise ValueError(f"$.infinity_degrees[0]: the identity's degree is 0, got {given[0]}")
+        degrees = dict(zip(order[1:], given[1:]))
     return cov, degrees
 
 

@@ -17,8 +17,9 @@ globally minimal valuation, clear its row by column operations (the
 quotients stay integral because the pivot valuation is minimal), split
 off A/(pivot), and recurse; the length is the sum of pivot valuations.
 Nothing here consults the closed-form multiplicity |M/N_y| - 1; the two
-routes are compared from the outside.  Pivots are inverted by
-algebra_inverse, in closed form from e_m e_{-m} = alpha(m,-m) e_0.
+routes are compared from the outside.  Every pivot is a monomial (see
+below), so algebra_inverse inverts it in closed form from e_m e_{-m} =
+alpha(m,-m) e_0, a polynomial in pi of the local model's table.
 
 The presentation is graded: column (k, l) holds only +-e_k, a unit
 multiple of the one basis element e_k.  Pivoting keeps it so on a local
@@ -35,11 +36,11 @@ inverse, which reassociates (c pivot^{-1}) b as c (pivot^{-1} b); that is
 exact because the table is a symmetric cocycle.  Columns equal to an earlier one,
 which characteristic 2 makes (-e_k = e_k), are dropped before pivoting.
 
-algebra_valuation values any element: the basis valuations, which the
-local model derives from its exponent c != 0, are pairwise distinct mod
-p^n, so graded components can never cancel:
-v_A(sum a_m e_m) = min_m (p^n v_pi(a_m) + v_A(e_m)).  snf_length checks
-the same condition, which a split place (c = 0) fails.
+algebra_valuation values any element; snf_length never calls it.  The
+basis valuations, which the local model derives from its exponent
+c != 0, are pairwise distinct mod p^n, so graded components can never
+cancel: v_A(sum a_m e_m) = min_m (p^n v_pi(a_m) + v_A(e_m)).
+snf_length checks the same condition, which a split place (c = 0) fails.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable
 
 from .algebra import AlgebraElt, algebra_inverse
 from .errors import CancellationRisk, NotTorsion, ZeroElement
@@ -108,23 +108,14 @@ def _basis_valuations(model: LocalModel) -> tuple[int, ...]:
     return vA
 
 
-def _valuation(model: LocalModel) -> Callable[[AlgebraElt], int]:
-    """v_A on nonzero elements, once the basis valuations are checked
-    pairwise distinct mod p^n."""
-    q, vA = model.q, _basis_valuations(model)
-    place = Place._of_irreducible(model.pi)
-    return lambda elt: min(
-        q * valuation(coeff, place) + vA[m.residues[0]] for m, coeff in elt.comps.items()
-    )
-
-
 def algebra_valuation(a: AlgebraElt, model: LocalModel) -> int:
     """min_m (p^n * v_pi(a_m) + v_A(e_m)); exact because the basis
     valuations are pairwise distinct mod p^n (checked)."""
-    val = _valuation(model)
+    q, vA = model.q, _basis_valuations(model)
     if a.is_zero():
         raise ZeroElement("the zero element has no valuation")
-    return val(a)
+    place = Place._of_irreducible(model.pi)
+    return min(q * valuation(coeff, place) + vA[m.residues[0]] for m, coeff in a.comps.items())
 
 
 def _unit_multiple(entry: AlgebraElt) -> tuple[int, int]:

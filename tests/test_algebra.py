@@ -3,7 +3,7 @@ import random
 import pytest
 
 import muram.algebra
-from muram.algebra import AlgebraElt, _solve_inverse, algebra_inverse
+from muram.algebra import AlgebraElt, algebra_inverse, solve_linear
 from muram.covering import KummerData
 from muram.errors import NotInvertible
 from muram.fppoly import Place, Poly, RatFun
@@ -94,7 +94,29 @@ def test_random_inverses_multiply_to_unit(p, n, f):
         checked += 1
 
 
-# closed-form inverse of monomials against the dense solve ---------------------
+# both inverse paths against the dense solve -----------------------------------
+#
+# The reference solves (a . x) = e_0 on the full basis: an |M| x |M| system
+# over F_p(x), singular exactly when a is a zero divisor.
+
+def dense_inverse(a, table):
+    group = a.group
+    elements = list(group.elements())
+    index = {g: i for i, g in enumerate(elements)}
+    zero = RatFun.zero(group.p)
+    matrix = [[zero] * len(elements) for _ in elements]
+    # (a*x)_k = sum_n a_{k-n} alpha(k-n, n) x_n
+    for n in elements:
+        for m, coeff in a.comps.items():
+            k = index[m + n]
+            matrix[k][index[n]] = matrix[k][index[n]] + coeff * RatFun.from_poly(table.entry(m, n))
+    rhs = [zero] * len(elements)
+    rhs[index[group.zero()]] = RatFun.one(group.p)
+    sol = solve_linear(matrix, rhs)
+    if sol is None:
+        raise NotInvertible(f"{a} is a zero divisor in the generic fiber")
+    return AlgebraElt(group, {g: sol[i] for g, i in index.items()})
+
 
 def _seeded_cocycles():
     rng = random.Random(23)
@@ -135,7 +157,7 @@ def _check_monomial_inverses(table, rng):
     for m in group.elements():
         a = AlgebraElt.basis(group, m, _random_ratfun(rng, group.p))
         inv = algebra_inverse(a, table)
-        assert inv == _solve_inverse(a, table)
+        assert inv == dense_inverse(a, table)
         assert set(inv.comps) == {-m}
         assert a.mul(inv, table) == unit
         assert inv.mul(a, table) == unit
@@ -162,3 +184,103 @@ def test_monomial_inverse_runs_no_solve(monkeypatch):
     a = AlgebraElt.basis(group, group.elt(3), RatFun.from_poly(Poly(2, [1, 1])))
     inv = algebra_inverse(a, table)
     assert a.mul(inv, table) == AlgebraElt.unit(group)
+
+
+def _product_tables():
+    """Kummer tables on Z/2 x Z/2, Z/4 x Z/2 and Z/3 x Z/3, untwisted and twisted."""
+    rng = random.Random(41)
+    tables = []
+    for p, exps in [(2, (1, 1)), (2, (2, 1)), (3, (1, 1))]:
+        group = PGroup(p, exps)
+        for twisted in (False, True):
+            fs = tuple(random_nonzero_poly(rng, p, 3) for _ in exps)
+            b = random_integral_twist(rng, group) if twisted else None
+            tables.append(KummerData(group, fs, b).to_cocycle())
+    return tables
+
+
+def _nilpotents():
+    """(table, a) with a^q = 0: g e_0 - e_1 on f = g^q, the documented
+    product examples, and g e_0 - e_(1,0) on a product with f_1 = g^q."""
+    out = []
+    rng = random.Random(43)
+    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)]:
+        group = PGroup(p, (n,))
+        g = random_nonzero_poly(rng, p, 2)
+        table = KummerData(group, (g ** (p ** n),)).to_cocycle()
+        out.append((table, AlgebraElt(group, {group.zero(): g, group.elt(1): -Poly.one(p)})))
+    x2, x3 = Poly.x(2), Poly.x(3)
+    group, table = kummer_table(2, 1, [0, 0, 1])
+    out.append((table, AlgebraElt(group, {group.zero(): x2, group.elt(1): Poly.one(2)})))
+    group = PGroup(2, (1, 1))
+    table = KummerData(group, (x2, x2 + Poly.one(2))).to_cocycle()
+    out.append((table, AlgebraElt(group, {m: Poly.one(2) for m in group.elements()
+                                          if m.residues != (1, 1)})))
+    group = PGroup(3, (1, 1))
+    table = KummerData(group, (x3, x3)).to_cocycle()
+    out.append((table, AlgebraElt(group, {group.elt((1, 0)): Poly.one(3),
+                                          group.elt((0, 1)): -Poly.one(3)})))
+    group = PGroup(2, (2, 1))
+    g = Poly(2, [1, 1, 1])
+    table = KummerData(group, (g ** 4, x2)).to_cocycle()
+    out.append((table, AlgebraElt(group, {group.zero(): g, group.elt((1, 0)): Poly.one(2)})))
+    return out
+
+
+def _random_element(rng, group):
+    """A random element with at least two nonzero components."""
+    elements = list(group.elements())
+    p = group.p
+    while True:
+        comps = {m: RatFun(random_nonzero_poly(rng, p, 1), random_nonzero_poly(rng, p, 1))
+                 for m in elements if rng.random() < 0.4}
+        if len(comps) > 1:
+            return AlgebraElt(group, comps)
+
+
+def _check_frobenius_inverse(table, a):
+    try:
+        expected = dense_inverse(a, table)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            algebra_inverse(a, table)
+        return False
+    assert algebra_inverse(a, table) == expected
+    return True
+
+
+def test_frobenius_inverse_matches_dense_solve():
+    rng = random.Random(47)
+    tables = _seeded_cocycles() + _product_tables() + _seeded_local_models()
+    inverted = 0
+    for table in tables:
+        for _ in range(2):
+            inverted += _check_frobenius_inverse(table, _random_element(rng, table.group))
+    assert inverted > len(tables)
+    assert {t.group.exponents for t in tables} >= {(1, 1), (2, 1)}
+    assert any(t.group.p == 3 and t.group.rank == 2 for t in tables)
+
+
+def test_frobenius_inverse_refuses_nilpotents_as_the_solve_does():
+    for table, a in _nilpotents():
+        q = table.group.factor_orders[0]
+        power = AlgebraElt.unit(a.group)
+        for _ in range(q):
+            power = power.mul(a, table)
+        assert power.is_zero(), a
+        assert not _check_frobenius_inverse(table, a)
+
+
+def test_frobenius_inverse_runs_no_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an inverse went through the dense solve")
+
+    monkeypatch.setattr(muram.algebra, "solve_linear", refuse)
+    rng = random.Random(53)
+    for table in _product_tables():
+        a = _random_element(rng, table.group)
+        inv = algebra_inverse(a, table)
+        assert a.mul(inv, table) == AlgebraElt.unit(table.group)
+    for table, a in _nilpotents():
+        with pytest.raises(NotInvertible):
+            algebra_inverse(a, table)

@@ -3,17 +3,21 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from muram import covering
 from muram.cli import build_parser, main
 from muram.fppoly import Poly
 from muram.pgroup import PGroup
+from muram.randgen import random_integral_twist, random_normal_cyclic_kummer
 from muram.serialize import covering_to_obj
 
 
@@ -148,6 +152,29 @@ def test_devissage_subcommand(tmp_path, capsys):
     assert rep["equal"] and rep["oracle_agrees"]
 
 
+def test_devissage_reads_a_raw_cyclic_table_in_kummer_form(tmp_path, capsys):
+    kd = random_normal_cyclic_kummer(random.Random(5), 3, 2)
+    g = kd.group
+    argv = ["devissage", "-m", "1", "--include-infinity", "--with-oracle", "--input"]
+    expected = run(capsys, argv + [write_covering(tmp_path, covering_to_obj(kd))])
+    assert expected[0] == 0 and expected[1]["total"]["degree"] > 0
+    twisted = covering.twist(kd.to_cocycle(), random_integral_twist(random.Random(5), g))
+    for raw in (kd.to_cocycle(), twisted):
+        path = write_covering(tmp_path, covering_to_obj(raw), "raw.json")
+        assert run(capsys, argv + [path]) == expected
+
+
+def test_devissage_refuses_a_raw_product_table_as_oracle_does(tmp_path, capsys):
+    kd = covering.KummerData(PGroup(2, (1, 1)), (Poly(2, [0, 1]), Poly(2, [1, 1])))
+    path = write_covering(tmp_path, covering_to_obj(kd.to_cocycle()))
+    refusals = []
+    for argv in (["devissage", "-m", "1"], ["oracle", "--place", "0,1"]):
+        assert main(argv + ["--input", path]) == 2
+        refusals.append(json.loads(capsys.readouterr().out))
+    assert refusals[0] == refusals[1]
+    assert refusals[0]["rejected"] == "UnsupportedDecomposition"
+
+
 def test_devissage_oracle_at_a_split_place(tmp_path, capsys):
     # z^4 = x (x + 1)^4: (x + 1) is split, so the upper layer's stand-in has c = 0
     path = write_covering(tmp_path, kummer_obj(2, [2], [[0, 1, 0, 0, 0, 1]]))
@@ -248,6 +275,23 @@ def test_regress_gln_refuses_bad_characteristic_or_height(capsys, p, n):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "p, n, gamma, message",
+    [("2305843009213693951", "1", "2", "p=2305843009213693951 exceeds the order bound 65536"),
+     ("3", "1", "30000000", "p^(n*gamma) = 3^30000000 exceeds the order bound 65536"),
+     ("2", "4", "5", "p^(n*gamma) = 2^20 exceeds the order bound 65536")],
+    ids=["huge-p", "huge-gamma", "order-just-above"],
+)
+def test_regress_gln_refuses_sizes_above_the_order_bound_at_once(capsys, p, n, gamma, message):
+    # p is refused before trial division, p^(n gamma) before it is formed
+    start = time.perf_counter()
+    code = main(["regress-gln", "-p", p, "-n", n, "--beta", "1", "--gamma", gamma])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_gorenstein_subcommand(tmp_path, capsys):
@@ -379,12 +423,23 @@ def test_malformed_covering_is_exit_1(tmp_path, capsys, obj):
                     "entries": [[[0], [0], [1]], [[0], [1], [1]], [[1], [1], [0, 1]],
                                 [1, [3], [1, 1]]]},
          "$.entries[3]: repeats the pair (1, 1)"),
+        # a zero twist is refused on reading, as a zero denominator is, by every command
+        ("ramify", kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1], "num": [0], "den": [1]}]),
+         "$.twist[0].num: zero twist"),
+        ("validate", kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1], "num": [0, 0], "den": [1]}]),
+         "$.twist[0].num: zero twist"),
+        ("gorenstein", kummer_obj(2, [2], [[0, 1]], twist=[{"elt": [2], "num": [], "den": [1]}]),
+         "$.twist[0].num: zero twist"),
+        # the identity's chart degree is 0; another value is refused, not dropped
+        ("genus", kummer_obj(2, [1], [[0, 1]], infinity_degrees=[5, 1]),
+         "$.infinity_degrees[0]: "),
     ],
     ids=["huge-characteristic", "negative-g_X", "positive-g_X", "huge-exponent",
          "misspelled-twist", "misspelled-infinity-degrees", "misspelled-group-exponents",
          "misspelled-twist-record-key", "kummer-key-in-a-cocycle", "twist-zero",
          "twist-object", "twist-string", "twist-false", "repeated-twist-element",
-         "repeated-entry-pair"],
+         "repeated-entry-pair", "zero-twist", "zero-twist-validate", "zero-twist-gorenstein",
+         "identity-chart-degree"],
 )
 def test_refused_input_is_exit_1(tmp_path, capsys, command, obj, message):
     path = write_covering(tmp_path, obj)

@@ -107,7 +107,28 @@ def test_local_entries_are_integral_on_normal_models():
     g = m.group
     for i in g.elements():
         for j in g.elements():
-            assert m.entry(i, j).is_poly()
+            assert isinstance(m.entry(i, j), Poly)
+
+
+def test_local_entries_are_the_rescaled_structure_constants():
+    # entry(i, j) pi^{t(i) + t(j)} = f_red^{sigma(i,j)} pi^{t(i+j)}, with no division
+    rng = random.Random(59)
+    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
+        for _ in range(2):
+            kd = random_normal_cyclic_kummer(rng, p, n, max_deg=4)
+            _, reports = ramification_divisor(kd, include_infinity=True)
+            places = dict.fromkeys([r.place for r in reports] + [Place.infinity(p)])
+            for v in places:
+                m = normalize_local_model(kd, v)
+                q, t = m.q, m.t
+                for i in m.group.elements():
+                    for j in m.group.elements():
+                        si, sj = i.residues[0], j.residues[0]
+                        e = m.entry(i, j)
+                        assert isinstance(e, Poly)
+                        lhs = e * m.pi ** (t[si] + t[sj])
+                        f = m.f_red if si + sj >= q else Poly.one(p)
+                        assert lhs == f * m.pi ** t[(si + sj) % q], (kd, v, i, j)
 
 
 def test_fixed_ideal_valuation_examples():

@@ -13,7 +13,6 @@ from muram.ramification import multiplicity_at, normalize_local_model, ramificat
 from muram.randgen import random_normal_cyclic_kummer
 from muram.snf_oracle import (
     PresentationMatrix,
-    _valuation,
     algebra_valuation,
     build_presentation,
     oracle_multiplicity,
@@ -169,7 +168,9 @@ def test_not_torsion_detected():
 # each new entry from scratch.
 
 def dense_snf_length(matrix, model, pivots=None):
-    val = _valuation(model)
+    def val(e):
+        return algebra_valuation(e, model)
+
     columns = [{i: (e, val(e)) for i, e in col.items()} for col in matrix.columns if col]
     remaining, total = len(matrix.rows), 0
     while remaining:
