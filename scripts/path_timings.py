@@ -10,14 +10,28 @@ dense table of z^q = x under a seeded random_integral_twist.  For
 q = 2^n it also times the oracle at (x)
 on f = x^5 (x^3 + x + 1) over F_2, whose local exponent there is
 c = 5 mod q.  The oracle rows stop at q = 128, the size ROADMAP.md
-item 4 targets.  The output is the markdown table of measurements kept
-in ROADMAP.md:
+item 4 targets.
+
+A second table gives cold-start times, each the median over --starts
+fresh interpreters: the import of muram.serialize, the import of every
+module under src/muram (both timed inside the interpreter), and a whole
+`python -m muram.cli ramify` process on z^16 = x.  They run on a copy of
+src/muram with no bytecode, which is compiled from source with -B, then
+once more after an untimed run has written its .pyc files.  The output
+is the markdown tables of measurements kept in ROADMAP.md:
 
     PYTHONPATH=src python scripts/path_timings.py --q 16,27,32,64,128 --repeat 3
 """
 
 import argparse
+import json
+import os
 import random
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
 import time
 
 from muram import GlobalModel, KummerData, PGroup, Poly
@@ -30,6 +44,9 @@ from muram.snf_oracle import oracle_multiplicity
 
 C5_FAMILY = [0, 0, 0, 0, 0, 1, 1, 0, 1]  # x^5 (x^3 + x + 1) over F_2
 ORACLE_MAX_Q = 128
+PACKAGE = os.path.dirname(os.path.abspath(sys.modules["muram"].__file__))
+TIMED_IMPORT = ("import time; t = time.perf_counter(); import {}; "
+                "print(time.perf_counter() - t)")
 
 
 def prime_power(q):
@@ -100,11 +117,49 @@ def timings(q, repeat):
     }
 
 
+def cold_starts(starts):
+    """{row: (from source, from .pyc)}, medians over `starts` fresh interpreters."""
+    modules = sorted(name[:-3] for name in os.listdir(PACKAGE)
+                     if name.endswith(".py") and name != "__init__.py")
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(PACKAGE, os.path.join(tmp, "muram"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cov = os.path.join(tmp, "z16.json")
+        with open(cov, "w") as fh:
+            json.dump({"group": {"p": 2, "exponents": [4]}, "kind": "kummer", "f": [[0, 1]]}, fh)
+        env = dict(os.environ, PYTHONPATH=tmp)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        rows = {
+            "`import muram.serialize`": ["-c", TIMED_IMPORT.format("muram.serialize")],
+            "importing every module": [
+                "-c", TIMED_IMPORT.format(", ".join(f"muram.{m}" for m in modules))],
+            "`python -m muram.cli ramify` on z^16 = x, whole process": [
+                "-m", "muram.cli", "ramify", "--input", cov],
+        }
+
+        def run(args, *flags):
+            start = time.perf_counter()
+            out = subprocess.run([sys.executable, *flags, *args], capture_output=True,
+                                 text=True, env=env, check=True).stdout
+            wall = time.perf_counter() - start
+            return wall if args[0] == "-m" else float(out)
+
+        def median(args, *flags):
+            return statistics.median(run(args, *flags) for _ in range(starts))
+
+        source = {row: median(args, "-B") for row, args in rows.items()}
+        for args in rows.values():
+            run(args)  # writes the bytecode that the next runs read
+        return {row: (source[row], median(args)) for row, args in rows.items()}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", default="16,27,32,64,128",
                     help="comma-separated prime powers (default: %(default)s)")
     ap.add_argument("--repeat", type=int, default=3, help="runs per cell, best kept")
+    ap.add_argument("--starts", type=int, default=9,
+                    help="fresh interpreters per cold-start cell, median kept")
     args = ap.parse_args(argv)
     qs = [int(q) for q in args.q.split(",")]
     for q in qs:
@@ -115,6 +170,11 @@ def main(argv=None):
     print("|---" * (len(qs) + 1) + "|")
     for path in columns[qs[0]]:
         print(f"| {path} | " + " | ".join(fmt(columns[q][path]) for q in qs) + " |")
+    print()
+    print(f"| cold start, median of {args.starts} | from source | from .pyc |")
+    print("|---|---|---|")
+    for row, cells in cold_starts(args.starts).items():
+        print(f"| {row} | " + " | ".join(fmt(cell) for cell in cells) + " |")
     return 0
 
 

@@ -7,67 +7,58 @@ stabilizers and the ramification divisor of the normalized model,
 cross-checks every multiplicity against a module-length oracle, locates
 the Gorenstein places, verifies the two-layer factorization identity,
 and assembles the degree/genus bookkeeping over the projective line.
+
+Every public name is resolved on first use (PEP 562), so importing the
+package, or one of its modules, loads only the modules that are used.
 """
 
-from .algebra import AlgebraElt, algebra_inverse
-from .covering import (
-    Cocycle,
-    KummerData,
-    ValidationReport,
-    canonical_infinity_degrees,
-    chart_at_infinity,
-    cocycle_from_column,
-    forward_decompose,
-    support_places,
-    torsor_at,
-    twist,
-    validate,
-)
-from .divisors import Divisor, SymbolicPlace, pullback
-from .fppoly import (
-    Place,
-    Poly,
-    RatFun,
-    factor,
-    is_irreducible,
-    is_pth_power,
-    poly_gcd,
-    valuation,
-)
-from .gorenstein import (
-    derive_sign,
-    det_M_phi_bruteforce,
-    det_M_phi_formula,
-    diagonal_coefficients,
-    dual_generator,
-    gorenstein_at,
-    sign_table,
-)
-from .pgroup import GElt, PGroup, Subgroup, sigma, subgroup_generated
-from .ramification import (
-    DevissageReport,
-    FixedIdealReport,
-    GlnRegressionReport,
-    LocalModel,
-    RamReport,
-    devissage_check,
-    fixed_ideal_relation_check,
-    fixed_ideal_valuation_at,
-    gln_regression,
-    multiplicity_at,
-    normalize_local_model,
-    ramification_divisor,
-    stabilizer_subgroup_at,
-    untwisted_local_model,
-)
-from .rh_genus import GenusReport, GlobalModel, predict_genus, total_ram_degree
-from .snf_oracle import (
-    PresentationMatrix,
-    algebra_valuation,
-    build_presentation,
-    oracle_multiplicity,
-    snf_length,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "algebra": ("AlgebraElt", "algebra_inverse"),
+    "covering": (
+        "Cocycle", "KummerData", "ValidationReport", "canonical_infinity_degrees",
+        "chart_at_infinity", "cocycle_from_column", "forward_decompose", "support_places",
+        "torsor_at", "twist", "validate",
+    ),
+    "divisors": ("Divisor", "SymbolicPlace", "pullback"),
+    "errors": (),
+    "fppoly": (
+        "Place", "Poly", "RatFun", "factor", "is_irreducible", "is_pth_power", "poly_gcd",
+        "valuation",
+    ),
+    "gorenstein": (
+        "derive_sign", "det_M_phi_bruteforce", "det_M_phi_formula", "diagonal_coefficients",
+        "dual_generator", "gorenstein_at", "sign_table",
+    ),
+    "pgroup": ("GElt", "PGroup", "Subgroup", "sigma", "subgroup_generated"),
+    "ramification": (
+        "DevissageReport", "FixedIdealReport", "GlnRegressionReport", "LocalModel", "RamReport",
+        "devissage_check", "fixed_ideal_relation_check", "fixed_ideal_valuation_at",
+        "gln_regression", "multiplicity_at", "normalize_local_model", "ramification_divisor",
+        "stabilizer_subgroup_at", "untwisted_local_model",
+    ),
+    "rh_genus": ("GenusReport", "GlobalModel", "predict_genus", "total_ram_degree"),
+    "snf_oracle": (
+        "PresentationMatrix", "algebra_valuation", "build_presentation", "oracle_multiplicity",
+        "snf_length",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# the modules listed above are public names too
+__all__ = sorted([*_EXPORTS, *_HOME])
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .covering import (
@@ -20,28 +19,7 @@ from .covering import (
 )
 from .errors import ExactArithError, InternalInvariant, ModelRejection, UnsupportedDecomposition
 from .fppoly import Place, Poly
-from .gorenstein import (
-    det_M_phi_bruteforce,
-    det_M_phi_formula,
-    gorenstein_at,
-    sign_table,
-)
 from .pgroup import PGroup
-from .ramification import (
-    devissage_check,
-    gln_regression,
-    multiplicity_at,
-    normalize_local_model,
-    ramification_divisor,
-)
-from .randgen import (
-    random_cyclic_cocycle,
-    random_integral_column,
-    random_integral_twist,
-    random_normal_cyclic_kummer,
-    random_phi,
-)
-from .rh_genus import GlobalModel, gorenstein_places, predict_genus
 from .serialize import (
     SCHEMA_VERSION,
     covering_from_obj,
@@ -50,7 +28,10 @@ from .serialize import (
     elt_to_obj,
     place_to_obj,
 )
-from .snf_oracle import oracle_multiplicity
+
+# serialize loads covering, fppoly and pgroup for every subcommand; each
+# handler imports the other modules it runs, so that a call compiles and
+# loads no module its subcommand does not use.
 
 
 def _load_covering(path):
@@ -109,6 +90,8 @@ def _cmd_validate(args):
 
 
 def _cmd_ramify(args):
+    from .ramification import ramification_divisor
+
     cov, degrees = _load_covering(args.input)
     divisor, reports = ramification_divisor(
         cov, include_infinity=args.include_infinity, infinity_degrees=degrees
@@ -121,6 +104,9 @@ def _cmd_ramify(args):
 
 
 def _cmd_oracle(args):
+    from .ramification import multiplicity_at, normalize_local_model
+    from .snf_oracle import oracle_multiplicity
+
     cov = _load_kummer(args.input)
     place = _parse_place(args.place, cov.group.p)
     # the formula first: a model that ramify refuses gets ramify's rejection
@@ -139,6 +125,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_devissage(args):
+    from .ramification import devissage_check
+
     rep = devissage_check(_load_kummer(args.input), args.layer,
                           include_infinity=args.include_infinity, with_oracle=args.with_oracle)
     out = _report_base("devissage")
@@ -159,6 +147,9 @@ def _cmd_devissage(args):
 def _cmd_gorenstein(args):
     if args.search:
         return _gorenstein_search(args)
+    from .gorenstein import sign_table
+    from .rh_genus import GlobalModel, gorenstein_places
+
     cov, degrees = _load_covering(args.input)
     gm = GlobalModel(cov, degrees)
     if isinstance(cov, KummerData):
@@ -194,6 +185,11 @@ def _gorenstein_search(args):
 
     Records whatever it finds without asserting existence either way.
     """
+    import random
+
+    from .gorenstein import gorenstein_at
+    from .randgen import random_integral_twist, random_normal_cyclic_kummer
+
     rng = random.Random(args.seed)
     shapes = [(2, (1, 1)), (3, (1, 1)), (2, (2,)), (3, (2,)), (2, (2, 1))]
     found = []
@@ -224,6 +220,8 @@ def _gorenstein_search(args):
 
 
 def _cmd_genus(args):
+    from .rh_genus import GlobalModel, predict_genus
+
     cov, degrees = _load_covering(args.input)
     rep = predict_genus(GlobalModel(cov, degrees))
     out = _report_base("genus")
@@ -244,6 +242,8 @@ def _cmd_genus(args):
 
 
 def _cmd_regress_gln(args):
+    from .ramification import gln_regression
+
     rep = gln_regression(args.p, args.n, args.beta, args.gamma)
     out = _report_base("regress-gln")
     out["lhs"] = rep.lhs.degree()
@@ -261,6 +261,19 @@ def _cmd_regress_gln(args):
 
 
 def _cmd_fuzz(args):
+    import random
+
+    from .gorenstein import det_M_phi_bruteforce, det_M_phi_formula
+    from .ramification import devissage_check, normalize_local_model
+    from .randgen import (
+        random_cyclic_cocycle,
+        random_integral_column,
+        random_normal_cyclic_kummer,
+        random_phi,
+    )
+    from .rh_genus import GlobalModel, predict_genus
+    from .snf_oracle import oracle_multiplicity
+
     rng = random.Random(args.seed)
     pn_list = [tuple(int(t) for t in s.split(",")) for s in args.pn]
     failures = []

@@ -39,7 +39,6 @@ at u = 0, so its u-exponents are read off Q in the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
@@ -125,9 +124,17 @@ class Cocycle:
         )
 
 
-@dataclass
 class ValidationReport:
-    failures: list = field(default_factory=list)  # (invariant name, offending tuple)
+    def __init__(self, failures: list | None = None):
+        self.failures = [] if failures is None else failures  # (invariant name, offending tuple)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.failures == other.failures
+
+    def __repr__(self):
+        return f"ValidationReport(failures={self.failures!r})"
 
     @property
     def ok(self) -> bool:
@@ -175,35 +182,44 @@ def validate(c: Cocycle) -> ValidationReport:
     return ValidationReport(failures)
 
 
-@dataclass(frozen=True)
 class KummerData:
     """Per-factor chart equations f_i, with an optional coboundary twist.
 
     The induced table is prod_i f_i^{sigma_i(m,n)} * b(m) b(n) / b(m+n);
-    to_cocycle() insists the result is integral.
+    to_cocycle() insists the result is integral.  Equal and hashed by
+    (group, factors, twist), so it is not changed after construction.
     """
 
-    group: PGroup
-    factors: tuple[Poly, ...]
-    twist: dict | None = None  # GElt -> RatFun, b(0) = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if len(self.factors) != self.group.rank:
+    def __init__(self, group: PGroup, factors: tuple[Poly, ...], twist: dict | None = None):
+        self.group = group
+        self.factors = factors = tuple(factors)
+        self.twist = twist  # GElt -> RatFun, b(0) = 1
+        if len(factors) != group.rank:
             raise ValueError(
                 f"need one chart equation per invariant factor "
-                f"({self.group.rank}), got {len(self.factors)}"
+                f"({group.rank}), got {len(factors)}"
             )
-        for f in self.factors:
+        for f in factors:
             if f.is_zero():
                 raise ZeroEntry("chart equation is zero")
-            if f.p != self.group.p:
+            if f.p != group.p:
                 raise CharMismatch("chart equation characteristic differs from the group's")
-        if self.twist is not None:
-            b0 = self.twist.get(self.group.zero())
+        if twist is not None:
+            b0 = twist.get(group.zero())
             if b0 is not None and not as_ratfun(b0).is_one():
                 raise ValueError("twist must send 0 to 1")
-        object.__setattr__(self, "_potentials", {})  # place -> potential(place)
+        self._potentials = {}  # place -> potential(place)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.factors, self.twist) == (other.group, other.factors, other.twist)
+
+    def __hash__(self):
+        return hash((self.group, self.factors, self.twist))
+
+    def __repr__(self):
+        return f"KummerData(group={self.group!r}, factors={self.factors!r}, twist={self.twist!r})"
 
     def twist_at(self, m: GElt) -> RatFun:
         """Twist value at m; elements without an explicit value twist by 1."""

@@ -7,16 +7,27 @@ mix with curve places inside a single divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ChartMismatch, MissingIndex, UndeclaredSymbolicDegree
 from .fppoly import Place
 
 
-@dataclass(frozen=True)
 class SymbolicPlace:
-    name: str
-    degree_value: int | None = 1
+    """Equal and hashed by (name, degree_value)."""
+
+    def __init__(self, name: str, degree_value: int | None = 1):
+        self.name = name
+        self.degree_value = degree_value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.degree_value) == (other.name, other.degree_value)
+
+    def __hash__(self):
+        return hash((self.name, self.degree_value))
+
+    def __repr__(self):
+        return f"SymbolicPlace(name={self.name!r}, degree_value={self.degree_value!r})"
 
     def degree(self):
         if self.degree_value is None:

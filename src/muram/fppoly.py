@@ -28,8 +28,6 @@ Division, remainder and Euclid run on coefficient tuples (``_divmod_coeffs``,
 
 from __future__ import annotations
 
-import random
-
 from .errors import CharMismatch, ZeroElement, ZeroPolynomial
 
 _PRIME_CACHE: set[int] = set()
@@ -430,6 +428,8 @@ def factor(f: Poly) -> dict[Poly, int]:
                 irrs = (prod,)
             else:
                 if rng is None:
+                    import random
+
                     rng = random.Random(hash((f.p, f.coeffs)))
                 irrs = _equal_degree_split(prod, d, rng)
             for irr in irrs:

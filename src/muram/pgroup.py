@@ -19,7 +19,6 @@ validation relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
@@ -217,15 +216,23 @@ def sigma(i: GElt, j: GElt) -> tuple[int, ...]:
     return tuple([(a + b) // q for a, b, q in zip(i.residues, j.residues, group.factor_orders)])
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    group: PGroup
-    members: tuple[GElt, ...]
+    """Members sorted by residues; equal and hashed by (group, members)."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "members", tuple(sorted(set(self.members), key=lambda g: g.residues))
-        )
+    def __init__(self, group: PGroup, members: tuple[GElt, ...]):
+        self.group = group
+        self.members = tuple(sorted(set(members), key=lambda g: g.residues))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.members) == (other.group, other.members)
+
+    def __hash__(self):
+        return hash((self.group, self.members))
+
+    def __repr__(self):
+        return f"Subgroup(group={self.group!r}, members={self.members!r})"
 
     @property
     def order(self) -> int:

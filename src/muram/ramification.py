@@ -39,7 +39,6 @@ normality "refuted".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .covering import (
@@ -72,7 +71,6 @@ from .pgroup import MAX_ORDER, GElt, PGroup, Subgroup
 # ---------------------------------------------------------------------------
 # local models
 
-@dataclass(frozen=True)
 class LocalModel:
     """Localized cyclic covering, normal above its place.
 
@@ -82,15 +80,32 @@ class LocalModel:
     v_pi = c in [0, p^n), and c decides the rest: the rescaling
     t(s) = floor(s c / p^n) and the basis valuations vA(s) = s c - p^n t(s),
     indexed by the canonical representative s(m).  Every model is built
-    and certified by _normalize_finite.
+    and certified by _normalize_finite.  Equal and hashed by its six
+    constructor arguments.
     """
 
-    p: int
-    n: int
-    place: Place
-    pi: Poly
-    f_red: Poly
-    c: int
+    def __init__(self, p: int, n: int, place: Place, pi: Poly, f_red: Poly, c: int):
+        self.p = p
+        self.n = n
+        self.place = place
+        self.pi = pi
+        self.f_red = f_red
+        self.c = c
+
+    def _key(self):
+        return (self.p, self.n, self.place, self.pi, self.f_red, self.c)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"LocalModel(p={self.p!r}, n={self.n!r}, place={self.place!r}, "
+                f"pi={self.pi!r}, f_red={self.f_red!r}, c={self.c!r})")
 
     @property
     def q(self) -> int:
@@ -138,7 +153,13 @@ class LocalModel:
         return value
 
 
-def _require_cyclic(kd: KummerData) -> Poly:
+def _require_cyclic(kd: KummerData, missing: str = "local models") -> Poly:
+    """The chart equation of cyclic Kummer data; other groups are refused,
+    the trivial group by name, as having none of what is missing."""
+    if kd.group.rank == 0:
+        raise UnsupportedGroup(
+            f"the trivial group has no cyclic factor Z/p^n with n >= 1, so it has no {missing}"
+        )
     if not kd.group.is_cyclic:
         raise UnsupportedGroup("local models are cyclic-only; split product data per factor")
     return kd.factors[0]
@@ -276,12 +297,20 @@ def multiplicity_at(c, v: Place) -> int:
     return ramification_divisor(c, include_infinity=v.is_infinity)[0].multiplicity(v)
 
 
-@dataclass
 class RamReport:
     """The stabilizer N_v at a place; everything the report says is read off it."""
 
-    place: Place
-    stabilizer: Subgroup
+    def __init__(self, place: Place, stabilizer: Subgroup):
+        self.place = place
+        self.stabilizer = stabilizer
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.place, self.stabilizer) == (other.place, other.stabilizer)
+
+    def __repr__(self):
+        return f"RamReport(place={self.place!r}, stabilizer={self.stabilizer!r})"
 
     @property
     def multiplicity(self) -> int:
@@ -420,7 +449,6 @@ def _divisor_of(reports: list[RamReport]) -> Divisor:
 # ---------------------------------------------------------------------------
 # devissage
 
-@dataclass
 class DevissageReport:
     """R for the full covering against the two-layer factorization.
 
@@ -430,12 +458,28 @@ class DevissageReport:
     multiplies by the layer degree p^{n-m}.
     """
 
-    total: Divisor
-    lower: Divisor  # covering w^{p^m} = f of the base
-    upper: Divisor  # covering z^{p^{n-m}} = w of the intermediate curve
-    pullback_indices: dict  # place -> p^{n-m}, in Place.sort_key order
-    equal: bool
-    oracle_agrees: bool | None = None
+    def __init__(self, total: Divisor, lower: Divisor, upper: Divisor, pullback_indices: dict,
+                 equal: bool, oracle_agrees: bool | None = None):
+        self.total = total
+        self.lower = lower  # covering w^{p^m} = f of the base
+        self.upper = upper  # covering z^{p^{n-m}} = w of the intermediate curve
+        self.pullback_indices = pullback_indices  # place -> p^{n-m}, in Place.sort_key order
+        self.equal = equal
+        self.oracle_agrees = oracle_agrees
+
+    def _key(self):
+        return (self.total, self.lower, self.upper, self.pullback_indices, self.equal,
+                self.oracle_agrees)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"DevissageReport(total={self.total!r}, lower={self.lower!r}, "
+                f"upper={self.upper!r}, pullback_indices={self.pullback_indices!r}, "
+                f"equal={self.equal!r}, oracle_agrees={self.oracle_agrees!r})")
 
 
 def devissage_check(
@@ -456,7 +500,7 @@ def devissage_check(
     with index p^{n-m}.  with_oracle has the length oracle recompute every
     layer at every place.
     """
-    f = _require_cyclic(kd)
+    f = _require_cyclic(kd, "local models and no layer 0 < m < n")
     p, n = kd.group.p, kd.group.exponents[0]
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < {n}, got {m}")
@@ -512,12 +556,25 @@ def _stand_in_model(p: int, n: int, c: int) -> LocalModel:
 # ---------------------------------------------------------------------------
 # fixed ideal
 
-@dataclass
 class FixedIdealReport:
-    place: Place
-    ideal_valuation: int
-    multiplicity: int
-    order: int
+    def __init__(self, place: Place, ideal_valuation: int, multiplicity: int, order: int):
+        self.place = place
+        self.ideal_valuation = ideal_valuation
+        self.multiplicity = multiplicity
+        self.order = order
+
+    def _key(self):
+        return (self.place, self.ideal_valuation, self.multiplicity, self.order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"FixedIdealReport(place={self.place!r}, "
+                f"ideal_valuation={self.ideal_valuation!r}, "
+                f"multiplicity={self.multiplicity!r}, order={self.order!r})")
 
     @property
     def holds(self) -> bool:
@@ -541,14 +598,29 @@ def fixed_ideal_relation_check(model: LocalModel) -> FixedIdealReport:
 # ---------------------------------------------------------------------------
 # matrix-space regression
 
-@dataclass
 class GlnRegressionReport:
-    lhs: Divisor
-    base_part: Divisor
-    pulled: Divisor
-    rhs: Divisor
-    equal: bool
-    degenerate_height_one: bool
+    def __init__(self, lhs: Divisor, base_part: Divisor, pulled: Divisor, rhs: Divisor,
+                 equal: bool, degenerate_height_one: bool):
+        self.lhs = lhs
+        self.base_part = base_part
+        self.pulled = pulled
+        self.rhs = rhs
+        self.equal = equal
+        self.degenerate_height_one = degenerate_height_one
+
+    def _key(self):
+        return (self.lhs, self.base_part, self.pulled, self.rhs, self.equal,
+                self.degenerate_height_one)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"GlnRegressionReport(lhs={self.lhs!r}, base_part={self.base_part!r}, "
+                f"pulled={self.pulled!r}, rhs={self.rhs!r}, equal={self.equal!r}, "
+                f"degenerate_height_one={self.degenerate_height_one!r})")
 
 
 def gln_regression(p: int, n: int, beta: int, gamma: int) -> GlnRegressionReport:

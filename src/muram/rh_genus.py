@@ -38,7 +38,6 @@ that effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .covering import (
@@ -64,7 +63,6 @@ BASE_FIELD_NOTE = (
 )
 
 
-@dataclass
 class GlobalModel:
     """Affine covering data plus the glue needed for global questions.
 
@@ -75,8 +73,18 @@ class GlobalModel:
     base genus to give.
     """
 
-    covering: object  # Cocycle | KummerData
-    infinity_degrees: dict | None = None
+    def __init__(self, covering, infinity_degrees: dict | None = None):
+        self.covering = covering  # Cocycle | KummerData
+        self.infinity_degrees = infinity_degrees
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.covering, self.infinity_degrees) == (other.covering, other.infinity_degrees)
+
+    def __repr__(self):
+        return (f"GlobalModel(covering={self.covering!r}, "
+                f"infinity_degrees={self.infinity_degrees!r})")
 
     @cached_property
     def kummer(self) -> KummerData | None:
@@ -129,16 +137,33 @@ def gorenstein_places(gm: GlobalModel, places):
             yield gorenstein_from_potential(table.group, potential)
 
 
-@dataclass
 class GenusReport:
-    group_order: int
-    deg_R: int
-    divisor: Divisor
-    rhs: int  # deg R - 2|G|
-    g_Y: int | None
-    non_integer: bool
-    per_place: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(self, group_order: int, deg_R: int, divisor: Divisor, rhs: int,
+                 g_Y: int | None, non_integer: bool, per_place: list | None = None,
+                 notes: list | None = None):
+        self.group_order = group_order
+        self.deg_R = deg_R
+        self.divisor = divisor
+        self.rhs = rhs  # deg R - 2|G|
+        self.g_Y = g_Y
+        self.non_integer = non_integer
+        self.per_place = [] if per_place is None else per_place
+        self.notes = [] if notes is None else notes
+
+    def _key(self):
+        return (self.group_order, self.deg_R, self.divisor, self.rhs, self.g_Y,
+                self.non_integer, self.per_place, self.notes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (f"GenusReport(group_order={self.group_order!r}, deg_R={self.deg_R!r}, "
+                f"divisor={self.divisor!r}, rhs={self.rhs!r}, g_Y={self.g_Y!r}, "
+                f"non_integer={self.non_integer!r}, per_place={self.per_place!r}, "
+                f"notes={self.notes!r})")
 
 
 def total_ram_degree(gm: GlobalModel):

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .algebra import AlgebraElt, algebra_inverse
 from .errors import CancellationRisk, NotTorsion, ZeroElement
@@ -56,7 +55,6 @@ from .pgroup import GElt
 from .ramification import LocalModel
 
 
-@dataclass
 class PresentationMatrix:
     """Sparse column-major presentation of the augmentation module.
 
@@ -66,9 +64,20 @@ class PresentationMatrix:
     two nonzero entries per column; k = 0 columns vanish).
     """
 
-    rows: tuple[GElt, ...]
-    labels: tuple[tuple[GElt, GElt], ...]
-    columns: list[dict[int, AlgebraElt]]
+    def __init__(self, rows: tuple[GElt, ...], labels: tuple[tuple[GElt, GElt], ...],
+                 columns: list[dict[int, AlgebraElt]]):
+        self.rows = rows
+        self.labels = labels
+        self.columns = columns
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.labels, self.columns) == (other.rows, other.labels, other.columns)
+
+    def __repr__(self):
+        return (f"PresentationMatrix(rows={self.rows!r}, labels={self.labels!r}, "
+                f"columns={self.columns!r})")
 
     @property
     def shape(self):

@@ -549,6 +549,23 @@ def test_trivial_group_gets_a_documented_exit(tmp_path, capsys, command):
     assert_documented_exit(code, captured.out, captured.err)
 
 
+NO_LOCAL_MODEL = "the trivial group has no cyclic factor Z/p^n with n >= 1, so it has no local models"
+
+
+@pytest.mark.parametrize("obj", [
+    {"group": {"p": 2, "exponents": []}, "f": []},
+    {"group": {"p": 2, "exponents": []}, "kind": "cocycle", "entries": []},
+], ids=["kummer", "raw"])
+@pytest.mark.parametrize("command, detail", [
+    (["devissage", "-m", "1"], NO_LOCAL_MODEL + " and no layer 0 < m < n"),
+    (["oracle", "--place", "0,1"], NO_LOCAL_MODEL),
+], ids=["devissage", "oracle"])
+def test_trivial_group_is_refused_by_name(tmp_path, capsys, obj, command, detail):
+    code, rep = run(capsys, command + ["--input", write_covering(tmp_path, obj)])
+    assert code == 2
+    assert rep == {"schema_version": 1, "rejected": "UnsupportedGroup", "detail": detail}
+
+
 def test_trivial_group_genus_is_the_base_genus(tmp_path, capsys):
     # rank 0 is no product grading: the covering is the identity of the line
     path = write_covering(tmp_path, TRIVIAL_GROUP)

@@ -157,9 +157,10 @@ def test_bench_record_compares_fixture_records(tmp_path, capsys):
 
 
 def test_path_timings_prints_one_row_per_path():
-    lines = run_script("path_timings.py", "--q", "4,8", "--repeat", "1").splitlines()
-    assert lines[0] == "| path | q=4 | q=8 |"
-    rows = [line.split(" | ") for line in lines[2:]]
+    out = run_script("path_timings.py", "--q", "4,8", "--repeat", "1", "--starts", "1")
+    paths, cold = (table.splitlines() for table in out.split("\n\n"))
+    assert paths[0] == "| path | q=4 | q=8 |"
+    rows = [line.split(" | ") for line in paths[2:]]
     assert [row[0] for row in rows] == [
         "| `ramification_divisor` incl. ∞", "| `check_chart_consistency`",
         "| `gorenstein_places`",
@@ -167,6 +168,13 @@ def test_path_timings_prints_one_row_per_path():
         "| `oracle_multiplicity` at (x)", "| oracle at (x), f = x^5(x^3+x+1)",
     ]
     assert all(cell.rstrip(" |").endswith(" ms") for row in rows for cell in row[1:])
+    assert cold[0] == "| cold start, median of 1 | from source | from .pyc |"
+    starts = [line.split(" | ") for line in cold[2:]]
+    assert [row[0] for row in starts] == [
+        "| `import muram.serialize`", "| importing every module",
+        "| `python -m muram.cli ramify` on z^16 = x, whole process",
+    ]
+    assert all(cell.rstrip(" |").endswith((" ms", " s")) for row in starts for cell in row[1:])
 
 
 def test_path_timings_refuses_a_q_that_is_no_prime_power():
