@@ -12,7 +12,7 @@ on f = x^5 (x^3 + x + 1) over F_2, whose local exponent there is
 c = 5 mod q.  The oracle rows stop at q = 128, the size ROADMAP.md
 item 4 targets.
 
-A second table gives cold-start times, each the median over --starts
+A second table gives cold-start times, each the median over --repeat
 fresh interpreters: the import of muram.serialize, the import of every
 module under src/muram (both timed inside the interpreter), and a whole
 `python -m muram.cli ramify` process on z^16 = x.  They run on a copy of
@@ -117,8 +117,8 @@ def timings(q, repeat):
     }
 
 
-def cold_starts(starts):
-    """{row: (from source, from .pyc)}, medians over `starts` fresh interpreters."""
+def cold_starts(repeat):
+    """{row: (from source, from .pyc)}, medians over `repeat` fresh interpreters."""
     modules = sorted(name[:-3] for name in os.listdir(PACKAGE)
                      if name.endswith(".py") and name != "__init__.py")
     with tempfile.TemporaryDirectory() as tmp:
@@ -145,7 +145,7 @@ def cold_starts(starts):
             return wall if args[0] == "-m" else float(out)
 
         def median(args, *flags):
-            return statistics.median(run(args, *flags) for _ in range(starts))
+            return statistics.median(run(args, *flags) for _ in range(repeat))
 
         source = {row: median(args, "-B") for row, args in rows.items()}
         for args in rows.values():
@@ -157,9 +157,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", default="16,27,32,64,128",
                     help="comma-separated prime powers (default: %(default)s)")
-    ap.add_argument("--repeat", type=int, default=3, help="runs per cell, best kept")
-    ap.add_argument("--starts", type=int, default=9,
-                    help="fresh interpreters per cold-start cell, median kept")
+    ap.add_argument("--repeat", type=int, default=3,
+                    help="runs per cell: the best path time, the median cold start")
     args = ap.parse_args(argv)
     qs = [int(q) for q in args.q.split(",")]
     for q in qs:
@@ -171,9 +170,9 @@ def main(argv=None):
     for path in columns[qs[0]]:
         print(f"| {path} | " + " | ".join(fmt(columns[q][path]) for q in qs) + " |")
     print()
-    print(f"| cold start, median of {args.starts} | from source | from .pyc |")
+    print(f"| cold start, median of {args.repeat} | from source | from .pyc |")
     print("|---|---|---|")
-    for row, cells in cold_starts(args.starts).items():
+    for row, cells in cold_starts(args.repeat).items():
         print(f"| {row} | " + " | ".join(fmt(cell) for cell in cells) + " |")
     return 0
 

@@ -157,7 +157,7 @@ def test_bench_record_compares_fixture_records(tmp_path, capsys):
 
 
 def test_path_timings_prints_one_row_per_path():
-    out = run_script("path_timings.py", "--q", "4,8", "--repeat", "1", "--starts", "1")
+    out = run_script("path_timings.py", "--q", "4,8", "--repeat", "1")
     paths, cold = (table.splitlines() for table in out.split("\n\n"))
     assert paths[0] == "| path | q=4 | q=8 |"
     rows = [line.split(" | ") for line in paths[2:]]
