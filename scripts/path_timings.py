@@ -5,8 +5,11 @@ For each q = p^n in --q, on a model built afresh for every run, it times
 ramification_divisor(include_infinity=True), the two hypothesis checks
 of predict_genus that the divisor does not make (check_chart_consistency,
 and gorenstein_places at the places of the divisor), oracle_multiplicity
-at (x), and validate plus forward_decompose on the
-dense table of z^q = x under a seeded random_integral_twist.  For
+at (x), and two paths on the dense table of z^q = x under a seeded
+random_integral_twist, read as a raw table: validate plus
+forward_decompose, and gorenstein_places at the finite places of its
+divisor once validate has decided it (its chart at infinity under the
+canonical degrees need not be integral).  For
 q = 2^n it also times the oracle at (x)
 on f = x^5 (x^3 + x + 1) over F_2, whose local exponent there is
 c = 5 mod q.  The oracle rows stop at q = 128, the size ROADMAP.md
@@ -98,6 +101,11 @@ def timings(q, repeat):
         validate(table)
         forward_decompose(table)
 
+    def decided_places():
+        gm = GlobalModel(Cocycle.from_entries(group, pairs))
+        validate(gm.covering)
+        return gm, [r.place for r in gm.ramification_divisor()[1] if not r.place.is_infinity]
+
     group = PGroup(p, (n,))
     twisted = KummerData(group, (Poly.x(p),), random_integral_twist(random.Random(q), group))
     pairs = {(m, k): a for m, k, a in twisted.to_cocycle().pairs()}
@@ -112,6 +120,8 @@ def timings(q, repeat):
         # a fresh Cocycle per run: the table keeps its decomposition
         "`validate` + `forward_decompose`, twisted table": best_of(
             repeat, lambda: Cocycle.from_entries(group, pairs), raw_table),
+        "`gorenstein_places`, twisted table after `validate`": best_of(
+            repeat, decided_places, lambda args: list(gorenstein_places(*args))),
         "`oracle_multiplicity` at (x)": oracle((0, 1)),
         "oracle at (x), f = x^5(x^3+x+1)": oracle(C5_FAMILY) if p == 2 else None,
     }

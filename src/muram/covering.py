@@ -18,23 +18,31 @@ table is the Kummer data of f twisted by b(i) = 1/beta_i.
 cocycle_from_column rebuilds a table that way (columns that force
 denominators are rejected).  A raw cyclic Cocycle is compared with the
 reconstruction from its own column once, in polynomials, and keeps the
-outcome: forward_decompose, kummer_form and validate all read it.  A
-table equal to its reconstruction is valid, so validate scans the q^3
-triples only for product groups, or to name the first failing tuples of
-a cyclic table that differs from its reconstruction.
+outcome: that Kummer form, or the refusal.  forward_decompose,
+kummer_form and validate all read it.  A table equal to its
+reconstruction is valid, so validate scans the q^3 triples only for
+product groups, or to name the first failing tuples of a cyclic table
+that differs from its reconstruction.  KummerData.to_cocycle and
+cocycle_from_column keep the data they built the table from in the same
+place, so their tables need no reconstruction.
 
 A table is anything with ``group``, ``entry(m, n)``,
-``entry_valuation(m, n, place)`` and ``potential(place)``: Cocycle stores
-its entries and has no potential, and InfinityChart is a view of either
-kind of table on the chart at infinity.  KummerData builds no entry to
-answer a valuation.  Once per place v it forms the integer potential
+``entry_valuation(m, n, place)`` and ``potential(place)``, and
+InfinityChart is a view of any table on the chart at infinity.
+KummerData builds no entry to answer a valuation.  Once per place v it
+forms the integer potential
 
     P_v(m) = sum_i m_i v(f_i) |G|/q_i + |G| v(b(m)),
 
 and then v(alpha(m, n)) = (P_v(m) + P_v(n) - P_v(m+n)) / |G| exactly,
-because |G| sigma_i(m, n) = (m_i + n_i - (m+n)_i) |G|/q_i.  The chart at
-infinity over Kummer data has the potential Q(m) = |G| d(m) + P_inf(m)
-at u = 0, so its u-exponents are read off Q in the same way.
+because |G| sigma_i(m, n) = (m_i + n_i - (m+n)_i) |G|/q_i.  A Cocycle
+whose Kummer form is known answers with that form's potential; one
+whose form is not known (a product table read from entries, or a cyclic
+table not yet decided or refused) has none and values its stored
+entries.  Asking for a potential never decides a table.  The chart at
+infinity over a table with a potential has the potential
+Q(m) = |G| d(m) + P_inf(m) at u = 0, so its u-exponents are read off Q
+in the same way.
 """
 
 from __future__ import annotations
@@ -54,16 +62,20 @@ from .pgroup import GElt, PGroup, sigma
 class Cocycle:
     """Full symmetric table of structure constants with Poly entries.
 
-    The entries are not changed after construction, so a cyclic table's
-    decomposition is decided on first use and kept (see _decomposition).
+    The entries are not changed after construction, so the table's Kummer
+    form is kept once known, in _kummer: the KummerData the table was
+    built from, a cyclic table's column form once decided (see
+    _decomposition), or the message refusing it.  Entry valuations are
+    read off that form's potential when there is one, and off the stored
+    entries otherwise.
     """
 
-    __slots__ = ("group", "_entries", "_decomposition")
+    __slots__ = ("group", "_entries", "_kummer")
 
     def __init__(self, group: PGroup, entries: dict):
         self.group = group
         self._entries = entries
-        self._decomposition = None
+        self._kummer = None  # None | KummerData | refusal message
         for (m, n), a in entries.items():
             if a.p != group.p:
                 raise CharMismatch(f"entry ({m},{n}) has characteristic {a.p}")
@@ -99,11 +111,16 @@ class Cocycle:
         return self._entries[(m, n)]
 
     def entry_valuation(self, m: GElt, n: GElt, v: Place) -> int:
+        kd = self._kummer
+        if isinstance(kd, KummerData):
+            return kd.entry_valuation(m, n, v)
         return valuation(self.entry(m, n), v)
 
-    def potential(self, v: Place) -> None:
-        """Stored entries need not come from a potential."""
-        return None
+    def potential(self, v: Place) -> dict | None:
+        """The potential of the table's Kummer form when that form is
+        known, else None; it never starts a reconstruction."""
+        kd = self._kummer
+        return kd.potential(v) if isinstance(kd, KummerData) else None
 
     def pairs(self):
         """Canonically ordered (m, n, alpha(m,n)) with m <= n."""
@@ -216,7 +233,8 @@ class KummerData:
         return (self.group, self.factors, self.twist) == (other.group, other.factors, other.twist)
 
     def __hash__(self):
-        return hash((self.group, self.factors, self.twist))
+        twist = self.twist
+        return hash((self.group, self.factors, None if twist is None else frozenset(twist)))
 
     def __repr__(self):
         return f"KummerData(group={self.group!r}, factors={self.factors!r}, twist={self.twist!r})"
@@ -282,8 +300,15 @@ class KummerData:
                     self.entry(m, n)
 
     def to_cocycle(self) -> Cocycle:
-        elements = list(self.group.elements())
-        return Cocycle(self.group, {(m, n): self.entry(m, n) for m in elements for n in elements})
+        """The dense table, which keeps this data as its Kummer form."""
+        return _dense_table(self)
+
+
+def _dense_table(kd: KummerData) -> Cocycle:
+    elements = list(kd.group.elements())
+    c = Cocycle(kd.group, {(m, n): kd.entry(m, n) for m in elements for n in elements})
+    c._kummer = kd
+    return c
 
 
 def kummer_form(cov) -> KummerData | None:
@@ -308,8 +333,16 @@ def kummer_form(cov) -> KummerData | None:
 
 def twisted_entry(a: Poly, bm: RatFun, bn: RatFun, bmn: RatFun) -> RatFun:
     """a * b(m) b(n) / b(m+n) for bm = b(m), bn = b(n), bmn = b(m+n):
-    numerator and denominator are multiplied out and reduced once."""
-    return RatFun(a * bm.num * bn.num * bmn.den, bm.den * bn.den * bmn.num)
+    numerator and denominator are multiplied out, and a non-constant
+    denominator is divided out once; the reduced fraction, with its gcd,
+    is formed only when that division leaves a remainder."""
+    num = a * bm.num * bn.num * bmn.den
+    den = bm.den * bn.den * bmn.num
+    if den.degree() > 0:
+        quo, rem = divmod(num, den)
+        if rem.is_zero():
+            return RatFun.from_poly(quo)
+    return RatFun(num, den)
 
 
 def cocycle_from_column(group: PGroup, column) -> Cocycle:
@@ -327,11 +360,7 @@ def cocycle_from_column(group: PGroup, column) -> Cocycle:
     for a in column:
         if a.is_zero():
             raise ZeroEntry("column entries must be nonzero")
-    beta, f = _column_betas(column)
-    b = {group.elt(i): RatFun.from_poly(beta_i).inverse() for i, beta_i in enumerate(beta)}
-    kd = KummerData(group, (f,), b)
-    elements = list(group.elements())
-    return Cocycle(group, {(m, n): kd.entry(m, n) for m in elements for n in elements})
+    return _dense_table(_ColumnForm(group, *_column_betas(column)))
 
 
 def _column_betas(column: list[Poly]) -> tuple[list[Poly], Poly]:
@@ -346,18 +375,39 @@ def _column_betas(column: list[Poly]) -> tuple[list[Poly], Poly]:
     return beta, beta[-1] * column[-1]
 
 
+class _ColumnForm(KummerData):
+    """f twisted by b(i) = 1/beta_i, the Kummer form of the cyclic table
+    whose column has these betas and product f; it keeps the betas, which
+    forward_decompose returns."""
+
+    def __init__(self, group: PGroup, beta: list[Poly], f: Poly):
+        self.betas = betas = [RatFun.from_poly(b) for b in beta]
+        super().__init__(group, (f,), {group.elt(i): b.inverse() for i, b in enumerate(betas)})
+
+
+def _column(c: Cocycle) -> list[Poly]:
+    """(alpha(1,1), ..., alpha(q-1,1)) of a cyclic table."""
+    elements = list(c.group.elements())  # elements[i] has residue i
+    return [c.entry(m, elements[1]) for m in elements[1:]]
+
+
 def _decomposition(c: Cocycle):
-    """The cyclic table's (betas, f), or the refusal message, decided once
-    per Cocycle by _reconstruct."""
-    d = c._decomposition
+    """The cyclic table's column form, or the refusal message, kept on the
+    Cocycle.  A raw table is decided once by _reconstruct.  A table built
+    from other Kummer data is valid, so its column form is read off its
+    column once, with no comparison."""
+    d = c._kummer
     if d is None:
-        d = c._decomposition = _reconstruct(c)
+        d = c._kummer = _reconstruct(c)
+    elif isinstance(d, KummerData) and not isinstance(d, _ColumnForm):
+        d = c._kummer = _ColumnForm(c.group, *_column_betas(_column(c)))
     return d
 
 
 def _reconstruct(c: Cocycle):
-    """(betas, f) when c equals the reconstruction from its column, else
-    the refusal message at the first differing (m, n) in row order.
+    """The column form of c when c equals the reconstruction from its
+    column, else the refusal message at the first differing (m, n) in row
+    order.
 
     All of alpha, beta and f are polynomials, so alpha(i,j) = beta_{i+j}
     beta_i^{-1} beta_j^{-1} f^{sigma(i,j)} is tested as alpha(i,j) beta_i
@@ -366,7 +416,7 @@ def _reconstruct(c: Cocycle):
     q = c.group.order
     elements = list(c.group.elements())  # elements[i] has residue i
     e = c.entry
-    beta, f = _column_betas([e(m, elements[1]) for m in elements[1:]])
+    beta, f = _column_betas(_column(c))
     beta_f = [b * f for b in beta]  # the right side when i + j carries
     for i, m in enumerate(elements):
         beta_i = beta[i]
@@ -374,7 +424,7 @@ def _reconstruct(c: Cocycle):
             k = i + j
             if e(m, n) * beta_i * beta[j] != (beta[k] if k < q else beta_f[k - q]):
                 return f"table is not a valid symmetric cocycle at ({m},{n})"
-    return [RatFun.from_poly(b) for b in beta], f
+    return _ColumnForm(c.group, beta, f)
 
 
 def forward_decompose(c: Cocycle):
@@ -389,11 +439,10 @@ def forward_decompose(c: Cocycle):
         raise UnsupportedDecomposition(
             "only cyclic tables decompose; present product data as KummerData"
         )
-    d = _decomposition(c)
-    if isinstance(d, str):
-        raise UnsupportedDecomposition(d)
-    betas, f = d
-    return list(betas), f
+    kd = _decomposition(c)
+    if isinstance(kd, str):
+        raise UnsupportedDecomposition(kd)
+    return list(kd.betas), kd.factors[0]
 
 
 def twist(c: Cocycle, b: dict) -> Cocycle:

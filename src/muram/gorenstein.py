@@ -5,7 +5,10 @@ has every structure constant alpha(i, j) with i + j = l a unit there;
 the dual basis vector at l then generates the dual module, and the
 matrix M(phi) = (alpha(i,j) phi_{i+j}) of a candidate generator phi is
 monomial for phi = e_l^*.  gorenstein_at scans the anti-diagonals of any
-table and is the reference.  A table with a potential P at v, so that
+table through its entry valuations and is the reference; those are read
+off a potential where the table has one (Kummer data, a Cocycle whose
+Kummer form is known, the chart at infinity over either) and off stored
+entries otherwise.  A table with a potential P at v, so that
 v(alpha(m, n)) = (P(m) + P(n) - P(m+n)) / |G|, is decided in O(|G|) by
 the sum rule, provided it is integral at v: the valuations on
 anti-diagonal l add up to (2 sum_m P(m) - |G| P(l)) / |G|, because l - i

@@ -23,10 +23,14 @@ model.
 The chart at infinity is a view over the affine table, the two charts
 must glue into an integral model (check_chart_consistency), and every
 hypothesis is read off entry valuations, so no dense table is built.
-Once the model is known to be integral, a Gorenstein verdict on Kummer
-data, or on the chart at infinity over it, comes from the table's
-potential by the sum rule in O(|G|) (see gorenstein); a raw table is
-scanned anti-diagonal by anti-diagonal with gorenstein_at.
+Once the model is known to be integral, a Gorenstein verdict on a table
+with a potential, or on the chart at infinity over it, comes from that
+potential by the sum rule in O(|G|) (see gorenstein).  Kummer data has
+one, and so has a Cocycle whose Kummer form is known: the dense table of
+Kummer data, or a raw cyclic table once decomposed, which
+GlobalModel.kummer does first.  A raw product table, and a raw cyclic
+table not yet decided, are scanned anti-diagonal by anti-diagonal with
+gorenstein_at.
 
 Degrees are computed over the prime field; residue fields of points
 over a place are the place's own residue field (finite fields admit no
@@ -124,7 +128,8 @@ def gorenstein_places(gm: GlobalModel, places):
     """(verdict, witness) per place: finite places on the affine table,
     infinity at u = 0 on the chart at infinity.  The caller establishes
     integrality first; a table with a potential then gets the sum rule,
-    and one without is scanned by gorenstein_at."""
+    and one without is scanned by gorenstein_at.  Asking for the potential
+    decides nothing, so a raw cyclic table is scanned until it is decided."""
     for v in places:
         table = gm.covering
         if v.is_infinity:

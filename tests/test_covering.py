@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from muram import covering
+from muram import covering, fppoly
 from muram.covering import (
     Cocycle,
     InfinityChart,
@@ -417,8 +417,73 @@ def test_raw_cyclic_cocycle_is_reconstructed_once(monkeypatch):
 
     monkeypatch.setattr(covering, "_reconstruct", counted)
     g = PGroup(2, (3,))
-    c = KummerData(g, (Poly.x(2),), random_integral_twist(random.Random(8), g)).to_cocycle()
-    assert validate(c).ok
-    forward_decompose(c)
-    ramification_divisor(c, include_infinity=True)
+    built = KummerData(g, (Poly.x(2),), random_integral_twist(random.Random(8), g)).to_cocycle()
+    c = Cocycle(g, dict(built._entries))  # the same entries, read as a raw table
+    for table in (c, built):
+        assert validate(table).ok
+        assert forward_decompose(table) == forward_decompose(c)
+        ramification_divisor(table, include_infinity=True)
+    # the dense table of Kummer data keeps that data, so it is never reconstructed
     assert calls == [c]
+
+
+def test_twisted_entry_divides_exactly_like_the_reduced_fraction(monkeypatch):
+    """Twisted entries against RatFun(num, den), reduced by a gcd, on seeded
+    twists: the same fraction, the same first refusal and message, and no
+    gcd for an integral table."""
+    rng = random.Random(21)
+    integral = non_integral = 0
+    for k in range(120):
+        p, n = [(2, 2), (3, 1), (2, 3), (5, 1), (3, 2)][k % 5]
+        g = PGroup(p, (n,))
+        f = random_nonzero_poly(rng, p, 3)
+        if k % 2:
+            b = random_integral_twist(rng, g)
+        else:
+            b = {m: RatFun(random_nonzero_poly(rng, p, 2), random_nonzero_poly(rng, p, 2))
+                 for m in g.elements() if not m.is_zero()}
+        b[g.zero()] = RatFun.one(p)
+        kd = KummerData(g, (f,), b)
+        refusal = None
+        for m in g.elements():
+            for n_ in g.elements():
+                a = f if sigma(m, n_)[0] else Poly.one(p)
+                bm, bn, bmn = b[m], b[n_], b[m + n_]
+                reference = RatFun(a * bm.num * bn.num * bmn.den, bm.den * bn.den * bmn.num)
+                entry = covering.twisted_entry(a, bm, bn, bmn)
+                assert (entry.num, entry.den) == (reference.num, reference.den)
+                assert kd.raw_entry(m, n_) == reference
+                if reference.is_poly():
+                    integral += 1
+                else:
+                    non_integral += 1
+                    refusal = refusal or f"entry ({m},{n_}) = {reference} is not a polynomial"
+        if refusal is None:
+            kd.to_cocycle()
+        else:
+            with pytest.raises(NonIntegralCocycle) as exc:
+                kd.to_cocycle()
+            assert str(exc.value) == refusal
+    assert integral >= 500 and non_integral >= 500
+    gcds = []
+    gcd = fppoly.poly_gcd
+    monkeypatch.setattr(fppoly, "poly_gcd", lambda f, h: gcds.append(f) or gcd(f, h))
+    g = PGroup(3, (2,))
+    b = next(b for b in (random_integral_twist(random.Random(seed), g) for seed in range(22, 99))
+             if max(v.num.degree() for v in b.values()) >= 2)
+    KummerData(g, (Poly(3, [1, 1]),), b).to_cocycle()
+    assert gcds == []
+
+
+def test_twisted_kummer_data_hashes_like_it_compares():
+    g = PGroup(3, (2,))
+
+    def seeded(seed):
+        return KummerData(g, (Poly(3, [0, 1, 1]),), random_integral_twist(random.Random(seed), g))
+
+    a, b, c = seeded(5), seeded(5), seeded(6)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c and len({a, b, c}) == 2
+    untwisted = KummerData(g, (Poly(3, [0, 1, 1]),))
+    assert hash(untwisted) == hash(KummerData(g, [Poly(3, [0, 1, 1])], None))
+    assert {a: 1}[b] == 1

@@ -310,7 +310,10 @@ def test_record_behaves_like_its_dataclass_definition(record, copy):
         assert repr(real) == repr(ref)
         assert repr(record(**kwargs)) == repr(ref) and record(**kwargs) == real
         assert _values(real, names) == _values(ref, names)
-        if record.__name__ in FROZEN:
+        if record.__name__ == "KummerData" and real.twist:
+            # the dataclass could not hash its twist dict; the record hashes its keys
+            assert _hash_or_error(ref) is TypeError and hash(real) == hash(record(**kwargs))
+        elif record.__name__ in FROZEN:
             assert _hash_or_error(real) == _hash_or_error(ref)
         else:
             with pytest.raises(TypeError, match="unhashable"):

@@ -9,21 +9,31 @@ gorenstein_at.  The library must agree with them exactly, down to the
 exception class and message of a negative u-exponent.
 """
 
+import functools
 import json
 import random
 import sys
 
 import pytest
 
-from muram import gorenstein, pgroup
+from muram import covering, gorenstein, pgroup
 from muram.cli import main
 from muram.covering import (
+    Cocycle,
     InfinityChart,
     KummerData,
     canonical_infinity_degrees,
+    forward_decompose,
     support_places,
+    twist,
+    validate,
 )
-from muram.errors import HypothesisFailure, ModelRejection, NonIntegralCocycle
+from muram.errors import (
+    HypothesisFailure,
+    ModelRejection,
+    NonIntegralCocycle,
+    UnsupportedDecomposition,
+)
 from muram.fppoly import Place, Poly, RatFun, factor, valuation
 from muram.gorenstein import gorenstein_at
 from muram.pgroup import PGroup, sigma
@@ -147,17 +157,48 @@ def test_u_exponent_equals_sigma_reference_under_both_degrees():
     assert refused >= 100 and accepted >= 1000
 
 
-def test_potentials_exist_only_where_they_are_exact():
-    kd, _ = seeded_tables(4, 1)[0]
-    v = Place.infinity(kd.group.p)
-    assert kd.potential(v)[kd.group.zero()] == 0
-    assert kd.to_cocycle().potential(v) is None
+def test_potentials_follow_the_known_kummer_form():
+    kd = next(kd for kd, _ in seeded_tables(4, 8) if kd.group.is_cyclic and kd.twist)
+    group, v = kd.group, Place.infinity(kd.group.p)
+    assert kd.potential(v)[group.zero()] == 0
+    # the dense table of Kummer data keeps that data's potential
+    built = kd.to_cocycle()
+    assert built.potential(v) is kd.potential(v)
+    # a raw table has none until its decomposition is decided, then its
+    # column form's, which equals the data's: the valuations fix it
+    raw = Cocycle(group, dict(built._entries))
+    assert raw.potential(v) is None
+    assert validate(raw).ok and raw.potential(v) == kd.potential(v)
     chart = InfinityChart(kd, canonical_infinity_degrees(kd))
     assert chart.potential(chart.u_place) is not None
     # the chart's places are places of u: u = -1 has no potential
     assert chart.potential(Place.finite(Poly(kd.group.p, [1, 1]))) is None
-    raw = InfinityChart(kd.to_cocycle(), canonical_infinity_degrees(kd))
-    assert raw.potential(raw.u_place) is None
+    fresh = Cocycle(group, dict(built._entries))
+    for table, expected in ((built, True), (raw, True), (fresh, False)):
+        over = InfinityChart(table, canonical_infinity_degrees(kd))
+        assert (over.potential(over.u_place) is not None) is expected
+
+
+def test_refused_and_product_tables_have_no_potential():
+    rng = random.Random(7)
+    z8 = PGroup(2, (3,))
+    valid = twist(KummerData(z8, (Poly.x(2) + Poly.one(2),)).to_cocycle(),
+                  random_integral_twist(rng, z8))
+    entries = dict(valid._entries)
+    m = z8.elt(3)
+    entries[(m, m)] = entries[(m, m)] * Poly.x(2)
+    refused = Cocycle(z8, entries)
+    assert not validate(refused).ok
+    with pytest.raises(UnsupportedDecomposition):
+        forward_decompose(refused)
+    z2z2 = PGroup(2, (1, 1))
+    data = KummerData(z2z2, (Poly.x(2), Poly(2, [1, 1, 1])), random_integral_twist(rng, z2z2))
+    product = Cocycle(z2z2, dict(data.to_cocycle()._entries))
+    assert validate(product).ok
+    for table in (refused, product):
+        for v in (Place.infinity(2), Place.finite(Poly.x(2))):
+            assert table.potential(v) is None
+    assert data.to_cocycle().potential(Place.infinity(2)) is data.potential(Place.infinity(2))
 
 
 # Gorenstein verdicts ----------------------------------------------------------
@@ -256,15 +297,39 @@ def test_kummer_verdicts_use_neither_the_scan_nor_sigma(counters, tmp_path, caps
     assert len(counters["sum rule"]) == verdicts
 
 
-def test_raw_tables_are_still_scanned(counters, tmp_path, capsys):
+def test_raw_tables_are_scanned_until_decided(counters, tmp_path, capsys):
     for kd in kummer_inputs()[:3]:
-        table = kd.to_cocycle()
-        rep = predict_genus(GlobalModel(table))
-        code, out = run_gorenstein_cli(tmp_path, capsys, table)
+        built = kd.to_cocycle()
+        rep = predict_genus(GlobalModel(built))
+        code, out = run_gorenstein_cli(tmp_path, capsys, built)
         assert code == 0 and out["non_gorenstein_places"] == []
-        assert len(counters["gorenstein_at"]) == 2 * len(rep.per_place)
+        # the file is read back as a raw table, which ramification decides
+        assert counters["gorenstein_at"] == []
+        assert len(counters["sum rule"]) == 2 * len(rep.per_place)
+        counters["sum rule"].clear()
+        # given chart degrees, nothing decides this copy, so every place is scanned
+        raw = Cocycle(kd.group, dict(built._entries))
+        places = [row["place"] for row in rep.per_place]
+        gm = GlobalModel(raw, canonical_infinity_degrees(kd))
+        assert list(gorenstein_places(gm, places)) == \
+            [(row["gorenstein"], row["witness"]) for row in rep.per_place]
+        assert raw.potential(places[0]) is None
+        assert len(counters["gorenstein_at"]) == len(places) and counters["sum rule"] == []
         counters["gorenstein_at"].clear()
-    assert counters["sum rule"] == []
+
+
+def test_raw_product_tables_are_always_scanned(counters):
+    rng = random.Random(9)
+    for p, exps in [(2, (1, 1)), (2, (2, 1)), (3, (1, 1))]:
+        group = PGroup(p, exps)
+        kd = KummerData(group, chart_equations(rng, p, exps))  # canonical degrees are integral
+        raw = Cocycle(group, dict(kd.to_cocycle()._entries))
+        assert validate(raw).ok
+        gm = GlobalModel(raw, canonical_infinity_degrees(kd))
+        places = support_places(raw) + [Place.infinity(p)]
+        list(gorenstein_places(gm, places))
+        assert len(counters["gorenstein_at"]) == len(places) and counters["sum rule"] == []
+        counters["gorenstein_at"].clear()
 
 
 def test_non_integral_twist_is_refused_before_any_verdict(counters):
@@ -283,3 +348,120 @@ def test_non_integral_twist_is_refused_before_any_verdict(counters):
     assert err.value.failures == [
         ("charts", "entry (1,1) needs u-exponent -1; increase the chart degrees")]
     assert counters["gorenstein_at"] == [] and counters["sum rule"] == []
+
+
+# twisted raw cyclic tables: the decided form's potential against the entries --
+
+RAW_SHAPES = [(2, 1), (2, 2), (3, 1), (5, 1), (2, 3), (3, 2), (2, 1), (2, 2), (3, 1), (5, 1),
+              (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+@functools.cache
+def twisted_raw_tables():
+    """210 (raw table, its undecided copy, places): a chart equation
+    twisted by a seeded integral twist, read as a raw table and decided by
+    validate; the places are those of every column entry, one place off
+    them and infinity.  The tests below leave the copies undecided."""
+    rng = random.Random(10)
+    out = []
+    for k in range(210):
+        p, n = RAW_SHAPES[k % len(RAW_SHAPES)]
+        group = PGroup(p, (n,))
+        kd = KummerData(group, chart_equations(rng, p, (n,)))
+        table = twist(kd.to_cocycle(), random_integral_twist(rng, group))
+        assert table.potential(Place.infinity(p)) is None and validate(table).ok
+        one = group.elt(1)
+        column = [table.entry(m, one) for m in group.elements()]
+        places = sorted({Place.finite(irr) for a in column if a.degree() > 0
+                         for irr in factor(a)}, key=Place.sort_key)
+        off = next(Place.finite(pi) for pi in (random_irreducible(rng, p, 1 + i % 3)
+                                               for i in range(50))
+                   if all(valuation(a, Place.finite(pi)) == 0 for a in column))
+        out.append((table, Cocycle(group, dict(table._entries)),
+                    places + [off, Place.infinity(p)]))
+    return tuple(out)
+
+
+def stored_scan(table, v, val=None):
+    """gorenstein_at over valuations of the stored entries."""
+    val = val or (lambda m, n: valuation(table.entry(m, n), v))
+    elements = list(table.group.elements())
+    for l in elements:
+        if all(val(i, l - i) == 0 for i in elements):
+            return True, l
+    return False, None
+
+
+def integral_chart_degrees(table):
+    """Chart degrees canonical(m) + s * distance(m) of the table's Kummer
+    form, for the least s at which its chart at infinity is integral."""
+    group = table.group
+    canon = canonical_infinity_degrees(GlobalModel(table).kummer)
+    dist = _distance_exponents(group)
+    for s in range(16):
+        degrees = {m: canon[m] + s * dist[m] for m in group.elements() if not m.is_zero()}
+        if not isinstance(outcome(InfinityChart(table, degrees).check_integral), tuple):
+            return degrees
+    raise AssertionError(table)
+
+
+def test_decided_raw_tables_value_entries_like_their_stored_entries():
+    checked = 0
+    for table, undecided, places in twisted_raw_tables():
+        assert table.group.order <= 27
+        elements = list(table.group.elements())
+        for v in places:
+            assert table.potential(v) is not None and undecided.potential(v) is None
+            for m in elements:
+                for n in elements:
+                    assert table.entry_valuation(m, n, v) == valuation(table.entry(m, n), v)
+        checked += 1
+    assert checked >= 200
+
+
+def test_decided_raw_tables_keep_chart_exponents_and_refusals():
+    rng = random.Random(11)
+    refused = accepted = 0
+    for table, undecided, _ in twisted_raw_tables():
+        group = table.group
+        pairs = [(m, n) for m in group.elements() for n in group.elements()]
+        canonical = canonical_infinity_degrees(GlobalModel(table).kummer)
+        for degrees in (canonical, explicit_degrees(rng, group)):
+            chart, reference = InfinityChart(table, degrees), InfinityChart(undecided, degrees)
+            assert chart.potential(chart.u_place) is not None
+            assert reference.potential(reference.u_place) is None
+            expected = [outcome(reference.u_exponent, m, n) for m, n in pairs]
+            assert [outcome(chart.u_exponent, m, n) for m, n in pairs] == expected
+            assert outcome(chart.check_integral) == outcome(reference.check_integral)
+            refused += outcome(reference.check_integral) is not None
+            accepted += outcome(reference.check_integral) is None
+    assert refused >= 50 and accepted >= 50
+
+
+def test_decided_raw_tables_give_the_scanned_gorenstein_verdicts():
+    non_gorenstein = 0
+    for table, undecided, places in twisted_raw_tables():
+        finite = places[:-1]
+        for v in finite:
+            expected = stored_scan(undecided, v)
+            assert gorenstein_at(table, v) == expected
+            non_gorenstein += not expected[0]
+        gm = GlobalModel(table, integral_chart_degrees(table))
+        chart = InfinityChart(undecided, gm.infinity_degrees)
+        at_infinity = stored_scan(chart, chart.u_place,
+                                  lambda m, n: valuation(chart.entry(m, n), chart.u_place))
+        assert list(gorenstein_places(gm, places)) == \
+            [stored_scan(undecided, v) for v in finite] + [at_infinity]
+    assert non_gorenstein >= 50
+
+
+def test_undecided_raw_tables_are_scanned_without_a_reconstruction(monkeypatch):
+    def refuse(c):
+        raise AssertionError("gorenstein_at reconstructed a table")
+
+    tables = twisted_raw_tables()
+    monkeypatch.setattr(covering, "_reconstruct", refuse)
+    for _, undecided, places in tables:
+        for v in places[:-1]:
+            assert gorenstein_at(undecided, v) == stored_scan(undecided, v)
+            assert undecided.potential(v) is None
