@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from ._record import Record
 from .errors import (
     CharMismatch,
     NonIntegralCocycle,
@@ -141,17 +142,11 @@ class Cocycle:
         )
 
 
-class ValidationReport:
+class ValidationReport(Record):
+    _fields = ("failures",)
+
     def __init__(self, failures: list | None = None):
         self.failures = [] if failures is None else failures  # (invariant name, offending tuple)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.failures == other.failures
-
-    def __repr__(self):
-        return f"ValidationReport(failures={self.failures!r})"
 
     @property
     def ok(self) -> bool:
@@ -199,13 +194,15 @@ def validate(c: Cocycle) -> ValidationReport:
     return ValidationReport(failures)
 
 
-class KummerData:
+class KummerData(Record):
     """Per-factor chart equations f_i, with an optional coboundary twist.
 
     The induced table is prod_i f_i^{sigma_i(m,n)} * b(m) b(n) / b(m+n);
-    to_cocycle() insists the result is integral.  Equal and hashed by
-    (group, factors, twist), so it is not changed after construction.
+    to_cocycle() insists the result is integral.  Hashed by its group,
+    factors and twist elements, so it is not changed after construction.
     """
+
+    _fields = ("group", "factors", "twist")
 
     def __init__(self, group: PGroup, factors: tuple[Poly, ...], twist: dict | None = None):
         self.group = group
@@ -227,17 +224,9 @@ class KummerData:
                 raise ValueError("twist must send 0 to 1")
         self._potentials = {}  # place -> potential(place)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.factors, self.twist) == (other.group, other.factors, other.twist)
-
     def __hash__(self):
         twist = self.twist
         return hash((self.group, self.factors, None if twist is None else frozenset(twist)))
-
-    def __repr__(self):
-        return f"KummerData(group={self.group!r}, factors={self.factors!r}, twist={self.twist!r})"
 
     def twist_at(self, m: GElt) -> RatFun:
         """Twist value at m; elements without an explicit value twist by 1."""

@@ -7,27 +7,14 @@ mix with curve places inside a single divisor.
 
 from __future__ import annotations
 
+from ._record import FrozenRecord
 from .errors import ChartMismatch, MissingIndex, UndeclaredSymbolicDegree
 from .fppoly import Place
 
 
-class SymbolicPlace:
-    """Equal and hashed by (name, degree_value)."""
-
-    def __init__(self, name: str, degree_value: int | None = 1):
-        self.name = name
-        self.degree_value = degree_value
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.degree_value) == (other.name, other.degree_value)
-
-    def __hash__(self):
-        return hash((self.name, self.degree_value))
-
-    def __repr__(self):
-        return f"SymbolicPlace(name={self.name!r}, degree_value={self.degree_value!r})"
+class SymbolicPlace(FrozenRecord):
+    _fields = ("name", "degree_value")
+    degree_value = 1  # None: undeclared
 
     def degree(self):
         if self.degree_value is None:

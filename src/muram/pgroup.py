@@ -23,6 +23,7 @@ from functools import cached_property
 from itertools import product
 from math import prod
 
+from ._record import FrozenRecord
 from .errors import GroupMismatch
 from .fppoly import _check_prime
 
@@ -216,23 +217,14 @@ def sigma(i: GElt, j: GElt) -> tuple[int, ...]:
     return tuple([(a + b) // q for a, b, q in zip(i.residues, j.residues, group.factor_orders)])
 
 
-class Subgroup:
-    """Members sorted by residues; equal and hashed by (group, members)."""
+class Subgroup(FrozenRecord):
+    """Members sorted by residues, so equal subgroups are equal records."""
+
+    _fields = ("group", "members")
 
     def __init__(self, group: PGroup, members: tuple[GElt, ...]):
         self.group = group
         self.members = tuple(sorted(set(members), key=lambda g: g.residues))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.members) == (other.group, other.members)
-
-    def __hash__(self):
-        return hash((self.group, self.members))
-
-    def __repr__(self):
-        return f"Subgroup(group={self.group!r}, members={self.members!r})"
 
     @property
     def order(self) -> int:

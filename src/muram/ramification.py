@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from ._record import FrozenRecord, Record
 from .covering import (
     InfinityChart,
     KummerData,
@@ -71,7 +72,7 @@ from .pgroup import MAX_ORDER, GElt, PGroup, Subgroup
 # ---------------------------------------------------------------------------
 # local models
 
-class LocalModel:
+class LocalModel(FrozenRecord):
     """Localized cyclic covering, normal above its place.
 
     ``place`` is the reporting place; ``pi`` is the uniformizer of the
@@ -80,32 +81,10 @@ class LocalModel:
     v_pi = c in [0, p^n), and c decides the rest: the rescaling
     t(s) = floor(s c / p^n) and the basis valuations vA(s) = s c - p^n t(s),
     indexed by the canonical representative s(m).  Every model is built
-    and certified by _normalize_finite.  Equal and hashed by its six
-    constructor arguments.
+    and certified by _normalize_finite.
     """
 
-    def __init__(self, p: int, n: int, place: Place, pi: Poly, f_red: Poly, c: int):
-        self.p = p
-        self.n = n
-        self.place = place
-        self.pi = pi
-        self.f_red = f_red
-        self.c = c
-
-    def _key(self):
-        return (self.p, self.n, self.place, self.pi, self.f_red, self.c)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"LocalModel(p={self.p!r}, n={self.n!r}, place={self.place!r}, "
-                f"pi={self.pi!r}, f_red={self.f_red!r}, c={self.c!r})")
+    _fields = ("p", "n", "place", "pi", "f_red", "c")
 
     @property
     def q(self) -> int:
@@ -297,20 +276,10 @@ def multiplicity_at(c, v: Place) -> int:
     return ramification_divisor(c, include_infinity=v.is_infinity)[0].multiplicity(v)
 
 
-class RamReport:
+class RamReport(Record):
     """The stabilizer N_v at a place; everything the report says is read off it."""
 
-    def __init__(self, place: Place, stabilizer: Subgroup):
-        self.place = place
-        self.stabilizer = stabilizer
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.place, self.stabilizer) == (other.place, other.stabilizer)
-
-    def __repr__(self):
-        return f"RamReport(place={self.place!r}, stabilizer={self.stabilizer!r})"
+    _fields = ("place", "stabilizer")
 
     @property
     def multiplicity(self) -> int:
@@ -449,37 +418,20 @@ def _divisor_of(reports: list[RamReport]) -> Divisor:
 # ---------------------------------------------------------------------------
 # devissage
 
-class DevissageReport:
+class DevissageReport(Record):
     """R for the full covering against the two-layer factorization.
 
     The covering z^{p^n} = f over the base factors through the partial
     quotient w = z^{p^{n-m}} (so w^{p^m} = f downstairs and z^{p^{n-m}} = w
     upstairs); divisors are indexed by base places and the pullback
-    multiplies by the layer degree p^{n-m}.
+    multiplies by the layer degree p^{n-m}.  ``lower`` is the divisor of
+    the covering w^{p^m} = f of the base, ``upper`` that of z^{p^{n-m}} = w
+    of the intermediate curve, and ``pullback_indices`` maps each place to
+    p^{n-m}, in Place.sort_key order.
     """
 
-    def __init__(self, total: Divisor, lower: Divisor, upper: Divisor, pullback_indices: dict,
-                 equal: bool, oracle_agrees: bool | None = None):
-        self.total = total
-        self.lower = lower  # covering w^{p^m} = f of the base
-        self.upper = upper  # covering z^{p^{n-m}} = w of the intermediate curve
-        self.pullback_indices = pullback_indices  # place -> p^{n-m}, in Place.sort_key order
-        self.equal = equal
-        self.oracle_agrees = oracle_agrees
-
-    def _key(self):
-        return (self.total, self.lower, self.upper, self.pullback_indices, self.equal,
-                self.oracle_agrees)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (f"DevissageReport(total={self.total!r}, lower={self.lower!r}, "
-                f"upper={self.upper!r}, pullback_indices={self.pullback_indices!r}, "
-                f"equal={self.equal!r}, oracle_agrees={self.oracle_agrees!r})")
+    _fields = ("total", "lower", "upper", "pullback_indices", "equal", "oracle_agrees")
+    oracle_agrees = None
 
 
 def devissage_check(
@@ -556,25 +508,8 @@ def _stand_in_model(p: int, n: int, c: int) -> LocalModel:
 # ---------------------------------------------------------------------------
 # fixed ideal
 
-class FixedIdealReport:
-    def __init__(self, place: Place, ideal_valuation: int, multiplicity: int, order: int):
-        self.place = place
-        self.ideal_valuation = ideal_valuation
-        self.multiplicity = multiplicity
-        self.order = order
-
-    def _key(self):
-        return (self.place, self.ideal_valuation, self.multiplicity, self.order)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (f"FixedIdealReport(place={self.place!r}, "
-                f"ideal_valuation={self.ideal_valuation!r}, "
-                f"multiplicity={self.multiplicity!r}, order={self.order!r})")
+class FixedIdealReport(Record):
+    _fields = ("place", "ideal_valuation", "multiplicity", "order")
 
     @property
     def holds(self) -> bool:
@@ -598,29 +533,8 @@ def fixed_ideal_relation_check(model: LocalModel) -> FixedIdealReport:
 # ---------------------------------------------------------------------------
 # matrix-space regression
 
-class GlnRegressionReport:
-    def __init__(self, lhs: Divisor, base_part: Divisor, pulled: Divisor, rhs: Divisor,
-                 equal: bool, degenerate_height_one: bool):
-        self.lhs = lhs
-        self.base_part = base_part
-        self.pulled = pulled
-        self.rhs = rhs
-        self.equal = equal
-        self.degenerate_height_one = degenerate_height_one
-
-    def _key(self):
-        return (self.lhs, self.base_part, self.pulled, self.rhs, self.equal,
-                self.degenerate_height_one)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (f"GlnRegressionReport(lhs={self.lhs!r}, base_part={self.base_part!r}, "
-                f"pulled={self.pulled!r}, rhs={self.rhs!r}, equal={self.equal!r}, "
-                f"degenerate_height_one={self.degenerate_height_one!r})")
+class GlnRegressionReport(Record):
+    _fields = ("lhs", "base_part", "pulled", "rhs", "equal", "degenerate_height_one")
 
 
 def gln_regression(p: int, n: int, beta: int, gamma: int) -> GlnRegressionReport:

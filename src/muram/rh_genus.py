@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from ._record import Record
 from .covering import (
     InfinityChart,
     KummerData,
@@ -67,7 +68,7 @@ BASE_FIELD_NOTE = (
 )
 
 
-class GlobalModel:
+class GlobalModel(Record):
     """Affine covering data plus the glue needed for global questions.
 
     Its Kummer form is decided on first use and kept (a table that does
@@ -77,18 +78,8 @@ class GlobalModel:
     base genus to give.
     """
 
-    def __init__(self, covering, infinity_degrees: dict | None = None):
-        self.covering = covering  # Cocycle | KummerData
-        self.infinity_degrees = infinity_degrees
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.covering, self.infinity_degrees) == (other.covering, other.infinity_degrees)
-
-    def __repr__(self):
-        return (f"GlobalModel(covering={self.covering!r}, "
-                f"infinity_degrees={self.infinity_degrees!r})")
+    _fields = ("covering", "infinity_degrees")  # covering: Cocycle | KummerData
+    infinity_degrees = None
 
     @cached_property
     def kummer(self) -> KummerData | None:
@@ -142,7 +133,10 @@ def gorenstein_places(gm: GlobalModel, places):
             yield gorenstein_from_potential(table.group, potential)
 
 
-class GenusReport:
+class GenusReport(Record):
+    _fields = ("group_order", "deg_R", "divisor", "rhs", "g_Y", "non_integer", "per_place",
+               "notes")
+
     def __init__(self, group_order: int, deg_R: int, divisor: Divisor, rhs: int,
                  g_Y: int | None, non_integer: bool, per_place: list | None = None,
                  notes: list | None = None):
@@ -154,21 +148,6 @@ class GenusReport:
         self.non_integer = non_integer
         self.per_place = [] if per_place is None else per_place
         self.notes = [] if notes is None else notes
-
-    def _key(self):
-        return (self.group_order, self.deg_R, self.divisor, self.rhs, self.g_Y,
-                self.non_integer, self.per_place, self.notes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (f"GenusReport(group_order={self.group_order!r}, deg_R={self.deg_R!r}, "
-                f"divisor={self.divisor!r}, rhs={self.rhs!r}, g_Y={self.g_Y!r}, "
-                f"non_integer={self.non_integer!r}, per_place={self.per_place!r}, "
-                f"notes={self.notes!r})")
 
 
 def total_ram_degree(gm: GlobalModel):

@@ -113,17 +113,17 @@ _COVERING_KEYS = {
 def covering_from_obj(obj):
     """-> (covering, infinity_degrees or None).
 
-    Malformed input (a wrong type, an element of the wrong length, a zero
-    twist or twist denominator, a nonzero chart degree for the identity,
-    an unknown key, a nonzero base genus, a second
-    twist record for one element or a second entry for one pair) raises
-    ValueError naming its path, e.g. ``$.f[0][1]``.  A null twist or
-    infinity_degrees is absent."""
+    Malformed input (an unknown kind, a wrong type, an element of the
+    wrong length, a zero twist or twist denominator, a nonzero chart
+    degree for the identity, an unknown key, a nonzero base genus, a
+    second twist record for one element or a second entry for one pair)
+    raises ValueError naming its path, e.g. ``$.f[0][1]``.  A null twist
+    or infinity_degrees is absent."""
     group = group_from_obj(_get(obj, "group", "$"))
     p = group.p
     kind = obj.get("kind", "kummer")
     if kind not in ("kummer", "cocycle"):
-        raise ValueError(f"unknown covering kind {kind!r}")
+        raise ValueError(f'$.kind: expected "kummer" or "cocycle", got {json.dumps(kind)}')
     _known(obj, _COVERING_KEYS[kind], "$")
     if _at(obj.get("g_X", 0), int, "$.g_X"):
         raise ValueError(f"$.g_X: the base is the projective line, of genus 0, got {obj['g_X']}")

@@ -48,14 +48,14 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 
+from ._record import Record
 from .algebra import AlgebraElt, algebra_inverse
 from .errors import CancellationRisk, NotTorsion, ZeroElement
 from .fppoly import Place, valuation
-from .pgroup import GElt
 from .ramification import LocalModel
 
 
-class PresentationMatrix:
+class PresentationMatrix(Record):
     """Sparse column-major presentation of the augmentation module.
 
     ``columns[j]`` maps row index -> AlgebraElt; column j corresponds to
@@ -64,20 +64,7 @@ class PresentationMatrix:
     two nonzero entries per column; k = 0 columns vanish).
     """
 
-    def __init__(self, rows: tuple[GElt, ...], labels: tuple[tuple[GElt, GElt], ...],
-                 columns: list[dict[int, AlgebraElt]]):
-        self.rows = rows
-        self.labels = labels
-        self.columns = columns
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.labels, self.columns) == (other.rows, other.labels, other.columns)
-
-    def __repr__(self):
-        return (f"PresentationMatrix(rows={self.rows!r}, labels={self.labels!r}, "
-                f"columns={self.columns!r})")
+    _fields = ("rows", "labels", "columns")
 
     @property
     def shape(self):

@@ -368,24 +368,27 @@ def test_infinity_degrees_from_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "obj, prefix",
     [
-        {"kind": "kummer"},
-        {"group": {"p": 2, "exponents": [1]}, "kind": "kummer", "f": "ab"},
-        [],
-        kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1, 2], "num": [1], "den": [1]}]),
-        {"group": {"p": 2, "exponents": [1]}, "kind": "cocycle", "entries": [[[1, 0], [1], [0, 1]]]},
-        kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1], "num": [1], "den": [0]}]),
+        ({"kind": "kummer"}, "$"),
+        ({"group": {"p": 2, "exponents": [1]}, "kind": "kummer", "f": "ab"}, "$"),
+        ([], "$"),
+        (kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1, 2], "num": [1], "den": [1]}]), "$"),
+        ({"group": {"p": 2, "exponents": [1]}, "kind": "cocycle",
+          "entries": [[[1, 0], [1], [0, 1]]]}, "$"),
+        (kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1], "num": [1], "den": [0]}]), "$"),
+        ({"group": {"p": 2, "exponents": [1]}, "kind": "weird", "f": [[0, 1]]}, "$.kind: "),
+        ({"group": {"p": 2, "exponents": [1]}, "kind": ["x"], "f": [[0, 1]]}, "$.kind: "),
     ],
     ids=["no-group", "f-not-array", "top-level-array", "twist-elt-length", "entry-elt-length",
-         "zero-twist-denominator"],
+         "zero-twist-denominator", "unknown-kind", "kind-not-string"],
 )
-def test_malformed_covering_is_exit_1(tmp_path, capsys, obj):
+def test_malformed_covering_is_exit_1(tmp_path, capsys, obj, prefix):
     path = write_covering(tmp_path, obj)
     assert main(["ramify", "--input", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "Traceback" not in captured.err and captured.err.startswith("error: $")
+    assert "Traceback" not in captured.err and captured.err.startswith("error: " + prefix)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ records are compared with test-local dataclass copies of those
 definitions.
 """
 
+import importlib
 import json
 import os
 import random
@@ -19,6 +20,7 @@ import pytest
 
 import muram
 from muram import covering, divisors, pgroup, ramification, rh_genus, snf_oracle
+from muram._record import Record
 from muram.pgroup import PGroup, subgroup_generated
 from muram.randgen import random_integral_twist, random_normal_cyclic_kummer
 
@@ -352,3 +354,34 @@ def test_records_keep_their_cached_properties():
     model = _model(5)
     assert model.vA is model.vA and model == ramification.LocalModel(
         *_values(model, ("p", "n", "place", "pi", "f_red", "c")))
+
+
+@pytest.mark.parametrize("record, copy", RECORDS, ids=lambda c: c.__name__)
+def test_record_refuses_the_arguments_its_dataclass_refuses(record, copy):
+    names = [f.name for f in fields(copy)]
+    required = [f.name for f in fields(copy) if f.default is f.default_factory is MISSING]
+    args = _seeded_args(record.__name__, 2)
+    calls = [
+        ("too many", args + (None,), {}),
+        ("unknown keyword", args, {"not_a_field": 1}),
+        ("given twice", args, {names[0]: args[0]}),
+    ]
+    if required:
+        calls.append(("missing", args[:len(required) - 1], {}))
+    for why, call_args, call_kwargs in calls:
+        for cls in (copy, record):
+            with pytest.raises(TypeError):
+                cls(*call_args, **call_kwargs)
+                pytest.fail(f"{cls.__name__}: {why} was accepted")
+
+
+def test_every_record_is_held_against_its_dataclass():
+    for module in SUBMODULES:
+        importlib.import_module("muram." + module)
+    found, todo = set(), [Record]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__ != Record.__module__ and not cls.__name__.startswith("_"):
+            found.add(cls)
+    assert found == {record for record, _ in RECORDS}
