@@ -4,19 +4,18 @@ A graded covering is Gorenstein over a place exactly when some index l
 has every structure constant alpha(i, j) with i + j = l a unit there;
 the dual basis vector at l then generates the dual module, and the
 matrix M(phi) = (alpha(i,j) phi_{i+j}) of a candidate generator phi is
-monomial for phi = e_l^*.  gorenstein_at scans the anti-diagonals of any
-table through its entry valuations and is the reference; those are read
-off a potential where the table has one (Kummer data, a Cocycle whose
-Kummer form is known, the chart at infinity over either) and off stored
-entries otherwise.  A table with a potential P at v, so that
-v(alpha(m, n)) = (P(m) + P(n) - P(m+n)) / |G|, is decided in O(|G|) by
-the sum rule, provided it is integral at v: the valuations on
+monomial for phi = e_l^*.  gorenstein_at decides it from the entry
+valuations, read off a potential where the table has one (Kummer data, a
+Cocycle whose Kummer form is known, the chart at infinity over either)
+and off stored entries otherwise.  With a potential P at v, so that
+v(alpha(m, n)) = (P(m) + P(n) - P(m+n)) / |G|, the valuations on
 anti-diagonal l add up to (2 sum_m P(m) - |G| P(l)) / |G|, because l - i
-runs over G as i does, and a sum of nonnegative terms is 0 exactly when
-every term is.  So l is all units iff |G| P(l) = 2 sum_m P(m)
-(gorenstein_from_potential).  On a non-integral table the rule can
-accept a diagonal whose negative and positive valuations cancel, so
-callers establish integrality first.
+runs over G as i does.  An all-unit anti-diagonal sums to 0, so only the
+l with |G| P(l) = 2 sum_m P(m) are scanned; the rest cannot be all
+units.  The filter drops nothing the full scan would accept, so verdict
+and witness are the scan's on every table, integral or not (on a
+non-integral one a diagonal whose negative and positive valuations
+cancel passes the filter and fails the scan).
 
 For cyclic groups the determinant collapses to a twisted power sum
 
@@ -45,18 +44,13 @@ def gorenstein_at(c, v: Place):
     """(verdict, witness): smallest l in canonical order with all
     alpha(i, j), i + j = l, units at v; witness None when there is none."""
     elements = list(c.group.elements())
-    for l in elements:
+    candidates = elements
+    pot = c.potential(v)
+    if pot is not None:  # the terms on l add up to (2 sum P - |G| P(l)) / |G|
+        twice = 2 * sum(pot.values())
+        candidates = [l for l in elements if c.group.order * pot[l] == twice]
+    for l in candidates:
         if all(c.entry_valuation(i, l - i, v) == 0 for i in elements):
-            return True, l
-    return False, None
-
-
-def gorenstein_from_potential(group: PGroup, potential: dict):
-    """gorenstein_at of an integral table with potential P at the place:
-    the first l in canonical order with |G| P(l) = 2 sum_m P(m)."""
-    twice = 2 * sum(potential.values())
-    for l in group.elements():
-        if group.order * potential[l] == twice:
             return True, l
     return False, None
 

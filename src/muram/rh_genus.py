@@ -23,14 +23,11 @@ model.
 The chart at infinity is a view over the affine table, the two charts
 must glue into an integral model (check_chart_consistency), and every
 hypothesis is read off entry valuations, so no dense table is built.
-Once the model is known to be integral, a Gorenstein verdict on a table
-with a potential, or on the chart at infinity over it, comes from that
-potential by the sum rule in O(|G|) (see gorenstein).  Kummer data has
-one, and so has a Cocycle whose Kummer form is known: the dense table of
-Kummer data, or a raw cyclic table once decomposed, which
-GlobalModel.kummer does first.  A raw product table, and a raw cyclic
-table not yet decided, are scanned anti-diagonal by anti-diagonal with
-gorenstein_at.
+Gorenstein verdicts come from gorenstein_at, on the affine table at a
+finite place and on the chart at infinity at u = 0; a table with a
+potential there (Kummer data, a Cocycle whose Kummer form is known, or
+the chart over either) has its candidate anti-diagonals picked by the
+sum rule first (see gorenstein).
 
 Degrees are computed over the prime field; residue fields of points
 over a place are the place's own residue field (finite fields admit no
@@ -59,7 +56,7 @@ from .errors import (
     UnsupportedDecomposition,
 )
 from .fppoly import is_pth_power
-from .gorenstein import gorenstein_at, gorenstein_from_potential
+from .gorenstein import gorenstein_at
 from .ramification import ramification_divisor
 
 BASE_FIELD_NOTE = (
@@ -116,21 +113,14 @@ def check_chart_consistency(gm: GlobalModel) -> None:
 
 
 def gorenstein_places(gm: GlobalModel, places):
-    """(verdict, witness) per place: finite places on the affine table,
-    infinity at u = 0 on the chart at infinity.  The caller establishes
-    integrality first; a table with a potential then gets the sum rule,
-    and one without is scanned by gorenstein_at.  Asking for the potential
-    decides nothing, so a raw cyclic table is scanned until it is decided."""
+    """(verdict, witness) per place: gorenstein_at on the affine table at
+    a finite place, and on the chart at infinity at u = 0 at infinity."""
     for v in places:
         table = gm.covering
         if v.is_infinity:
             table = gm.infinity_chart()
             v = table.u_place
-        potential = table.potential(v)
-        if potential is None:
-            yield gorenstein_at(table, v)
-        else:
-            yield gorenstein_from_potential(table.group, potential)
+        yield gorenstein_at(table, v)
 
 
 class GenusReport(Record):

@@ -55,7 +55,11 @@ def group_to_obj(g: PGroup) -> dict:
 def group_from_obj(obj, path: str = "$.group") -> PGroup:
     _known(obj, ("p", "exponents"), path)
     p = _at(_get(obj, "p", path), int, f"{path}.p")
-    return PGroup(p, tuple(_ints(_get(obj, "exponents", path), f"{path}.exponents")))
+    exponents = tuple(_ints(_get(obj, "exponents", path), f"{path}.exponents"))
+    try:
+        return PGroup(p, exponents)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def elt_to_obj(m: GElt):
@@ -114,11 +118,13 @@ def covering_from_obj(obj):
     """-> (covering, infinity_degrees or None).
 
     Malformed input (an unknown kind, a wrong type, an element of the
-    wrong length, a zero twist or twist denominator, a nonzero chart
-    degree for the identity, an unknown key, a nonzero base genus, a
-    second twist record for one element or a second entry for one pair)
-    raises ValueError naming its path, e.g. ``$.f[0][1]``.  A null twist
-    or infinity_degrees is absent."""
+    wrong length, a group that PGroup refuses, a chart equation count
+    other than the rank, a zero twist or twist denominator, a twist of
+    the identity other than 1, a nonzero chart degree for the identity,
+    a chart degree list of the wrong length, an unknown key, a nonzero
+    base genus, a second twist record for one element or a second entry
+    for one pair) raises ValueError naming its path, e.g. ``$.f[0][1]``.
+    A null twist or infinity_degrees is absent."""
     group = group_from_obj(_get(obj, "group", "$"))
     p = group.p
     kind = obj.get("kind", "kummer")
@@ -129,6 +135,9 @@ def covering_from_obj(obj):
         raise ValueError(f"$.g_X: the base is the projective line, of genus 0, got {obj['g_X']}")
     if kind == "kummer":
         fs = _at(_get(obj, "f", "$"), list, "$.f")
+        if len(fs) != group.rank:
+            raise ValueError(f"$.f: need one chart equation per invariant factor "
+                             f"({group.rank}), got {len(fs)}")
         factors = tuple(Poly(p, _ints(cs, f"$.f[{i}]")) for i, cs in enumerate(fs))
         twist = {}
         recs = obj.get("twist")  # null means no twist
@@ -144,6 +153,8 @@ def covering_from_obj(obj):
             if not any(c % p for c in den):
                 raise ValueError(f"{at}.den: zero denominator")
             twist[m] = RatFun(Poly(p, num), Poly(p, den))
+            if m.is_zero() and not twist[m].is_one():
+                raise ValueError(f"{at}: twist must send 0 to 1")
         cov = KummerData(group, factors, twist or None)
     else:
         entries = {}
@@ -162,9 +173,8 @@ def covering_from_obj(obj):
         order = list(group.elements())
         given = _ints(obj["infinity_degrees"], "$.infinity_degrees")
         if len(given) != len(order):
-            raise ValueError(
-                f"infinity_degrees must list {len(order)} integers in canonical element order"
-            )
+            raise ValueError(f"$.infinity_degrees: must list {len(order)} integers in "
+                             "canonical element order")
         if given[0]:
             raise ValueError(f"$.infinity_degrees[0]: the identity's degree is 0, got {given[0]}")
         degrees = dict(zip(order[1:], given[1:]))

@@ -395,12 +395,15 @@ def test_malformed_covering_is_exit_1(tmp_path, capsys, obj, prefix):
     "command,obj,message",
     [
         ("ramify", kummer_obj(1000000000000000003, [1], [[0, 1]]),
-         "characteristic 1000000000000000003 exceeds"),
+         "$.group: characteristic 1000000000000000003 exceeds"),
+        ("ramify", kummer_obj(4, [1], [[0, 1]]), "$.group: characteristic 4 is not prime"),
         # the base is the projective line, of genus 0
         ("genus", kummer_obj(2, [1], [[0, 1]], g_X=-8), "$.g_X: "),
         ("genus", kummer_obj(2, [1], [[0, 1]], g_X=1), "$.g_X: "),
         # refused from the exponent, before 3^4000000 is computed
-        ("ramify", kummer_obj(3, [4000000], [[0, 1]]), "group order 3^4000000 exceeds 65536"),
+        ("ramify", kummer_obj(3, [4000000], [[0, 1]]),
+         "$.group: group order 3^4000000 exceeds 65536"),
+        ("genus", kummer_obj(3, [30], [[0, 1]]), "$.group: group order 3^30 exceeds 65536"),
         # a misspelled key is refused, not ignored
         ("genus", kummer_obj(2, [1], [[0, 1]], twsit=[{"elt": [1], "num": [1], "den": [0, 1]}]),
          "$.twsit: unknown key"),
@@ -436,20 +439,30 @@ def test_malformed_covering_is_exit_1(tmp_path, capsys, obj, prefix):
         # the identity's chart degree is 0; another value is refused, not dropped
         ("genus", kummer_obj(2, [1], [[0, 1]], infinity_degrees=[5, 1]),
          "$.infinity_degrees[0]: "),
+        ("genus", kummer_obj(2, [1], [[0, 1]], infinity_degrees=[0]),
+         "$.infinity_degrees: must list 2 integers"),
+        # the identity's twist is 1; another value is refused with its record
+        ("ramify", kummer_obj(2, [1], [[0, 1]], twist=[{"elt": [1], "num": [1], "den": [1]},
+                                                      {"elt": [0], "num": [0, 1], "den": [1]}]),
+         "$.twist[1]: twist must send 0 to 1"),
+        ("validate", kummer_obj(2, [1], [[0, 1], [1, 1]]),
+         "$.f: need one chart equation per invariant factor (1), got 2"),
     ],
-    ids=["huge-characteristic", "negative-g_X", "positive-g_X", "huge-exponent",
+    ids=["huge-characteristic", "composite-characteristic", "negative-g_X", "positive-g_X",
+         "huge-exponent", "order-3^30",
          "misspelled-twist", "misspelled-infinity-degrees", "misspelled-group-exponents",
          "misspelled-twist-record-key", "kummer-key-in-a-cocycle", "twist-zero",
          "twist-object", "twist-string", "twist-false", "repeated-twist-element",
          "repeated-entry-pair", "zero-twist", "zero-twist-validate", "zero-twist-gorenstein",
-         "identity-chart-degree"],
+         "identity-chart-degree", "short-chart-degrees", "identity-twist",
+         "extra-chart-equation"],
 )
 def test_refused_input_is_exit_1(tmp_path, capsys, command, obj, message):
     path = write_covering(tmp_path, obj)
     assert main([command, "--input", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.startswith("error: " + message)
 
 
 @pytest.mark.parametrize("twist", [None, []], ids=["null", "empty"])

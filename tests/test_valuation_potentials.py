@@ -4,9 +4,12 @@ KummerData answers v(alpha(m, n)) = (P_v(m) + P_v(n) - P_v(m+n)) / |G|,
 and the chart at infinity over it answers u-exponents from
 Q(m) = |G| d(m) + P_inf(m).  The references below are the earlier forms
 of the same answers: the carry sigma of every pair with the valuations
-of the chart equations and of the twist, and the anti-diagonal scan
-gorenstein_at.  The library must agree with them exactly, down to the
-exception class and message of a negative u-exponent.
+of the chart equations and of the twist, and stored_scan, which looks
+for the first all-unit anti-diagonal over every valuation of a table.
+The library must agree with them exactly, down to the exception class
+and message of a negative u-exponent, and gorenstein_at must give
+stored_scan's verdict and witness whether the table is integral or not,
+though it reads only the anti-diagonals a potential leaves open.
 """
 
 import functools
@@ -234,9 +237,11 @@ def integral_models(seed, count):
 def test_gorenstein_places_equal_the_scan():
     places = non_gorenstein = at_infinity = 0
     for gm, vs in integral_models(5, 400):
-        chart = gm.infinity_chart()
-        expected = [gorenstein_at(chart, chart.u_place) if v.is_infinity
-                    else gorenstein_at(gm.covering, v) for v in vs]
+        kd, degrees = gm.covering, gm.infinity_degrees
+        expected = [stored_scan(kd, v, lambda m, n: reference_u_exponent(kd, degrees, m, n))
+                    if v.is_infinity else
+                    stored_scan(kd, v, lambda m, n: reference_entry_valuation(kd, m, n, v))
+                    for v in vs]
         assert list(gorenstein_places(gm, vs)) == expected, (gm, vs)
         places += len(vs)
         non_gorenstein += sum(not ok for ok, _ in expected)
@@ -246,30 +251,92 @@ def test_gorenstein_places_equal_the_scan():
 
 # what predict_genus and `muram gorenstein` call -------------------------------
 
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Replace module.name wherever a muram module refers to it; -> the original."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "muram":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+    return original
+
+
 def count_calls(monkeypatch, module, name):
     """Count calls of module.name, wherever a muram module refers to it."""
-    original = getattr(module, name)
     calls = []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "muram":
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
+    original = patch_everywhere(monkeypatch, module, name, counting)
     return calls
+
+
+class ReadCounter:
+    """A table that counts the entry valuations read through it."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, 0
+
+    def __getattr__(self, name):
+        return getattr(self.table, name)
+
+    def entry_valuation(self, m, n, v):
+        self.reads += 1
+        return self.table.entry_valuation(m, n, v)
+
+
+def count_verdicts(monkeypatch):
+    """(table, place, verdict, anti-diagonal terms read) of every
+    gorenstein_at call, wherever a muram module refers to it."""
+    verdicts = []
+
+    def counting(c, v):
+        reader = ReadCounter(c)
+        out = original(reader, v)
+        verdicts.append((c, v, out, reader.reads))
+        return out
+
+    original = patch_everywhere(monkeypatch, gorenstein, "gorenstein_at", counting)
+    return verdicts
 
 
 @pytest.fixture
 def counters(monkeypatch):
     return {
-        "gorenstein_at": count_calls(monkeypatch, gorenstein, "gorenstein_at"),
-        "sum rule": count_calls(monkeypatch, gorenstein, "gorenstein_from_potential"),
+        "verdicts": count_verdicts(monkeypatch),
         "sigma": count_calls(monkeypatch, pgroup, "sigma"),
     }
+
+
+def scan_reads(table, v):
+    """Terms stored_scan reads at v before it decides."""
+    reads = []
+
+    def val(m, n):
+        reads.append((m, n))
+        return valuation(table.entry(m, n), v)
+
+    stored_scan(table, v, val)
+    return len(reads)
+
+
+def assert_filtered(verdicts):
+    """Each verdict read a potential, and at most |G| terms: on an
+    integral table every anti-diagonal the sum rule leaves is all units,
+    so exactly |G| when Gorenstein and none otherwise."""
+    for table, v, (ok, _), reads in verdicts:
+        assert table.potential(v) is not None
+        assert reads == (table.group.order if ok else 0), (table, v)
+
+
+def assert_scanned(verdicts):
+    """Each verdict had no potential and read what the full scan reads."""
+    for table, v, _, reads in verdicts:
+        assert table.potential(v) is None
+        assert reads == scan_reads(table, v), (table, v)
 
 
 def run_gorenstein_cli(tmp_path, capsys, cov):
@@ -293,8 +360,8 @@ def test_kummer_verdicts_use_neither_the_scan_nor_sigma(counters, tmp_path, caps
         code, out = run_gorenstein_cli(tmp_path, capsys, kd)
         assert code == 0 and len(out["places"]) == len(rep.per_place)
         verdicts += 2 * len(rep.per_place)
-    assert counters["gorenstein_at"] == [] and counters["sigma"] == []
-    assert len(counters["sum rule"]) == verdicts
+    assert len(counters["verdicts"]) == verdicts and counters["sigma"] == []
+    assert_filtered(counters["verdicts"])
 
 
 def test_raw_tables_are_scanned_until_decided(counters, tmp_path, capsys):
@@ -304,9 +371,9 @@ def test_raw_tables_are_scanned_until_decided(counters, tmp_path, capsys):
         code, out = run_gorenstein_cli(tmp_path, capsys, built)
         assert code == 0 and out["non_gorenstein_places"] == []
         # the file is read back as a raw table, which ramification decides
-        assert counters["gorenstein_at"] == []
-        assert len(counters["sum rule"]) == 2 * len(rep.per_place)
-        counters["sum rule"].clear()
+        assert len(counters["verdicts"]) == 2 * len(rep.per_place)
+        assert_filtered(counters["verdicts"])
+        counters["verdicts"].clear()
         # given chart degrees, nothing decides this copy, so every place is scanned
         raw = Cocycle(kd.group, dict(built._entries))
         places = [row["place"] for row in rep.per_place]
@@ -314,8 +381,9 @@ def test_raw_tables_are_scanned_until_decided(counters, tmp_path, capsys):
         assert list(gorenstein_places(gm, places)) == \
             [(row["gorenstein"], row["witness"]) for row in rep.per_place]
         assert raw.potential(places[0]) is None
-        assert len(counters["gorenstein_at"]) == len(places) and counters["sum rule"] == []
-        counters["gorenstein_at"].clear()
+        assert len(counters["verdicts"]) == len(places)
+        assert_scanned(counters["verdicts"])
+        counters["verdicts"].clear()
 
 
 def test_raw_product_tables_are_always_scanned(counters):
@@ -328,11 +396,12 @@ def test_raw_product_tables_are_always_scanned(counters):
         gm = GlobalModel(raw, canonical_infinity_degrees(kd))
         places = support_places(raw) + [Place.infinity(p)]
         list(gorenstein_places(gm, places))
-        assert len(counters["gorenstein_at"]) == len(places) and counters["sum rule"] == []
-        counters["gorenstein_at"].clear()
+        assert len(counters["verdicts"]) == len(places)
+        assert_scanned(counters["verdicts"])
+        counters["verdicts"].clear()
 
 
-def test_non_integral_twist_is_refused_before_any_verdict(counters):
+def test_non_integral_twist_is_refused_before_any_verdict(counters, tmp_path, capsys):
     z4 = PGroup(2, (2,))
     x = Poly.x(2)
     for b in (RatFun(Poly.one(2), x), RatFun(Poly.one(2), x + Poly.one(2))):
@@ -342,12 +411,40 @@ def test_non_integral_twist_is_refused_before_any_verdict(counters):
         with pytest.raises(HypothesisFailure) as err:
             predict_genus(GlobalModel(kd))
         assert err.value.failures == [("charts", str(dense.value))]
+        code, out = run_gorenstein_cli(tmp_path, capsys, kd)
+        assert (code, out["rejected"], out["detail"]) == (2, "NonIntegralCocycle", str(dense.value))
     z2 = PGroup(2, (1,))
     with pytest.raises(HypothesisFailure) as err:
         predict_genus(GlobalModel(KummerData(z2, (x ** 3,)), {z2.elt(1): 1}))
     assert err.value.failures == [
         ("charts", "entry (1,1) needs u-exponent -1; increase the chart degrees")]
-    assert counters["gorenstein_at"] == [] and counters["sum rule"] == []
+    assert counters["verdicts"] == []
+
+
+def test_gorenstein_at_equals_the_scan_off_integrality():
+    """On untwisted, integrally and rationally twisted data, at the
+    support, one place off it and infinity, gorenstein_at gives the scan
+    of the sigma valuations; the bare sum rule, which takes the first l
+    with |G| P(l) = 2 sum P, does not where a non-integral anti-diagonal
+    adds up to 0."""
+    places = differ = 0
+    for kd, finite in seeded_tables(12, 600):
+        elements = list(kd.group.elements())
+        for v in finite + [Place.infinity(kd.group.p)]:
+            val = {(m, n): reference_entry_valuation(kd, m, n, v)
+                   for m in elements for n in elements}
+            expected = stored_scan(kd, v, lambda m, n: val[m, n])
+            assert gorenstein_at(kd, v) == expected, (kd, v)
+            pot = kd.potential(v)
+            twice = 2 * sum(pot.values())
+            for l in elements:  # the identity the filter rests on
+                assert kd.group.order * sum(val[i, l - i] for i in elements) == \
+                    twice - kd.group.order * pot[l]
+            sum_rule = next(((True, l) for l in elements
+                             if kd.group.order * pot[l] == twice), (False, None))
+            places += 1
+            differ += sum_rule != expected
+    assert places >= 2000 and differ >= 80
 
 
 # twisted raw cyclic tables: the decided form's potential against the entries --
