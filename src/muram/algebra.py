@@ -69,8 +69,8 @@ class AlgebraElt:
         return cls(group, {group.zero(): RatFun.one(group.p)})
 
     @classmethod
-    def basis(cls, group: PGroup, m: GElt, coeff=None):
-        return cls(group, {m: RatFun.one(group.p) if coeff is None else coeff})
+    def basis(cls, group: PGroup, m: GElt):
+        return cls(group, {m: RatFun.one(group.p)})
 
     @classmethod
     def zero(cls, group: PGroup):

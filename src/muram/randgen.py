@@ -92,32 +92,32 @@ def random_integral_twist(rng: random.Random, group: PGroup) -> dict:
     return out
 
 
-def random_cyclic_cocycle(rng: random.Random, p: int, n: int, max_deg: int = 2) -> Cocycle:
-    """Integral cyclic table: a chart equation plus an integral twist."""
+def random_cyclic_cocycle(rng: random.Random, p: int, n: int) -> Cocycle:
+    """Integral cyclic table: a chart equation of degree 1 or 2 plus an integral twist."""
     group = PGroup(p, (n,))
     while True:
-        f = random_poly(rng, p, rng.randrange(1, max_deg + 1))
+        f = random_poly(rng, p, rng.randrange(1, 3))
         if not f.derivative().is_zero():
             break
     return KummerData(group, (f,), random_integral_twist(rng, group)).to_cocycle()
 
 
-def random_integral_column(rng: random.Random, p: int, n: int, max_deg: int = 2) -> list[Poly]:
+def random_integral_column(rng: random.Random, p: int, n: int) -> list[Poly]:
     """The first column of a random integral cyclic table."""
-    c = random_cyclic_cocycle(rng, p, n, max_deg)
+    c = random_cyclic_cocycle(rng, p, n)
     group = c.group
     one = group.elt(1)
     return [c.entry(group.elt(i), one) for i in range(1, group.order)]
 
 
-def random_column(rng: random.Random, p: int, n: int, max_deg: int = 2) -> list[Poly]:
-    """An arbitrary nonzero column; usually fails integrality."""
+def random_column(rng: random.Random, p: int, n: int) -> list[Poly]:
+    """A column of nonzero entries of degree at most 2; usually fails integrality."""
     q = p ** n
-    return [random_nonzero_poly(rng, p, max_deg) for _ in range(q - 1)]
+    return [random_nonzero_poly(rng, p, 2) for _ in range(q - 1)]
 
 
-def random_phi(rng: random.Random, group: PGroup, max_deg: int = 2) -> dict:
+def random_phi(rng: random.Random, group: PGroup) -> dict:
     return {
-        m: Poly(group.p, [rng.randrange(group.p) for _ in range(max_deg + 1)])
+        m: Poly(group.p, [rng.randrange(group.p) for _ in range(3)])
         for m in group.elements()
     }

@@ -52,20 +52,20 @@ def place_to_obj(v) -> dict:
 def group_to_obj(g: PGroup) -> dict:
     return {"p": g.p, "exponents": list(g.exponents)}
 
-def group_from_obj(obj, path: str = "$.group") -> PGroup:
-    _known(obj, ("p", "exponents"), path)
-    p = _at(_get(obj, "p", path), int, f"{path}.p")
-    exponents = tuple(_ints(_get(obj, "exponents", path), f"{path}.exponents"))
+def group_from_obj(obj) -> PGroup:
+    _known(obj, ("p", "exponents"), "$.group")
+    p = _at(_get(obj, "p", "$.group"), int, "$.group.p")
+    exponents = tuple(_ints(_get(obj, "exponents", "$.group"), "$.group.exponents"))
     try:
         return PGroup(p, exponents)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"$.group: {exc}") from None
 
 
 def elt_to_obj(m: GElt):
     return list(m.residues)
 
-def elt_from_obj(group: PGroup, obj, path: str = "$") -> GElt:
+def elt_from_obj(group: PGroup, obj, path: str) -> GElt:
     residues = [obj] if type(obj) is int else _ints(obj, path)
     if len(residues) != group.rank:
         raise ValueError(f"{path}: expected {group.rank} residues, got {len(residues)}")
@@ -74,7 +74,7 @@ def elt_from_obj(group: PGroup, obj, path: str = "$") -> GElt:
 
 # coverings ---------------------------------------------------------------
 
-def covering_to_obj(cov, infinity_degrees=None) -> dict:
+def covering_to_obj(cov) -> dict:
     if isinstance(cov, KummerData):
         out = {
             "group": group_to_obj(cov.group),
@@ -99,11 +99,6 @@ def covering_to_obj(cov, infinity_degrees=None) -> dict:
                 for m, n, a in cov.pairs()
             ],
         }
-    if infinity_degrees is not None:
-        order = list(cov.group.elements())
-        out["infinity_degrees"] = [
-            0 if m.is_zero() else infinity_degrees[m] for m in order
-        ]
     out["g_X"] = 0
     return out
 

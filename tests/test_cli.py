@@ -328,6 +328,28 @@ def test_fuzz_subcommand(capsys):
     assert rep["checked"]["models"] == 2
 
 
+def _refuse_every_table(monkeypatch):
+    monkeypatch.setattr(covering, "_reconstruct", lambda c: "refused by the test")
+
+
+def _oracle_one_too_many_at_order_p(monkeypatch):
+    from muram import snf_oracle
+
+    real = snf_oracle.oracle_multiplicity
+    monkeypatch.setattr(snf_oracle, "oracle_multiplicity", lambda model: real(model) + (model.n == 1))
+
+
+@pytest.mark.parametrize("breakage", [_refuse_every_table, _oracle_one_too_many_at_order_p],
+                         ids=["reconstruct-refuses", "oracle-off-by-one"])
+def test_fuzz_fails_on_a_broken_check(capsys, monkeypatch, breakage):
+    # at p^n = 4 the column check reads a raw table back, and the devissage
+    # check runs the oracle on the order-2 layers
+    breakage(monkeypatch)
+    assert main(["fuzz", "--seed", "1", "--count", "1", "--pn", "2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal invariant violation: ")
+
+
 def test_internal_invariant_is_exit_3(tmp_path, capsys, monkeypatch):
     from muram import cli
     from muram.errors import InternalInvariant
@@ -480,12 +502,65 @@ def test_mirror_entry_is_left_to_validate(tmp_path, capsys):
     assert code == 0 and rep["ok"]
 
 
+@pytest.mark.parametrize("form", ["kummer", "raw"])
+def test_constant_chart_equation(tmp_path, capsys, monkeypatch, form):
+    # z^{p^n} = 1 pinned as answered today: is_pth_power counts a constant as
+    # a p-th power, so the integrality checks refuse it, while ramify certifies it
+    from muram import snf_oracle
+    from muram.errors import NonIntegralModel
+    from muram.fppoly import Place
+    from muram.ramification import multiplicity_at, normalize_local_model
+    from muram.serialize import covering_from_obj
+
+    def covering_file(n):
+        obj = (kummer_obj(2, [n], [[1]]) if form == "kummer"
+               else covering_to_obj(covering.Cocycle.trivial(PGroup(2, (n,)))))
+        return obj, write_covering(tmp_path, obj, f"z{2 ** n}.json")
+
+    obj, path = covering_file(1)
+    code, rep = run(capsys, ["validate", "--input", path])
+    assert code == 0 and rep["ok"]
+    code, rep = run(capsys, ["ramify", "--include-infinity", "--input", path])
+    assert code == 0 and rep["degree"] == 0
+    assert [(r["place"], r["multiplicity"], r["normality"]) for r in rep["reports"]] == [
+        ({"kind": "infinity"}, 0, "verified")]
+    kd = covering.kummer_form(covering_from_obj(obj)[0])
+    for text, place in [("0,1", Place.finite(Poly.x(2))), ("infinity", Place.infinity(2))]:
+        code, rep = run(capsys, ["oracle", "--place", text, "--input", path])
+        assert code == 2 and rep["rejected"] == "NonIntegralModel"
+        assert rep["detail"] == "chart equation 1 is a p-th power; the covering is not integral"
+        assert multiplicity_at(kd, place) == 0  # the formula answers before the oracle refuses
+        with pytest.raises(NonIntegralModel):
+            normalize_local_model(kd, place)
+    code, rep = run(capsys, ["genus", "--input", path])
+    assert code == 2 and rep["rejected"] == "HypothesisFailure"
+    assert rep["detail"] == "integrality: chart equation 1 is a p-th power"
+    code, rep = run(capsys, ["gorenstein", "--include-infinity", "--input", path])
+    assert code == 0 and rep["non_gorenstein_places"] == []
+    assert [row["place"] for row in rep["places"]] == [{"kind": "infinity"}]
+
+    monkeypatch.setattr(snf_oracle, "oracle_multiplicity", lambda model: pytest.fail("oracle ran"))
+    _, path = covering_file(2)
+    code, rep = run(capsys, ["devissage", "-m", "1", "--with-oracle", "--include-infinity",
+                             "--input", path])
+    assert code == 0 and rep["equal"] and rep["oracle_agrees"] is True
+    assert rep["total"]["degree"] == rep["lower"]["degree"] == rep["upper"]["degree"] == 0
+
+
 @pytest.mark.parametrize("argv", [["gorenstein", "--search", "--count", "-1"],
                                   ["fuzz", "--count", "-3"]])
 def test_negative_count_is_a_usage_error(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "--count: must be at least 0" in captured.err
+
+
+@pytest.mark.parametrize("value", ["2", "2,1,1", "a,1"])
+def test_malformed_pn_is_a_usage_error(capsys, value):
+    assert main(["fuzz", "--pn", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --pn: invalid shape value: '{value}'" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["gorenstein", "--search", "--count", "0"],

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -84,6 +85,11 @@ def test_column_round_trip(p, n):
         betas, f = forward_decompose(c)
         assert betas[0].is_one() and betas[1].is_one()
         assert [c.entry(g.elt(i), one) for i in range(1, q)] == col
+        # a raw copy has no Kummer form: validate and forward_decompose reconstruct it
+        raw = Cocycle.from_entries(g, {(m, k): a for m, k, a in c.pairs()})
+        assert raw._kummer is None and validate(raw).ok
+        assert forward_decompose(raw) == (betas, f)
+        assert f == math.prod(col, start=Poly.one(p))
 
 
 def test_validate_reports_symmetry_failure():

@@ -369,12 +369,13 @@ def test_devissage_bad_layer():
         devissage_check(cyclic(2, 2, X2), 2)
 
 
-@pytest.mark.parametrize("p,n,m", [(2, 2, 1), (3, 2, 1), (2, 3, 2)])
+@pytest.mark.parametrize("p,n,m", [(2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2)])
 def test_devissage_random_models(p, n, m):
     rng = random.Random(p * 10 + n)
     for _ in range(5):
         kd = random_normal_cyclic_kummer(rng, p, n)
-        assert devissage_check(kd, m, include_infinity=True).equal
+        rep = devissage_check(kd, m, include_infinity=True, with_oracle=True)
+        assert rep.equal and rep.oracle_agrees
 
 
 @pytest.mark.parametrize(

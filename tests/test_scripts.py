@@ -14,11 +14,6 @@ def run_script(name, *args):
     return proc.stdout
 
 
-def test_devissage_sweep_verifies_every_identity():
-    out = run_script("devissage_sweep.py", "--count", "8")
-    assert out.rstrip().endswith("8/8 identities verified")
-
-
 def test_frobenius_family_is_rational():
     rows = [line for line in run_script("frobenius_family.py").splitlines() if "g(Y) =" in line]
     assert len(rows) == 11

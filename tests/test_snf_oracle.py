@@ -259,7 +259,7 @@ def test_snf_matches_dense_rescan_on_random_models(p, n, monkeypatch):
 
 
 def _random_unit_multiple(rng, m, k):
-    return AlgebraElt.basis(m.group, k, RatFun.from_poly(Poly(m.p, [rng.randrange(1, m.p)])))
+    return AlgebraElt(m.group, {k: RatFun.from_poly(Poly(m.p, [rng.randrange(1, m.p)]))})
 
 
 def _random_sparse_presentation(rng, m, nrows, ncols):
@@ -341,7 +341,7 @@ def _random_rational_monomial(rng, lm):
     g = lm.group
     coeff = RatFun(Poly(lm.p, [rng.randrange(1, lm.p), rng.randrange(lm.p)]),
                    Poly(lm.p, [rng.randrange(1, lm.p), 1]))
-    return AlgebraElt.basis(g, g.elt(rng.randrange(lm.q)), coeff)
+    return AlgebraElt(g, {g.elt(rng.randrange(lm.q)): coeff})
 
 
 def test_local_model_tables_are_associative():
