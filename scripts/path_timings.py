@@ -4,8 +4,10 @@
 For each q = p^n in --q, on a model built afresh for every run, it times
 ramification_divisor(include_infinity=True), the two hypothesis checks
 of predict_genus that the divisor does not make (check_chart_consistency,
-and gorenstein_places at the places of the divisor), oracle_multiplicity
-at (x), and two paths on the dense table of z^q = x under a seeded
+and gorenstein_places at the places of the divisor), the Gorenstein rows
+of the benchmark's corpus Kummer op (to_cocycle() plus gorenstein_places
+at the finite places of the divisor), oracle_multiplicity at (x), and
+two paths on the dense table of z^q = x under a seeded
 random_integral_twist, read as a raw table: validate plus
 forward_decompose, and gorenstein_places at the finite places of its
 divisor once validate has decided it (its chart at infinity under the
@@ -97,6 +99,14 @@ def timings(q, repeat):
         gm = GlobalModel(kummer())
         return gm, [r.place for r in gm.ramification_divisor()[1]]
 
+    def finite_places():
+        kd = kummer()
+        return kd, [r.place for r in ramification_divisor(kd)[1]]
+
+    def table_rows(args):
+        kd, places = args
+        list(gorenstein_places(GlobalModel(kd.to_cocycle()), places))
+
     def raw_table(table):
         validate(table)
         forward_decompose(table)
@@ -117,6 +127,8 @@ def timings(q, repeat):
             repeat, lambda: GlobalModel(kummer()), check_chart_consistency),
         "`gorenstein_places`": best_of(
             repeat, divisor_places, lambda args: list(gorenstein_places(*args))),
+        "`to_cocycle` + `gorenstein_places`, finite places": best_of(
+            repeat, finite_places, table_rows),
         # a fresh Cocycle per run: the table keeps its decomposition
         "`validate` + `forward_decompose`, twisted table": best_of(
             repeat, lambda: Cocycle.from_entries(group, pairs), raw_table),

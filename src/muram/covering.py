@@ -26,6 +26,12 @@ that differs from its reconstruction.  KummerData.to_cocycle and
 cocycle_from_column keep the data they built the table from in the same
 place, so their tables need no reconstruction.
 
+Tables store their entries when built, except the table of untwisted
+KummerData: its entries are products of the f_i, integral by
+construction, so to_cocycle() forms all q^2 of them at once only when an
+entry is first asked for (pairs, ==, validate's scans, serialization).
+Valuations, potentials and the column a decomposition reads never ask.
+
 A table is anything with ``group``, ``entry(m, n)``,
 ``entry_valuation(m, n, place)`` and ``potential(place)``, and
 InfinityChart is a view of any table on the chart at infinity.
@@ -68,7 +74,9 @@ class Cocycle:
     built from, a cyclic table's column form once decided (see
     _decomposition), or the message refusing it.  Entry valuations are
     read off that form's potential when there is one, and off the stored
-    entries otherwise.
+    entries otherwise.  The table of untwisted KummerData has _entries
+    None until its first entry is asked for, and then forms them all from
+    its Kummer form.
     """
 
     __slots__ = ("group", "_entries", "_kummer")
@@ -109,7 +117,10 @@ class Cocycle:
         return cls(group, full)
 
     def entry(self, m: GElt, n: GElt) -> Poly:
-        return self._entries[(m, n)]
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = _kummer_entries(self._kummer)
+        return entries[(m, n)]
 
     def entry_valuation(self, m: GElt, n: GElt, v: Place) -> int:
         kd = self._kummer
@@ -289,13 +300,20 @@ class KummerData(Record):
                     self.entry(m, n)
 
     def to_cocycle(self) -> Cocycle:
-        """The dense table, which keeps this data as its Kummer form."""
-        return _dense_table(self)
+        """The table, which keeps this data as its Kummer form.  Twisted
+        entries are formed now, so a non-integral twist raises here;
+        untwisted ones on first use."""
+        return _kummer_table(self)
 
 
-def _dense_table(kd: KummerData) -> Cocycle:
+def _kummer_entries(kd: KummerData) -> dict:
     elements = list(kd.group.elements())
-    c = Cocycle(kd.group, {(m, n): kd.entry(m, n) for m in elements for n in elements})
+    return {(m, n): kd.entry(m, n) for m in elements for n in elements}
+
+
+def _kummer_table(kd: KummerData) -> Cocycle:
+    c = Cocycle(kd.group, {})
+    c._entries = _kummer_entries(kd) if kd.twist else None
     c._kummer = kd
     return c
 
@@ -349,7 +367,7 @@ def cocycle_from_column(group: PGroup, column) -> Cocycle:
     for a in column:
         if a.is_zero():
             raise ZeroEntry("column entries must be nonzero")
-    return _dense_table(_ColumnForm(group, *_column_betas(column)))
+    return _kummer_table(_ColumnForm(group, *_column_betas(column)))
 
 
 def _column_betas(column: list[Poly]) -> tuple[list[Poly], Poly]:
@@ -374,8 +392,8 @@ class _ColumnForm(KummerData):
         super().__init__(group, (f,), {group.elt(i): b.inverse() for i, b in enumerate(betas)})
 
 
-def _column(c: Cocycle) -> list[Poly]:
-    """(alpha(1,1), ..., alpha(q-1,1)) of a cyclic table."""
+def _column(c) -> list[Poly]:
+    """(alpha(1,1), ..., alpha(q-1,1)) of a cyclic table or its Kummer data."""
     elements = list(c.group.elements())  # elements[i] has residue i
     return [c.entry(m, elements[1]) for m in elements[1:]]
 
@@ -383,13 +401,13 @@ def _column(c: Cocycle) -> list[Poly]:
 def _decomposition(c: Cocycle):
     """The cyclic table's column form, or the refusal message, kept on the
     Cocycle.  A raw table is decided once by _reconstruct.  A table built
-    from other Kummer data is valid, so its column form is read off its
-    column once, with no comparison."""
+    from other Kummer data is valid, so its column form is read off that
+    data's column once, with no comparison and no table entry formed."""
     d = c._kummer
     if d is None:
         d = c._kummer = _reconstruct(c)
     elif isinstance(d, KummerData) and not isinstance(d, _ColumnForm):
-        d = c._kummer = _ColumnForm(c.group, *_column_betas(_column(c)))
+        d = c._kummer = _ColumnForm(c.group, *_column_betas(_column(d)))
     return d
 
 

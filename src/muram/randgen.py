@@ -92,22 +92,27 @@ def random_integral_twist(rng: random.Random, group: PGroup) -> dict:
     return out
 
 
-def random_cyclic_cocycle(rng: random.Random, p: int, n: int) -> Cocycle:
-    """Integral cyclic table: a chart equation of degree 1 or 2 plus an integral twist."""
+def _random_twisted_kummer(rng: random.Random, p: int, n: int) -> KummerData:
+    """A cyclic chart equation of degree 1 or 2 plus an integral twist."""
     group = PGroup(p, (n,))
     while True:
         f = random_poly(rng, p, rng.randrange(1, 3))
         if not f.derivative().is_zero():
             break
-    return KummerData(group, (f,), random_integral_twist(rng, group)).to_cocycle()
+    return KummerData(group, (f,), random_integral_twist(rng, group))
+
+
+def random_cyclic_cocycle(rng: random.Random, p: int, n: int) -> Cocycle:
+    """Integral cyclic table: a chart equation of degree 1 or 2 plus an integral twist."""
+    return _random_twisted_kummer(rng, p, n).to_cocycle()
 
 
 def random_integral_column(rng: random.Random, p: int, n: int) -> list[Poly]:
-    """The first column of a random integral cyclic table."""
-    c = random_cyclic_cocycle(rng, p, n)
-    group = c.group
-    one = group.elt(1)
-    return [c.entry(group.elt(i), one) for i in range(1, group.order)]
+    """The first column of a random integral cyclic table, formed without
+    the table."""
+    kd = _random_twisted_kummer(rng, p, n)
+    one = kd.group.elt(1)
+    return [kd.entry(kd.group.elt(i), one) for i in range(1, kd.group.order)]
 
 
 def random_column(rng: random.Random, p: int, n: int) -> list[Poly]:

@@ -328,6 +328,20 @@ def test_fuzz_subcommand(capsys):
     assert rep["checked"]["models"] == 2
 
 
+FUZZ_SHAPES = ["--pn", "2,1", "--pn", "3,1", "--pn", "2,3", "--pn", "3,2", "--pn", "2,4"]
+
+
+@pytest.mark.parametrize("seed", ["1", "5"])
+def test_fuzz_prints_the_same_bytes(capsys, seed):
+    # the integral columns are formed without their table; the draws are unchanged
+    assert main(["fuzz", "--seed", seed, "--count", "2", *FUZZ_SHAPES]) == 0
+    assert capsys.readouterr().out == (
+        '{"checked": {"columns": 10, "determinants": 8, "devissage": 6, "models": 10, '
+        '"oracle_places": 20}, "command": "fuzz", "failures": [], "schema_version": 1, '
+        f'"seed": {seed}}}\n'
+    )
+
+
 def _refuse_every_table(monkeypatch):
     monkeypatch.setattr(covering, "_reconstruct", lambda c: "refused by the test")
 

@@ -36,6 +36,13 @@ from muram.randgen import (
 )
 
 
+def entries_of(c):
+    """Every entry of a table, read through entry(): a table of untwisted
+    Kummer data forms them on first use."""
+    elements = list(c.group.elements())
+    return {(m, n): c.entry(m, n) for m in elements for n in elements}
+
+
 def test_from_column_all_ones():
     g = PGroup(2, (2,))
     one = Poly.one(2)
@@ -72,6 +79,18 @@ def test_from_column_needs_cyclic():
         cocycle_from_column(PGroup(2, (1, 1)), [Poly.one(2)] * 3)
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_integral_column_is_the_random_table_column(p, n):
+    # both draw the same twisted Kummer data; the column is formed without the table
+    columns, tables = random.Random(p * n), random.Random(p * n)
+    for _ in range(10):
+        c = random_cyclic_cocycle(tables, p, n)
+        one = c.group.elt(1)
+        col = [c.entry(m, one) for m in c.group.elements() if not m.is_zero()]
+        assert random_integral_column(columns, p, n) == col
+        assert columns.getstate() == tables.getstate()
+
+
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (3, 2)])
 def test_column_round_trip(p, n):
     rng = random.Random(100 * p + n)
@@ -95,7 +114,7 @@ def test_column_round_trip(p, n):
 def test_validate_reports_symmetry_failure():
     g = PGroup(3, (1,))
     base = KummerData(g, (Poly.x(3),)).to_cocycle()
-    entries = dict(base._entries)
+    entries = entries_of(base)
     entries[(g.elt(1), g.elt(2))] = Poly(3, [1, 1])
     broken = Cocycle(g, entries)
     assert validate(broken).failures == [
@@ -107,7 +126,7 @@ def test_validate_reports_symmetry_failure():
 def test_validate_reports_normalization_failure():
     g = PGroup(2, (1,))
     base = Cocycle.trivial(g)
-    entries = dict(base._entries)
+    entries = entries_of(base)
     entries[(g.zero(), g.elt(1))] = Poly.x(2)
     rep = validate(Cocycle(g, entries))
     assert not rep.ok
@@ -364,13 +383,13 @@ def _corruptions(rng, c):
     while factor.is_one():
         factor = random_nonzero_poly(rng, g.p, 2)
     m, n = rng.choice(elements), rng.choice(elements)
-    scaled = dict(c._entries)
+    scaled = entries_of(c)
     scaled[(m, n)] = scaled[(m, n)] * factor
-    pair = dict(c._entries)
+    pair = entries_of(c)
     pair[(m, n)] = pair[(m, n)] * factor
     if n != m:
         pair[(n, m)] = pair[(n, m)] * factor
-    normalization = dict(c._entries)
+    normalization = entries_of(c)
     k = rng.choice(elements)
     normalization[(g.zero(), k)] = factor
     return [Cocycle(g, scaled), Cocycle(g, pair), Cocycle(g, normalization)]
@@ -424,7 +443,7 @@ def test_raw_cyclic_cocycle_is_reconstructed_once(monkeypatch):
     monkeypatch.setattr(covering, "_reconstruct", counted)
     g = PGroup(2, (3,))
     built = KummerData(g, (Poly.x(2),), random_integral_twist(random.Random(8), g)).to_cocycle()
-    c = Cocycle(g, dict(built._entries))  # the same entries, read as a raw table
+    c = Cocycle(g, entries_of(built))  # the same entries, read as a raw table
     for table in (c, built):
         assert validate(table).ok
         assert forward_decompose(table) == forward_decompose(c)

@@ -159,6 +159,7 @@ def test_path_timings_prints_one_row_per_path():
     assert [row[0] for row in rows] == [
         "| `ramification_divisor` incl. ∞", "| `check_chart_consistency`",
         "| `gorenstein_places`",
+        "| `to_cocycle` + `gorenstein_places`, finite places",
         "| `validate` + `forward_decompose`, twisted table",
         "| `gorenstein_places`, twisted table after `validate`",
         "| `oracle_multiplicity` at (x)", "| oracle at (x), f = x^5(x^3+x+1)",

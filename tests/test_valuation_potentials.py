@@ -28,6 +28,7 @@ from muram.covering import (
     canonical_infinity_degrees,
     forward_decompose,
     support_places,
+    torsor_at,
     twist,
     validate,
 )
@@ -47,6 +48,7 @@ from muram.randgen import (
     random_nonzero_poly,
     random_normal_cyclic_kummer,
 )
+from muram.ramification import ramification_divisor
 from muram.rh_genus import GlobalModel, gorenstein_places, predict_genus
 from muram.serialize import covering_to_obj
 
@@ -55,6 +57,13 @@ SHAPES = [(2, (1,)), (2, (2,)), (3, (1,)), (3, (2,)), (5, (1,)),
 
 
 # references: the sigma-based valuations ---------------------------------------
+
+def entries_of(c):
+    """Every entry of a table, read through entry(): a table of untwisted
+    Kummer data forms them on first use."""
+    elements = list(c.group.elements())
+    return {(m, n): c.entry(m, n) for m in elements for n in elements}
+
 
 def reference_entry_valuation(kd, m, n, v):
     """sum_i sigma_i(m,n) v(f_i) + v(b(m)) + v(b(n)) - v(b(m+n))."""
@@ -169,14 +178,14 @@ def test_potentials_follow_the_known_kummer_form():
     assert built.potential(v) is kd.potential(v)
     # a raw table has none until its decomposition is decided, then its
     # column form's, which equals the data's: the valuations fix it
-    raw = Cocycle(group, dict(built._entries))
+    raw = Cocycle(group, entries_of(built))
     assert raw.potential(v) is None
     assert validate(raw).ok and raw.potential(v) == kd.potential(v)
     chart = InfinityChart(kd, canonical_infinity_degrees(kd))
     assert chart.potential(chart.u_place) is not None
     # the chart's places are places of u: u = -1 has no potential
     assert chart.potential(Place.finite(Poly(kd.group.p, [1, 1]))) is None
-    fresh = Cocycle(group, dict(built._entries))
+    fresh = Cocycle(group, entries_of(built))
     for table, expected in ((built, True), (raw, True), (fresh, False)):
         over = InfinityChart(table, canonical_infinity_degrees(kd))
         assert (over.potential(over.u_place) is not None) is expected
@@ -187,7 +196,7 @@ def test_refused_and_product_tables_have_no_potential():
     z8 = PGroup(2, (3,))
     valid = twist(KummerData(z8, (Poly.x(2) + Poly.one(2),)).to_cocycle(),
                   random_integral_twist(rng, z8))
-    entries = dict(valid._entries)
+    entries = entries_of(valid)
     m = z8.elt(3)
     entries[(m, m)] = entries[(m, m)] * Poly.x(2)
     refused = Cocycle(z8, entries)
@@ -196,7 +205,7 @@ def test_refused_and_product_tables_have_no_potential():
         forward_decompose(refused)
     z2z2 = PGroup(2, (1, 1))
     data = KummerData(z2z2, (Poly.x(2), Poly(2, [1, 1, 1])), random_integral_twist(rng, z2z2))
-    product = Cocycle(z2z2, dict(data.to_cocycle()._entries))
+    product = Cocycle(z2z2, entries_of(data.to_cocycle()))
     assert validate(product).ok
     for table in (refused, product):
         for v in (Place.infinity(2), Place.finite(Poly.x(2))):
@@ -375,7 +384,7 @@ def test_raw_tables_are_scanned_until_decided(counters, tmp_path, capsys):
         assert_filtered(counters["verdicts"])
         counters["verdicts"].clear()
         # given chart degrees, nothing decides this copy, so every place is scanned
-        raw = Cocycle(kd.group, dict(built._entries))
+        raw = Cocycle(kd.group, entries_of(built))
         places = [row["place"] for row in rep.per_place]
         gm = GlobalModel(raw, canonical_infinity_degrees(kd))
         assert list(gorenstein_places(gm, places)) == \
@@ -391,7 +400,7 @@ def test_raw_product_tables_are_always_scanned(counters):
     for p, exps in [(2, (1, 1)), (2, (2, 1)), (3, (1, 1))]:
         group = PGroup(p, exps)
         kd = KummerData(group, chart_equations(rng, p, exps))  # canonical degrees are integral
-        raw = Cocycle(group, dict(kd.to_cocycle()._entries))
+        raw = Cocycle(group, entries_of(kd.to_cocycle()))
         assert validate(raw).ok
         gm = GlobalModel(raw, canonical_infinity_degrees(kd))
         places = support_places(raw) + [Place.infinity(p)]
@@ -474,7 +483,7 @@ def twisted_raw_tables():
         off = next(Place.finite(pi) for pi in (random_irreducible(rng, p, 1 + i % 3)
                                                for i in range(50))
                    if all(valuation(a, Place.finite(pi)) == 0 for a in column))
-        out.append((table, Cocycle(group, dict(table._entries)),
+        out.append((table, Cocycle(group, entries_of(table)),
                     places + [off, Place.infinity(p)]))
     return tuple(out)
 
@@ -562,3 +571,108 @@ def test_undecided_raw_tables_are_scanned_without_a_reconstruction(monkeypatch):
         for v in places[:-1]:
             assert gorenstein_at(undecided, v) == stored_scan(undecided, v)
             assert undecided.potential(v) is None
+
+
+# tables of untwisted Kummer data form their entries on first use ---------------
+
+def eager_table(kd):
+    """The reference: every entry formed when the table is built, the
+    table keeping kd as its Kummer form."""
+    elements = list(kd.group.elements())
+    c = Cocycle(kd.group, {(m, n): kd.entry(m, n) for m in elements for n in elements})
+    c._kummer = kd
+    return c
+
+
+def untwisted_data(seed, count):
+    """Untwisted Kummer data over every shape, Z/2 x Z/2 and Z/3 x Z/3 included."""
+    rng = random.Random(seed)
+    return [KummerData(PGroup(p, exps), chart_equations(rng, p, exps))
+            for p, exps in (SHAPES[k % len(SHAPES)] for k in range(count))]
+
+
+TABLE_VIEWS = {
+    "pairs": lambda c: list(c.pairs()),
+    "validate": lambda c: validate(c).failures,
+    "forward_decompose": lambda c: outcome(forward_decompose, c),
+    "covering_to_obj": lambda c: json.dumps(covering_to_obj(c), sort_keys=True).encode(),
+}
+
+
+@pytest.mark.parametrize("view", sorted(TABLE_VIEWS))
+def test_untwisted_tables_read_like_the_eager_build(view):
+    read = TABLE_VIEWS[view]
+    for kd in untwisted_data(11, 24):
+        # a fresh table each time, so that the view is the first to read it
+        assert read(kd.to_cocycle()) == read(eager_table(kd)), kd
+
+
+def test_untwisted_tables_equal_eager_and_raw_copies():
+    for kd in untwisted_data(12, 24):
+        eager = eager_table(kd)
+        raw = Cocycle.from_entries(kd.group, {(m, n): a for m, n, a in eager.pairs()})
+        for other in (eager, raw):
+            assert kd.to_cocycle() == other and other == kd.to_cocycle()
+
+
+def test_entries_formed_after_a_decomposition_are_the_eager_ones():
+    for kd in untwisted_data(13, 24):
+        table = kd.to_cocycle()
+        validate(table)
+        outcome(forward_decompose, table)
+        assert entries_of(table) == entries_of(eager_table(kd))
+
+
+def count_kummer_entries(monkeypatch):
+    calls = []
+    entry = KummerData.entry
+
+    def counting(kd, m, n):
+        calls.append((m, n))
+        return entry(kd, m, n)
+
+    monkeypatch.setattr(KummerData, "entry", counting)
+    return calls
+
+
+def test_valuations_form_no_entry(monkeypatch):
+    data = untwisted_data(14, 16) + kummer_inputs()
+    places = [[r.place for r in ramification_divisor(kd, include_infinity=True)[1]]
+              for kd in data]
+    calls = count_kummer_entries(monkeypatch)
+    for kd, vs in zip(data, places):
+        table = kd.to_cocycle()
+        elements = list(kd.group.elements())
+        for v in vs:
+            gorenstein_at(table, v)
+            torsor_at(table, v)
+            assert table.potential(v) is not None
+            for m in elements:
+                for n in elements:
+                    table.entry_valuation(m, n, v)
+    assert calls == []
+
+
+def test_cyclic_decomposition_reads_only_the_column(monkeypatch):
+    data = [kd for kd in untwisted_data(15, 16) if kd.group.is_cyclic]
+    calls = count_kummer_entries(monkeypatch)
+    for kd in data:
+        table = kd.to_cocycle()
+        assert validate(table).ok
+        forward_decompose(table)
+        one = kd.group.elt(1)
+        assert calls == [(m, one) for m in kd.group.elements() if not m.is_zero()]
+        calls.clear()
+
+
+def test_non_integral_twists_raise_when_the_table_is_built():
+    raised = 0
+    for kd, _ in seeded_tables(16, 96):
+        expected = outcome(eager_table, kd)
+        got = outcome(kd.to_cocycle)
+        if isinstance(expected, tuple):
+            raised += 1
+            assert expected[0] is NonIntegralCocycle and got == expected
+        else:
+            assert got == expected
+    assert raised >= 10
