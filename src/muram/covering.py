@@ -385,11 +385,13 @@ def _column_betas(column: list[Poly]) -> tuple[list[Poly], Poly]:
 class _ColumnForm(KummerData):
     """f twisted by b(i) = 1/beta_i, the Kummer form of the cyclic table
     whose column has these betas and product f; it keeps the betas, which
-    forward_decompose returns."""
+    forward_decompose returns.  Its twist leaves out b(i) = 1, so the
+    column form of untwisted data is untwisted too."""
 
     def __init__(self, group: PGroup, beta: list[Poly], f: Poly):
         self.betas = betas = [RatFun.from_poly(b) for b in beta]
-        super().__init__(group, (f,), {group.elt(i): b.inverse() for i, b in enumerate(betas)})
+        super().__init__(group, (f,), {group.elt(i): b.inverse()
+                                       for i, b in enumerate(betas) if not b.is_one()})
 
 
 def _column(c) -> list[Poly]:

@@ -615,12 +615,15 @@ def test_untwisted_tables_equal_eager_and_raw_copies():
             assert kd.to_cocycle() == other and other == kd.to_cocycle()
 
 
-def test_entries_formed_after_a_decomposition_are_the_eager_ones():
+def test_entries_formed_after_a_decomposition_are_the_eager_ones(monkeypatch):
+    divided = count_calls(monkeypatch, covering, "twisted_entry")
     for kd in untwisted_data(13, 24):
         table = kd.to_cocycle()
         validate(table)
         outcome(forward_decompose, table)
         assert entries_of(table) == entries_of(eager_table(kd))
+    # the column form of untwisted data is untwisted, so no entry is divided out
+    assert divided == []
 
 
 def count_kummer_entries(monkeypatch):
