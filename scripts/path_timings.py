@@ -7,8 +7,10 @@ of predict_genus that the divisor does not make (check_chart_consistency,
 and gorenstein_places at the places of the divisor), the Gorenstein rows
 of the benchmark's corpus Kummer op (to_cocycle() plus gorenstein_places
 at the finite places of the divisor), oracle_multiplicity at (x), and
-two paths on the dense table of z^q = x under a seeded
-random_integral_twist, read as a raw table: validate plus
+three paths on z^q = x under a seeded random_integral_twist:
+check_chart_consistency on the Kummer data, with each canonical chart
+degree raised by deg b(m) so that the chart at infinity is integral
+too, and, on its dense table read as a raw table, validate plus
 forward_decompose, and gorenstein_places at the finite places of its
 divisor once validate has decided it (its chart at infinity under the
 canonical degrees need not be integral).  For
@@ -40,7 +42,7 @@ import tempfile
 import time
 
 from muram import GlobalModel, KummerData, PGroup, Poly
-from muram.covering import Cocycle, forward_decompose, validate
+from muram.covering import Cocycle, canonical_infinity_degrees, forward_decompose, validate
 from muram.fppoly import Place
 from muram.ramification import normalize_local_model, ramification_divisor
 from muram.randgen import random_integral_twist
@@ -116,6 +118,12 @@ def timings(q, repeat):
         validate(gm.covering)
         return gm, [r.place for r in gm.ramification_divisor()[1] if not r.place.is_infinity]
 
+    def twisted_model():
+        kd = KummerData(group, twisted.factors, twisted.twist)
+        degrees = {m: d + kd.twist_at(m).num.degree() - kd.twist_at(m).den.degree()
+                   for m, d in canonical_infinity_degrees(kd).items()}
+        return GlobalModel(kd, degrees)
+
     group = PGroup(p, (n,))
     twisted = KummerData(group, (Poly.x(p),), random_integral_twist(random.Random(q), group))
     pairs = {(m, k): a for m, k, a in twisted.to_cocycle().pairs()}
@@ -125,6 +133,8 @@ def timings(q, repeat):
             repeat, kummer, lambda kd: ramification_divisor(kd, include_infinity=True)),
         "`check_chart_consistency`": best_of(
             repeat, lambda: GlobalModel(kummer()), check_chart_consistency),
+        "`check_chart_consistency`, twisted Kummer data": best_of(
+            repeat, twisted_model, check_chart_consistency),
         "`gorenstein_places`": best_of(
             repeat, divisor_places, lambda args: list(gorenstein_places(*args))),
         "`to_cocycle` + `gorenstein_places`, finite places": best_of(

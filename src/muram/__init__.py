@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "gorenstein": (
         "derive_sign", "det_M_phi_bruteforce", "det_M_phi_formula", "diagonal_coefficients",
-        "dual_generator", "gorenstein_at", "sign_table",
+        "gorenstein_at", "sign_table",
     ),
     "pgroup": ("GElt", "PGroup", "Subgroup", "sigma", "subgroup_generated"),
     "ramification": (

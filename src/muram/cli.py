@@ -155,7 +155,7 @@ def _cmd_gorenstein(args):
     if isinstance(cov, KummerData):
         cov.check_integral()
     _, reports = gm.ramification_divisor(args.include_infinity)
-    if args.include_infinity:
+    if args.include_infinity and gm.kummer is not None:  # ramification_divisor checks a raw one
         gm.infinity_chart().check_integral()
     out = _report_base("gorenstein")
     verdicts = gorenstein_places(gm, [r.place for r in reports])

@@ -26,11 +26,11 @@ that differs from its reconstruction.  KummerData.to_cocycle and
 cocycle_from_column keep the data they built the table from in the same
 place, so their tables need no reconstruction.
 
-Tables store their entries when built, except the table of untwisted
-KummerData: its entries are products of the f_i, integral by
-construction, so to_cocycle() forms all q^2 of them at once only when an
-entry is first asked for (pairs, ==, validate's scans, serialization).
-Valuations, potentials and the column a decomposition reads never ask.
+A raw table stores its entries.  The table of KummerData forms all q^2
+at once when an entry is first asked for (pairs, ==, validate's scans,
+serialization); valuations, potentials and the column a decomposition
+reads never ask.  Its integrality is decided when it is made, from
+potentials (KummerData.check_integral).
 
 A table is anything with ``group``, ``entry(m, n)``,
 ``entry_valuation(m, n, place)`` and ``potential(place)``, and
@@ -74,9 +74,9 @@ class Cocycle:
     built from, a cyclic table's column form once decided (see
     _decomposition), or the message refusing it.  Entry valuations are
     read off that form's potential when there is one, and off the stored
-    entries otherwise.  The table of untwisted KummerData has _entries
-    None until its first entry is asked for, and then forms them all from
-    its Kummer form.
+    entries otherwise.  The table of KummerData has _entries None until
+    its first entry is asked for, and then forms them all from its Kummer
+    form.
     """
 
     __slots__ = ("group", "_entries", "_kummer")
@@ -119,7 +119,9 @@ class Cocycle:
     def entry(self, m: GElt, n: GElt) -> Poly:
         entries = self._entries
         if entries is None:
-            entries = self._entries = _kummer_entries(self._kummer)
+            elements = list(self.group.elements())
+            entry = self._kummer.entry
+            entries = self._entries = {(m, n): entry(m, n) for m in elements for n in elements}
         return entries[(m, n)]
 
     def entry_valuation(self, m: GElt, n: GElt, v: Place) -> int:
@@ -209,8 +211,9 @@ class KummerData(Record):
     """Per-factor chart equations f_i, with an optional coboundary twist.
 
     The induced table is prod_i f_i^{sigma_i(m,n)} * b(m) b(n) / b(m+n);
-    to_cocycle() insists the result is integral.  Hashed by its group,
-    factors and twist elements, so it is not changed after construction.
+    to_cocycle() insists the result is integral.  The twist is kept as
+    RatFun values, or None when empty.  Hashed by its group, factors and
+    twist elements, so it is not changed after construction.
     """
 
     _fields = ("group", "factors", "twist")
@@ -218,7 +221,7 @@ class KummerData(Record):
     def __init__(self, group: PGroup, factors: tuple[Poly, ...], twist: dict | None = None):
         self.group = group
         self.factors = factors = tuple(factors)
-        self.twist = twist  # GElt -> RatFun, b(0) = 1
+        self.twist = twist = {m: as_ratfun(b) for m, b in twist.items()} if twist else None
         if len(factors) != group.rank:
             raise ValueError(
                 f"need one chart equation per invariant factor "
@@ -231,7 +234,7 @@ class KummerData(Record):
                 raise CharMismatch("chart equation characteristic differs from the group's")
         if twist is not None:
             b0 = twist.get(group.zero())
-            if b0 is not None and not as_ratfun(b0).is_one():
+            if b0 is not None and not b0.is_one():
                 raise ValueError("twist must send 0 to 1")
         self._potentials = {}  # place -> potential(place)
 
@@ -241,12 +244,9 @@ class KummerData(Record):
 
     def twist_at(self, m: GElt) -> RatFun:
         """Twist value at m; elements without an explicit value twist by 1."""
-        if self.twist is None:
-            return RatFun.one(self.group.p)
-        b = self.twist.get(m)
+        b = None if self.twist is None else self.twist.get(m)
         if b is None:
             return RatFun.one(self.group.p)
-        b = as_ratfun(b)
         if b.is_zero():
             raise ZeroEntry(f"twist is zero at {m}")
         return b
@@ -283,39 +283,39 @@ class KummerData(Record):
             pot = {m: sum(r * w for r, w in zip(m.residues, weights))
                    for m in group.elements()}
             for m in self.twist or ():
-                e = valuation(self.twist_at(m), v)
-                if e and m in pot:
-                    pot[m] += order * e
+                if m in pot:
+                    pot[m] += order * valuation(self.twist_at(m), v)
             self._potentials[v] = pot
         return pot
 
     def check_integral(self) -> None:
-        """Raise what to_cocycle() raises, at the same first pair, without
-        keeping the table.  Untwisted entries are products of the f_i and
-        integral by construction."""
-        if self.twist:
-            elements = list(self.group.elements())
-            for m in elements:
-                for n in elements:
+        """Raise what forming every entry in row order would, forming only
+        the first refused one.  A zero twist value is refused at the first
+        such element, as the row of 0 would.  Poles lie only at primes of
+        twist numerators and denominators, each factored once; the first
+        pair with P(m) + P(n) < P(m+n) at one of them has one, and
+        entry(m, n) raises."""
+        if not self.twist:
+            return
+        elements = list(self.group.elements())
+        parts = {part for b in map(self.twist_at, elements) for part in (b.num, b.den)}
+        primes = {irr for part in parts for irr in factor(part)}
+        pots = [self.potential(Place._of_irreducible(irr)) for irr in primes]
+        for m in elements:
+            for n in elements:
+                k = m + n
+                if any(pot[m] + pot[n] < pot[k] for pot in pots):
                     self.entry(m, n)
 
     def to_cocycle(self) -> Cocycle:
-        """The table, which keeps this data as its Kummer form.  Twisted
-        entries are formed now, so a non-integral twist raises here;
-        untwisted ones on first use."""
-        return _kummer_table(self)
-
-
-def _kummer_entries(kd: KummerData) -> dict:
-    elements = list(kd.group.elements())
-    return {(m, n): kd.entry(m, n) for m in elements for n in elements}
-
-
-def _kummer_table(kd: KummerData) -> Cocycle:
-    c = Cocycle(kd.group, {})
-    c._entries = _kummer_entries(kd) if kd.twist else None
-    c._kummer = kd
-    return c
+        """The table, which keeps this data as its Kummer form and forms
+        its entries on first use; check_integral() runs first, so a
+        non-integral twist raises here."""
+        self.check_integral()
+        c = Cocycle(self.group, {})
+        c._entries = None
+        c._kummer = self
+        return c
 
 
 def kummer_form(cov) -> KummerData | None:
@@ -367,7 +367,7 @@ def cocycle_from_column(group: PGroup, column) -> Cocycle:
     for a in column:
         if a.is_zero():
             raise ZeroEntry("column entries must be nonzero")
-    return _kummer_table(_ColumnForm(group, *_column_betas(column)))
+    return _ColumnForm(group, *_column_betas(column)).to_cocycle()
 
 
 def _column_betas(column: list[Poly]) -> tuple[list[Poly], Poly]:

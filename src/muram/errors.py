@@ -105,10 +105,6 @@ class NotTorsion(ModelRejection):
 
 # duality
 
-class NotGorensteinHere(ModelRejection):
-    pass
-
-
 class SizeLimit(ModelRejection):
     pass
 

@@ -33,7 +33,7 @@ against.
 from __future__ import annotations
 
 from .covering import Cocycle
-from .errors import InternalInvariant, NotGorensteinHere, SizeLimit, UnsupportedGroup
+from .errors import InternalInvariant, SizeLimit, UnsupportedGroup
 from .fppoly import Place, Poly
 from .pgroup import GElt, PGroup
 
@@ -53,18 +53,6 @@ def gorenstein_at(c, v: Place):
         if all(c.entry_valuation(i, l - i, v) == 0 for i in elements):
             return True, l
     return False, None
-
-
-def dual_generator(c: Cocycle, v: Place) -> GElt:
-    """Witness index l whose dual basis vector generates the dual module.
-
-    The matrix of e_l^* is monomial with determinant +/- c_l, so the
-    generator contract is exactly the unit test of the witness diagonal.
-    """
-    ok, l = gorenstein_at(c, v)
-    if not ok:
-        raise NotGorensteinHere(f"no unit anti-diagonal at {v}")
-    return l
 
 
 def diagonal_coefficients(c: Cocycle) -> dict[GElt, Poly]:

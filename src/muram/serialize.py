@@ -27,7 +27,7 @@ import json
 
 from .covering import Cocycle, KummerData
 from .divisors import Divisor, SymbolicPlace
-from .fppoly import Poly, RatFun, as_ratfun
+from .fppoly import Poly, RatFun
 from .pgroup import GElt, PGroup
 
 SCHEMA_VERSION = 1
@@ -85,8 +85,8 @@ def covering_to_obj(cov) -> dict:
             out["twist"] = [
                 {
                     "elt": elt_to_obj(m),
-                    "num": list(as_ratfun(b).num.coeffs),
-                    "den": list(as_ratfun(b).den.coeffs),
+                    "num": list(b.num.coeffs),
+                    "den": list(b.den.coeffs),
                 }
                 for m, b in sorted(cov.twist.items(), key=lambda kv: kv[0].residues)
             ]

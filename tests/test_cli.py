@@ -603,6 +603,21 @@ def test_raw_cyclic_table_is_decomposed_once(tmp_path, capsys, monkeypatch, comm
     assert len(calls) == 1
 
 
+def test_raw_product_table_chart_at_infinity_is_checked_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    check = covering.InfinityChart.check_integral
+    monkeypatch.setattr(covering.InfinityChart, "check_integral",
+                        lambda chart: calls.append(chart) or check(chart))
+    kd = covering.KummerData(PGroup(2, (1, 1)), (Poly.x(2), Poly(2, [1, 1])))
+    degrees = covering.canonical_infinity_degrees(kd)
+    obj = dict(covering_to_obj(kd.to_cocycle()),
+               infinity_degrees=[degrees[m] for m in kd.group.elements()])
+    code, rep = run(capsys, ["gorenstein", "--include-infinity",
+                             "--input", write_covering(tmp_path, obj)])
+    assert code == 0 and len(calls) == 1
+    assert [row["place"]["kind"] for row in rep["places"]] == ["finite", "finite", "infinity"]
+
+
 def test_validate_reconstructs_a_raw_cyclic_table_once(tmp_path, capsys, monkeypatch):
     import random
 

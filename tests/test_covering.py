@@ -455,7 +455,7 @@ def test_raw_cyclic_cocycle_is_reconstructed_once(monkeypatch):
 def test_twisted_entry_divides_exactly_like_the_reduced_fraction(monkeypatch):
     """Twisted entries against RatFun(num, den), reduced by a gcd, on seeded
     twists: the same fraction, the same first refusal and message, and no
-    gcd for an integral table."""
+    gcd while an integral table forms its entries."""
     rng = random.Random(21)
     integral = non_integral = 0
     for k in range(120):
@@ -490,13 +490,14 @@ def test_twisted_entry_divides_exactly_like_the_reduced_fraction(monkeypatch):
                 kd.to_cocycle()
             assert str(exc.value) == refusal
     assert integral >= 500 and non_integral >= 500
-    gcds = []
-    gcd = fppoly.poly_gcd
-    monkeypatch.setattr(fppoly, "poly_gcd", lambda f, h: gcds.append(f) or gcd(f, h))
     g = PGroup(3, (2,))
     b = next(b for b in (random_integral_twist(random.Random(seed), g) for seed in range(22, 99))
              if max(v.num.degree() for v in b.values()) >= 2)
-    KummerData(g, (Poly(3, [1, 1]),), b).to_cocycle()
+    table = KummerData(g, (Poly(3, [1, 1]),), b).to_cocycle()  # factors the twist
+    gcds = []
+    gcd = fppoly.poly_gcd
+    monkeypatch.setattr(fppoly, "poly_gcd", lambda f, h: gcds.append(f) or gcd(f, h))
+    list(table.pairs())
     assert gcds == []
 
 
@@ -512,3 +513,14 @@ def test_twisted_kummer_data_hashes_like_it_compares():
     untwisted = KummerData(g, (Poly(3, [0, 1, 1]),))
     assert hash(untwisted) == hash(KummerData(g, [Poly(3, [0, 1, 1])], None))
     assert {a: 1}[b] == 1
+
+
+def test_kummer_data_compares_the_same_either_way_round():
+    g = PGroup(3, (2,))
+    f = (Poly(3, [0, 1, 1]),)
+    polys = {m: Poly(3, [1, m.residues[0]]) for m in g.elements() if not m.is_zero()}
+    ratfuns = {m: RatFun.from_poly(b) for m, b in polys.items()}
+    pairs = [(KummerData(g, f, polys), KummerData(g, f, ratfuns)),
+             (KummerData(g, f, {}), KummerData(g, f, None))]
+    for a, b in pairs:
+        assert a == b and b == a and hash(a) == hash(b) and len({a, b}) == 1

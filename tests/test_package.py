@@ -33,7 +33,7 @@ ALL = [
     'ValidationReport', 'algebra', 'algebra_inverse', 'algebra_valuation', 'build_presentation',
     'canonical_infinity_degrees', 'chart_at_infinity', 'cocycle_from_column', 'covering',
     'derive_sign', 'det_M_phi_bruteforce', 'det_M_phi_formula', 'devissage_check',
-    'diagonal_coefficients', 'divisors', 'dual_generator', 'errors', 'factor',
+    'diagonal_coefficients', 'divisors', 'errors', 'factor',
     'fixed_ideal_relation_check', 'fixed_ideal_valuation_at', 'forward_decompose', 'fppoly',
     'gln_regression', 'gorenstein', 'gorenstein_at', 'is_irreducible', 'is_pth_power',
     'multiplicity_at', 'normalize_local_model', 'oracle_multiplicity', 'pgroup', 'poly_gcd',
@@ -52,7 +52,7 @@ HOME = {
     "divisors": "Divisor SymbolicPlace pullback",
     "fppoly": "Place Poly RatFun factor is_irreducible is_pth_power poly_gcd valuation",
     "gorenstein": "derive_sign det_M_phi_bruteforce det_M_phi_formula diagonal_coefficients "
-                  "dual_generator gorenstein_at sign_table",
+                  "gorenstein_at sign_table",
     "pgroup": "GElt PGroup Subgroup sigma subgroup_generated",
     "ramification": "DevissageReport FixedIdealReport GlnRegressionReport LocalModel RamReport "
                     "devissage_check fixed_ideal_relation_check fixed_ideal_valuation_at "
@@ -85,7 +85,7 @@ print(json.dumps(wrong))
 
 def test_all_is_the_public_api():
     assert muram.__all__ == ALL
-    assert len(ALL) == 69
+    assert len(ALL) == 68
     assert sorted([*SUBMODULES, *(n for names in HOME.values() for n in names.split())]) == ALL
 
 

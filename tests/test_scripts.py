@@ -158,7 +158,7 @@ def test_path_timings_prints_one_row_per_path():
     rows = [line.split(" | ") for line in paths[2:]]
     assert [row[0] for row in rows] == [
         "| `ramification_divisor` incl. ∞", "| `check_chart_consistency`",
-        "| `gorenstein_places`",
+        "| `check_chart_consistency`, twisted Kummer data", "| `gorenstein_places`",
         "| `to_cocycle` + `gorenstein_places`, finite places",
         "| `validate` + `forward_decompose`, twisted table",
         "| `gorenstein_places`, twisted table after `validate`",

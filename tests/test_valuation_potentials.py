@@ -37,12 +37,14 @@ from muram.errors import (
     ModelRejection,
     NonIntegralCocycle,
     UnsupportedDecomposition,
+    ZeroEntry,
 )
-from muram.fppoly import Place, Poly, RatFun, factor, valuation
+from muram.fppoly import Place, Poly, RatFun, factor, is_irreducible, valuation
 from muram.gorenstein import gorenstein_at
 from muram.pgroup import PGroup, sigma
 from muram.randgen import (
     _distance_exponents,
+    random_column,
     random_integral_twist,
     random_irreducible,
     random_nonzero_poly,
@@ -679,3 +681,95 @@ def test_non_integral_twists_raise_when_the_table_is_built():
         else:
             assert got == expected
     assert raised >= 10
+
+
+
+# integrality is decided from potentials ---------------------------------------
+
+def entry_scan(kd):
+    """The reference: every entry formed in row order, the first refusal raised."""
+    elements = list(kd.group.elements())
+    for m in elements:
+        for n in elements:
+            kd.entry(m, n)
+
+
+def refusal(fn, *args):
+    """(exception class, message) of what fn raises, or None."""
+    got = outcome(fn, *args)
+    return got if isinstance(got, tuple) else None
+
+
+def column_form(group, column):
+    return covering._ColumnForm(group, *covering._column_betas(column))
+
+
+def kummer_and_column_data():
+    """Seeded Kummer data over every shape (untwisted, integrally and
+    rationally twisted, and with zero twist values), the column forms of
+    random columns, and z^4 = x + 1 over F_2 twisted by the irreducible
+    g = x^64 + x^4 + x^3 + x + 1, once integrally (b = g, g^2, g) and once
+    not (b(2) = g)."""
+    rng = random.Random(17)
+    data = [kd for kd, _ in seeded_tables(18, 72)]
+    for kd in data[1::5]:
+        # two zeros where there is room, the later element first in the dict
+        nonzero = list(kd.group.elements())[1:]
+        zeros = sorted(rng.sample(nonzero, min(2, len(nonzero))), key=lambda m: m.residues)
+        twist = {m: RatFun.zero(kd.group.p) for m in reversed(zeros)}
+        data.append(KummerData(kd.group, kd.factors, {**twist, **(kd.twist or {}), **twist}))
+    for p, n in [(2, 2), (3, 1), (2, 3), (3, 2), (5, 1)]:
+        group = PGroup(p, (n,))
+        data += [column_form(group, random_column(rng, p, n)) for _ in range(6)]
+    group = PGroup(2, (2,))
+    g = RatFun.from_poly(Poly(2, [1, 1, 0, 1, 1] + [0] * 59 + [1]))
+    assert is_irreducible(g.num)
+    f = (Poly(2, [1, 1]),)
+    data.append(KummerData(group, f, {group.elt(1): g, group.elt(2): g * g, group.elt(3): g}))
+    data.append(KummerData(group, f, {group.elt(2): g}))
+    return data
+
+
+def test_check_integral_refuses_like_the_entry_scan():
+    seen = set()
+    for kd in kummer_and_column_data():
+        expected = refusal(entry_scan, kd)
+        assert refusal(kd.check_integral) == expected, kd
+        assert refusal(kd.to_cocycle) == expected, kd
+        seen.add(None if expected is None else expected[0])
+    assert seen == {None, NonIntegralCocycle, ZeroEntry}
+
+
+def test_columns_are_refused_like_the_entry_scan():
+    rng = random.Random(19)
+    refused = 0
+    for p, n in [(2, 2), (3, 1), (2, 3), (3, 2), (5, 1)]:
+        group = PGroup(p, (n,))
+        for column in [random_column(rng, p, n) for _ in range(8)]:
+            form = column_form(group, column)
+            expected = refusal(entry_scan, form)
+            got = outcome(covering.cocycle_from_column, group, column)
+            if expected is None:
+                assert entries_of(got) == entries_of(eager_table(form))
+            else:
+                refused += 1
+                assert got == expected
+    assert refused >= 10
+
+
+def test_twisted_tables_form_no_entry_when_built(monkeypatch):
+    data = [kd for kd in kummer_and_column_data() if kd.twist]
+    expected = [refusal(entry_scan, kd) for kd in data]
+    calls = count_kummer_entries(monkeypatch)
+    built = refused = 0
+    for kd, refused_with in zip(data, expected):
+        calls.clear()
+        assert refusal(kd.to_cocycle) == refused_with
+        if refused_with is None:
+            built += 1
+            assert calls == []
+        elif refused_with[0] is NonIntegralCocycle:
+            refused += 1
+            [(m, n)] = calls
+            assert refused_with[1].startswith(f"entry ({m},{n}) = ")
+    assert built >= 20 and refused >= 20
