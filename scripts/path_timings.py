@@ -13,7 +13,9 @@ degree raised by deg b(m) so that the chart at infinity is integral
 too, and, on its dense table read as a raw table, validate plus
 forward_decompose, and gorenstein_places at the finite places of its
 divisor once validate has decided it (its chart at infinity under the
-canonical degrees need not be integral).  For
+canonical degrees need not be integral).  The oracle's setup is timed as
+its own layer: build_presentation at (x), and snf_length on those
+columns with no rows, which returns as soon as it has read them.  For
 q = 2^n it also times the oracle at (x)
 on f = x^5 (x^3 + x + 1) over F_2, whose local exponent there is
 c = 5 mod q.  The oracle rows stop at q = 128, the size ROADMAP.md
@@ -47,7 +49,8 @@ from muram.fppoly import Place
 from muram.ramification import normalize_local_model, ramification_divisor
 from muram.randgen import random_integral_twist
 from muram.rh_genus import check_chart_consistency, gorenstein_places
-from muram.snf_oracle import oracle_multiplicity
+from muram.snf_oracle import (
+    PresentationMatrix, build_presentation, oracle_multiplicity, snf_length)
 
 C5_FAMILY = [0, 0, 0, 0, 0, 1, 1, 0, 1]  # x^5 (x^3 + x + 1) over F_2
 ORACLE_MAX_Q = 128
@@ -90,12 +93,17 @@ def timings(q, repeat):
     def kummer(coeffs=(0, 1)):
         return KummerData(PGroup(p, (n,)), (Poly(p, list(coeffs)),))
 
-    def oracle(coeffs):
+    def at_x(run, coeffs=(0, 1), prepare=lambda model: model):
+        """best_of run on prepare(the local model at (x)); None above ORACLE_MAX_Q."""
         if q > ORACLE_MAX_Q:
             return None
-        at_x = Place.finite(Poly.x(p))
-        return best_of(repeat, lambda: normalize_local_model(kummer(coeffs), at_x),
-                       oracle_multiplicity)
+        place = Place.finite(Poly.x(p))
+        return best_of(repeat, lambda: prepare(normalize_local_model(kummer(coeffs), place)), run)
+
+    def columns_only(model):
+        # no rows: snf_length returns right after its setup has read every column
+        pm = build_presentation(model)
+        return PresentationMatrix(rows=(), labels=pm.labels, columns=pm.columns), model
 
     def divisor_places():
         gm = GlobalModel(kummer())
@@ -144,8 +152,11 @@ def timings(q, repeat):
             repeat, lambda: Cocycle.from_entries(group, pairs), raw_table),
         "`gorenstein_places`, twisted table after `validate`": best_of(
             repeat, decided_places, lambda args: list(gorenstein_places(*args))),
-        "`oracle_multiplicity` at (x)": oracle((0, 1)),
-        "oracle at (x), f = x^5(x^3+x+1)": oracle(C5_FAMILY) if p == 2 else None,
+        "`build_presentation` at (x)": at_x(build_presentation),
+        "`snf_length` setup at (x)": at_x(lambda args: snf_length(*args), prepare=columns_only),
+        "`oracle_multiplicity` at (x)": at_x(oracle_multiplicity),
+        "oracle at (x), f = x^5(x^3+x+1)":
+            at_x(oracle_multiplicity, C5_FAMILY) if p == 2 else None,
     }
 
 

@@ -301,6 +301,8 @@ class KummerData(Record):
         parts = {part for b in map(self.twist_at, elements) for part in (b.num, b.den)}
         primes = {irr for part in parts for irr in factor(part)}
         pots = [self.potential(Place._of_irreducible(irr)) for irr in primes]
+        if not pots:  # no prime, no pole
+            return
         for m in elements:
             for n in elements:
                 k = m + n

@@ -33,8 +33,9 @@ every pivot; snf_length refuses any other column.
 Elimination does only the work that can change the answer (details at
 snf_length).  The pivot column is scaled once by minus the pivot's
 inverse, which reassociates (c pivot^{-1}) b as c (pivot^{-1} b); that is
-exact because the table is a symmetric cocycle.  Columns equal to an earlier one,
-which characteristic 2 makes (-e_k = e_k), are dropped before pivoting.
+exact because the table is a symmetric cocycle.  build_presentation
+places entries by residue, with no group arithmetic, and setup reads
+each column once, dropping any equal to an earlier one (-e_k = e_k at p = 2).
 
 algebra_valuation values any element; snf_length never calls it.  The
 basis valuations, which the local model derives from its exponent
@@ -49,9 +50,9 @@ import heapq
 from collections import defaultdict
 
 from ._record import Record
-from .algebra import AlgebraElt, algebra_inverse
+from .algebra import AlgebraElt, _elt, algebra_inverse
 from .errors import CancellationRisk, NotTorsion, ZeroElement
-from .fppoly import Place, valuation
+from .fppoly import Place, RatFun, valuation
 from .ramification import LocalModel
 
 
@@ -73,27 +74,22 @@ class PresentationMatrix(Record):
 
 def build_presentation(model: LocalModel) -> PresentationMatrix:
     group = model.group
+    # a cyclic or trivial group, listed by residue: s != 0 has row s - 1
     elements = list(group.elements())
-    rows = tuple(m for m in elements if not m.is_zero())
-    row_index = {m: i for i, m in enumerate(rows)}
-    labels = tuple((k, l) for k in elements for l in elements)
-    columns: list[dict[int, AlgebraElt]] = []
-    for k in elements:
-        if k.is_zero():
-            columns.extend({} for _ in elements)
-            continue
+    q, one = len(elements), RatFun.one(group.p)
+    minus_one = -one
+    columns: list[dict[int, AlgebraElt]] = [{} for _ in elements]  # k = 0
+    for sk in range(1, q):
         # the k columns share one e_k and one -e_k; rows k+l and l differ
-        e_k = AlgebraElt.basis(group, k)
-        neg_e_k = -e_k
-        for l in elements:
-            col = {}
-            top = row_index.get(k + l)  # None when k + l = 0, which is no row
-            if top is not None:
-                col[top] = e_k
-            if l in row_index:
-                col[row_index[l]] = neg_e_k
+        e_k, neg_e_k = _elt(group, {elements[sk]: one}), _elt(group, {elements[sk]: minus_one})
+        for sl in range(q):
+            top = (sk + sl) % q  # k + l = 0 is no row
+            col = {top - 1: e_k} if top else {}
+            if sl:
+                col[sl - 1] = neg_e_k
             columns.append(col)
-    return PresentationMatrix(rows=rows, labels=labels, columns=columns)
+    labels = tuple((k, l) for k in elements for l in elements)
+    return PresentationMatrix(rows=tuple(elements[1:]), labels=labels, columns=columns)
 
 
 def _basis_valuations(model: LocalModel) -> tuple[int, ...]:
@@ -133,10 +129,13 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     them; anything else raises ValueError.  Elimination keeps columns
     graded (see the module docstring), so every entry of a column has the
     valuation v_A(e_k) of its grade for as long as it lives, and nothing
-    is valued after setup.  Invariant under column permutation,
-    duplication, and unit scaling; additive over block-diagonal
-    presentations.  Raises NotTorsion when rows remain but no nonzero
-    entries are left.
+    is valued after setup, which reads each column once: an entry
+    object's (grade, coefficient) once by id (the matrix keeps it alive),
+    the one grade checked as the entries are read, and the grade with the
+    sorted (row, coefficient) pairs as the column's key.  Invariant under
+    column permutation, duplication, and unit scaling; additive over
+    block-diagonal presentations.  Raises NotTorsion when rows remain but
+    no nonzero entries are left.
 
     The pivot is the first row, in the column's own order, of the first
     live column of minimal valuation; a heap keyed by (valuation, column)
@@ -150,34 +149,33 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     keep their entries, and an entry that cancels is dropped.
     """
     vA = _basis_valuations(model)
-    # live columns by original index, each {row: entry}; each entry object
-    # (alive in matrix, so its id is stable) is read once for its grade and
-    # coefficient, and equal columns have equal sorted (row, (grade,
-    # coefficient)) pairs
+    # live columns by original index, each {row: entry}; (grade,
+    # coefficient) by entry id; the keys of the columns kept
     columns: dict[int, dict[int, AlgebraElt]] = {}
     known: dict[int, tuple[int, int]] = {}
-    seen: set[tuple[tuple[int, tuple[int, int]], ...]] = set()
-    # (valuation, column) of every column kept, and the live columns
-    # meeting each row
+    seen: set[tuple] = set()
+    # (valuation, column) of every column kept; the live columns per row
     heap: list[tuple[int, int]] = []
     meets: defaultdict[int, set[int]] = defaultdict(set)
     for j, col in enumerate(matrix.columns):
         if not col:
             continue
-        cells = []
+        grade, cells = None, []
         for i, entry in col.items():
-            if id(entry) not in known:
-                known[id(entry)] = _unit_multiple(entry)
-            cells.append((i, known[id(entry)]))
-        grades = {s for _, (s, _) in cells}
-        if len(grades) != 1:
-            raise ValueError(f"column {j} mixes {len(grades)} grades")
-        key = tuple(sorted(cells))
+            cell = known.get(id(entry)) or known.setdefault(id(entry), _unit_multiple(entry))
+            if cell[0] != grade:
+                if grade is not None:
+                    grades = {_unit_multiple(e)[0] for e in col.values()}
+                    raise ValueError(f"column {j} mixes {len(grades)} grades")
+                grade = cell[0]
+            cells.append((i, cell[1]))
+        cells.sort()
+        key = (grade, *cells)
         if key in seen:
             continue
         seen.add(key)
         columns[j] = col
-        heap.append((vA[grades.pop()], j))
+        heap.append((vA[grade], j))
         for i in col:
             meets[i].add(j)
     heapq.heapify(heap)

@@ -162,6 +162,7 @@ def test_path_timings_prints_one_row_per_path():
         "| `to_cocycle` + `gorenstein_places`, finite places",
         "| `validate` + `forward_decompose`, twisted table",
         "| `gorenstein_places`, twisted table after `validate`",
+        "| `build_presentation` at (x)", "| `snf_length` setup at (x)",
         "| `oracle_multiplicity` at (x)", "| oracle at (x), f = x^5(x^3+x+1)",
     ]
     assert all(cell.rstrip(" |").endswith(" ms") for row in rows for cell in row[1:])

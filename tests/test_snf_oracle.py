@@ -8,7 +8,7 @@ from muram.algebra import AlgebraElt, algebra_inverse
 from muram.covering import KummerData
 from muram.errors import CancellationRisk, NotTorsion
 from muram.fppoly import Place, Poly, RatFun
-from muram.pgroup import PGroup
+from muram.pgroup import GElt, PGroup
 from muram.ramification import multiplicity_at, normalize_local_model, ramification_divisor
 from muram.randgen import random_normal_cyclic_kummer
 from muram.snf_oracle import (
@@ -65,6 +65,62 @@ def test_presentation_column_entries_z3():
     assert col[row_of[g.elt(2)]] == e1
     assert col[row_of[g.elt(1)]] == -e1
     assert all(len(c) <= 2 for c in pm.columns)
+
+
+def reference_presentation(model):
+    """The presentation built with group arithmetic: k + l summed as GElts
+    and rows looked up by element."""
+    group = model.group
+    elements = list(group.elements())
+    rows = tuple(m for m in elements if not m.is_zero())
+    row_index = {m: i for i, m in enumerate(rows)}
+    labels = tuple((k, l) for k in elements for l in elements)
+    columns = []
+    for k in elements:
+        if k.is_zero():
+            columns.extend({} for _ in elements)
+            continue
+        e_k = AlgebraElt.basis(group, k)
+        neg_e_k = -e_k
+        for l in elements:
+            col = {}
+            top = row_index.get(k + l)
+            if top is not None:
+                col[top] = e_k
+            if l in row_index:
+                col[row_index[l]] = neg_e_k
+            columns.append(col)
+    return PresentationMatrix(rows=rows, labels=labels, columns=columns)
+
+
+PN_UP_TO_64 = [(p, n) for p in range(2, 65) if all(p % d for d in range(2, p))
+               for n in range(1, 7) if p ** n <= 64]
+
+
+@pytest.mark.parametrize("p,n", [(2, 0)] + PN_UP_TO_64)
+def test_presentation_by_residue_matches_group_arithmetic(p, n):
+    from muram.ramification import LocalModel
+
+    lm = LocalModel(p=p, n=n, place=Place.finite(Poly.x(p)), pi=Poly.x(p),
+                    f_red=Poly.one(p), c=min(n, 1))
+    pm, ref = build_presentation(lm), reference_presentation(lm)
+    assert pm.rows == ref.rows and pm.labels == ref.labels
+    assert len(pm.columns) == len(ref.columns) == p ** (2 * n)
+    for col, ref_col in zip(pm.columns, ref.columns):
+        # the same rows in the same order, and equal entries
+        assert list(col.items()) == list(ref_col.items())
+
+
+def test_presentation_makes_no_group_sums(monkeypatch):
+    models = [model(p, n, [0, 1]) for p, n in [(2, 3), (3, 2), (5, 1)]]
+    adds = []
+    add = GElt.__add__
+    monkeypatch.setattr(GElt, "__add__", lambda m, n: adds.append(1) or add(m, n))
+    for lm in models:
+        assert build_presentation(lm).shape == (lm.q - 1, lm.q ** 2)
+    assert adds == []
+    reference_presentation(models[0])
+    assert len(adds) == 7 * 8  # the spy sees the reference's sums, k != 0
 
 
 # algebra valuations ---------------------------------------------------------

@@ -740,6 +740,30 @@ def test_check_integral_refuses_like_the_entry_scan():
     assert seen == {None, NonIntegralCocycle, ZeroEntry}
 
 
+def test_check_integral_scans_no_pair_when_the_twist_has_no_prime(monkeypatch):
+    # every twist value a nonzero constant: no prime, so no pole and no
+    # pair to check, where the pair scan would add q^2 elements; a zero
+    # value is still refused at the first such element
+    adds = []
+    add = pgroup.GElt.__add__
+    monkeypatch.setattr(pgroup.GElt, "__add__", lambda m, n: adds.append(1) or add(m, n))
+    for p, n in [(2, 3), (3, 2), (5, 1), (7, 2)]:
+        group = PGroup(p, (n,))
+        consts = {m: RatFun.from_poly(Poly.const(p, 1 + m.residues[0] % (p - 1)))
+                  for m in group.elements() if not m.is_zero()}
+        kd = KummerData(group, (Poly.x(p),), consts)
+        kd.check_integral()
+        assert adds == []
+        # b(m) = c(m) (x + 1) for m != 0: integral, with one prime to scan at
+        line = RatFun.from_poly(Poly(p, [1, 1]))
+        KummerData(group, (Poly.x(p),), {m: b * line for m, b in consts.items()}).check_integral()
+        assert len(adds) == group.order ** 2
+        adds.clear()
+        zeros = {**consts, group.elt(3): RatFun.zero(p), group.elt(2): RatFun.zero(p)}
+        assert refusal(KummerData(group, (Poly.x(p),), zeros).check_integral) == (
+            ZeroEntry, "twist is zero at 2")
+
+
 def test_columns_are_refused_like_the_entry_scan():
     rng = random.Random(19)
     refused = 0
