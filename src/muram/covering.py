@@ -490,7 +490,9 @@ class InfinityChart:
     table's valuation at infinity.
     """
 
-    def __init__(self, table, degrees: dict):
+    def __init__(self, table, degrees: dict | None):
+        if degrees is None:
+            raise ValueError("non-cyclic raw tables need explicit chart degrees at infinity")
         self.table = table
         self.group = group = table.group
         for m in group.elements():

@@ -70,12 +70,6 @@ class Divisor:
             out[v] = out.get(v, 0) + m
         return Divisor(out)
 
-    def __neg__(self):
-        return Divisor({v: -m for v, m in self._items})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         return isinstance(other, Divisor) and self._items == other._items
 

@@ -81,7 +81,7 @@ class LocalModel(FrozenRecord):
     v_pi = c in [0, p^n), and c decides the rest: the rescaling
     t(s) = floor(s c / p^n) and the basis valuations vA(s) = s c - p^n t(s),
     indexed by the canonical representative s(m).  Every model is built
-    and certified by _normalize_finite.
+    and certified by _normalize.
     """
 
     _fields = ("p", "n", "place", "pi", "f_red", "c")
@@ -169,17 +169,14 @@ def _reject_pth_power(f: Poly) -> None:
 
 
 def _normalize(p: int, n: int, f: Poly, v: Place) -> LocalModel:
+    """Local model of z^{p^n} = f at v, the one place a LocalModel is
+    built; at infinity f is carried to the u-chart equation and the model
+    works at u = 0.  _local_exponent certifies it: a c prime to p is a
+    unit mod p^n, so s c mod p^n hits every residue."""
     _reject_pth_power(f)
-    if v.is_infinity:
-        f = infinity_chart_equation(f, p ** n)
-    return _normalize_finite(p, n, f, v)
-
-
-def _normalize_finite(p: int, n: int, f: Poly, v: Place) -> LocalModel:
-    """Local model of z^{p^n} = f at v; at infinity f is the u-chart
-    equation and the model works at u = 0.  _local_exponent certifies it:
-    a c prime to p is a unit mod p^n, so s c mod p^n hits every residue."""
     q = p ** n
+    if v.is_infinity:
+        f = infinity_chart_equation(f, q)
     at = Place._of_irreducible(Poly.x(p)) if v.is_infinity else v
     pi = at.poly
     c0 = poly_valuation(f, at)
@@ -234,7 +231,7 @@ def untwisted_local_model(kd: KummerData, v: Place) -> LocalModel:
         raise UnsupportedGroup("untwisted models are for finite places; transport the chart first")
     if poly_valuation(f, v) != 1:
         raise NonNormalModel("value semigroup misses a residue class")
-    return normalize_local_model(kd, v)
+    return _normalize(kd.group.p, kd.group.exponents[0], f, v)
 
 
 def fixed_ideal_valuation_at(model: LocalModel) -> int:
@@ -379,7 +376,7 @@ def _certified_stabilizer(group: PGroup, exponents: tuple[int, ...]) -> Subgroup
 
 
 def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=None):
-    """The ramification divisor with one report per touched place.
+    """The ramification divisor and one report per touched place, in Place.sort_key order.
 
     ``cov`` is a Cocycle or KummerData.  Cyclic and per-factor data is
     certified via local models (normalized semantics); raw non-cyclic
@@ -390,29 +387,25 @@ def ramification_divisor(cov, include_infinity: bool = False, infinity_degrees=N
     if kd is not None:
         return _kummer_divisor(kd, _kummer_exponents(kd, include_infinity))
     places = support_places(cov)
+    at_infinity = {}  # refused before the finite places, reported after them
     if include_infinity:
-        if infinity_degrees is None:
-            raise ValueError("non-cyclic raw tables need explicit chart degrees at infinity")
         chart = InfinityChart(cov, infinity_degrees)
         chart.check_integral()
-        places.insert(0, Place.infinity(cov.group.p))
-    reports = [
-        RamReport(v, stabilizer_subgroup_at(chart, chart.u_place) if v.is_infinity
-                  else stabilizer_subgroup_at(cov, v))
-        for v in places
-    ]
-    reports.sort(key=lambda r: r.place.sort_key())
-    return _divisor_of(reports), reports
+        at_infinity[Place.infinity(cov.group.p)] = stabilizer_subgroup_at(chart, chart.u_place)
+    return _divisor_and_reports({v: stabilizer_subgroup_at(cov, v) for v in places} | at_infinity)
 
 
 def _kummer_divisor(kd: KummerData, exponents: dict) -> tuple[Divisor, list[RamReport]]:
     """Divisor and reports of Kummer data from _kummer_exponents."""
-    reports = [RamReport(v, _certified_stabilizer(kd.group, c)) for v, c in exponents.items()]
-    return _divisor_of(reports), reports
+    group = kd.group
+    return _divisor_and_reports({v: _certified_stabilizer(group, c) for v, c in exponents.items()})
 
 
-def _divisor_of(reports: list[RamReport]) -> Divisor:
-    return Divisor({r.place: r.multiplicity for r in reports if r.multiplicity})
+def _divisor_and_reports(stabilizers: dict) -> tuple[Divisor, list[RamReport]]:
+    """The divisor and the reports of ``stabilizers`` (place -> stabilizer),
+    in its order; the one place a RamReport is built."""
+    reports = [RamReport(v, s) for v, s in stabilizers.items()]
+    return Divisor({r.place: r.multiplicity for r in reports if r.multiplicity}), reports
 
 
 # ---------------------------------------------------------------------------

@@ -83,16 +83,12 @@ class GlobalModel(Record):
         """kummer_form of the covering: None for a raw product table."""
         return kummer_form(self.covering)
 
-    def chart_degrees(self) -> dict:
-        if self.infinity_degrees is not None:
-            return self.infinity_degrees
-        kd = self.kummer
-        if kd is None:
-            raise ValueError("non-cyclic raw tables need explicit chart degrees at infinity")
-        return canonical_infinity_degrees(kd)
-
     def infinity_chart(self) -> InfinityChart:
-        return InfinityChart(self.covering, self.chart_degrees())
+        """At the given chart degrees, else the canonical ones of the Kummer form."""
+        degrees = self.infinity_degrees
+        if degrees is None and self.kummer is not None:
+            degrees = canonical_infinity_degrees(self.kummer)
+        return InfinityChart(self.covering, degrees)
 
     def ramification_divisor(self, include_infinity: bool = True):
         """ramification_divisor of the Kummer form, or of a raw product table."""

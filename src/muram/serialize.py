@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .covering import Cocycle, KummerData
-from .divisors import Divisor, SymbolicPlace
+from .divisors import Divisor
 from .fppoly import Poly, RatFun
 from .pgroup import GElt, PGroup
 
@@ -40,8 +40,6 @@ def poly_to_obj(f: Poly) -> dict:
 
 
 def place_to_obj(v) -> dict:
-    if isinstance(v, SymbolicPlace):
-        return {"kind": "symbolic", "name": v.name, "degree": v.degree_value}
     if v.is_infinity:
         return {"kind": "infinity"}
     return {"kind": "finite", "poly": poly_to_obj(v.poly)}

@@ -19,6 +19,7 @@ from muram.covering import (
     validate,
 )
 from muram.errors import (
+    CharMismatch,
     NonIntegralCocycle,
     UnsupportedDecomposition,
     ZeroEntry,
@@ -72,6 +73,30 @@ def test_from_column_zero_entry():
     g = PGroup(2, (1,))
     with pytest.raises(ZeroEntry):
         cocycle_from_column(g, [Poly.zero(2)])
+    with pytest.raises(ValueError, match=r"^column must have 3 entries, got 1$"):
+        cocycle_from_column(PGroup(2, (2,)), [Poly.one(2)])
+
+
+Z2 = PGroup(2, (1,))
+ONE_ONE = (Z2.elt(1), Z2.elt(1))
+
+
+@pytest.mark.parametrize("build,refusal,message", [
+    (lambda: Cocycle(Z2, {ONE_ONE: Poly.x(3)}), CharMismatch, "entry (1,1) has characteristic 3"),
+    (lambda: Cocycle(Z2, {ONE_ONE: Poly.zero(2)}), ZeroEntry, "entry (1,1) is zero"),
+    (lambda: KummerData(Z2, ()), ValueError,
+     "need one chart equation per invariant factor (1), got 0"),
+    (lambda: KummerData(Z2, (Poly.zero(2),)), ZeroEntry, "chart equation is zero"),
+    (lambda: KummerData(Z2, (Poly.x(3),)), CharMismatch,
+     "chart equation characteristic differs from the group's"),
+    (lambda: KummerData(Z2, (Poly.x(2),), {Z2.zero(): Poly.x(2)}), ValueError,
+     "twist must send 0 to 1"),
+], ids=["cocycle-char", "cocycle-zero", "kummer-count", "kummer-zero", "kummer-char",
+        "kummer-twist-at-0"])
+def test_constructors_refuse_malformed_data(build, refusal, message):
+    with pytest.raises(refusal) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 def test_from_column_needs_cyclic():
@@ -156,6 +181,10 @@ def test_twist_examples():
     assert twist(lin, {g.elt(1): RatFun.one(2)}) == lin
     with pytest.raises(NonIntegralCocycle):
         twist(lin, {g.elt(1): RatFun(Poly.one(2), x)})
+    with pytest.raises(ValueError, match=r"^twist must send 0 to 1$"):
+        twist(lin, {g.zero(): RatFun.from_poly(x)})
+    with pytest.raises(ZeroEntry, match=r"^twist is zero at 1$"):
+        twist(lin, {g.elt(1): RatFun.zero(2)})
 
 
 def test_twist_outputs_validate():
@@ -327,6 +356,14 @@ def test_infinity_chart_view_rejects_like_dense_chart():
         view.check_integral()
     with pytest.raises(ValueError, match="no chart degree given for 1"):
         InfinityChart(cube, {})
+
+
+def test_infinity_chart_refuses_missing_degrees():
+    cube = KummerData(PGroup(2, (1,)), (Poly.x(2) ** 3,))
+    for table in (cube, cube.to_cocycle()):
+        with pytest.raises(ValueError) as raised:
+            InfinityChart(table, None)
+        assert str(raised.value) == "non-cyclic raw tables need explicit chart degrees at infinity"
 
 
 def _scan_validate(c):

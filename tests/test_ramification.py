@@ -2,15 +2,18 @@ import random
 
 import pytest
 
-from muram.covering import Cocycle, KummerData
+from muram.covering import Cocycle, KummerData, canonical_infinity_degrees
 from muram.divisors import Divisor
 from muram.errors import (
+    NonIntegralCocycle,
     NonIntegralModel,
     NonNormalModel,
+    NotASubgroup,
     NotTotallyRamified,
+    UnsupportedGroup,
     UnsupportedPartialRamification,
 )
-from muram.fppoly import Place, Poly, RatFun, factor, poly_valuation
+from muram.fppoly import Place, Poly, RatFun, factor, is_pth_power, poly_valuation
 from muram.pgroup import PGroup
 from muram.ramification import (
     devissage_check,
@@ -84,6 +87,51 @@ def test_untwisted_model_is_normal_exactly_at_exponent_one():
                     with pytest.raises(NonNormalModel):
                         untwisted_local_model(kd, v)
     assert seen == {True, False}
+
+
+def test_untwisted_model_refuses_in_its_own_order():
+    # v(f) = 1 gives the normalized model; otherwise the p-th power check
+    # comes first, then infinity, then the exponent, and other groups are
+    # refused as having no local models
+    checked, seen = 0, set()
+    for p, n in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]:
+        rng = random.Random(7 * p + n)
+        kds = [random_normal_cyclic_kummer(rng, p, n) for _ in range(4)]
+        x_x1 = Poly.x(p) * Poly(p, [1, 1])
+        kds += [cyclic(p, n, Poly.x(p) ** p * Poly(p, [1, 1])), cyclic(p, n, x_x1 ** p)]
+        for kd in kds:
+            (f,) = kd.factors
+            places = {Place.finite(irr) for irr in factor(f)}
+            places |= {Place.finite(Poly(p, [a, 1])) for a in range(p)}
+            for v in sorted(places, key=Place.sort_key) + [Place.infinity(p)]:
+                if not v.is_infinity and poly_valuation(f, v) == 1:
+                    assert untwisted_local_model(kd, v) == normalize_local_model(kd, v)
+                    checked += 1
+                    seen.add(None)
+                    continue
+                if is_pth_power(f):
+                    refusal = NonIntegralModel(
+                        f"chart equation {f} is a p-th power; the covering is not integral")
+                elif v.is_infinity:
+                    refusal = UnsupportedGroup(
+                        "untwisted models are for finite places; transport the chart first")
+                else:
+                    refusal = NonNormalModel("value semigroup misses a residue class")
+                with pytest.raises(type(refusal)) as raised:
+                    untwisted_local_model(kd, v)
+                assert str(raised.value) == str(refusal), (f, v)
+                checked += 1
+                seen.add(type(refusal))
+    assert checked >= 100 and seen == {NonIntegralModel, UnsupportedGroup, NonNormalModel, None}
+    for group, message in [
+        (PGroup(2, ()), "the trivial group has no cyclic factor Z/p^n with n >= 1, "
+                        "so it has no local models"),
+        (PGroup(2, (1, 1)), "local models are cyclic-only; split product data per factor"),
+    ]:
+        kd = KummerData(group, (X2,) * group.rank)
+        with pytest.raises(UnsupportedGroup) as raised:
+            untwisted_local_model(kd, AT_X2)
+        assert str(raised.value) == message
 
 
 def test_canonical_reject_derivative():
@@ -307,6 +355,46 @@ def test_divisor_support_contained_in_pairing_support():
     for cov in (kp, kp.to_cocycle()):
         d, _ = ramification_divisor(cov)
         assert set(d.support) <= set(support_places(kp.to_cocycle()))
+
+
+def test_raw_product_reports_list_finite_places_in_order_and_infinity_last():
+    x1 = Poly(2, [1, 1])
+    x2x1 = Poly(2, [1, 1, 1])
+    kd = KummerData(PGroup(2, (1, 1)), (x2x1 * x1, X2))
+    raw = kd.to_cocycle()
+    d, reports = ramification_divisor(raw, True, canonical_infinity_degrees(kd))
+    places = [r.place for r in reports]
+    assert places == [AT_X2, Place.finite(x1), Place.finite(x2x1), Place.infinity(2)]
+    assert places[:-1] == sorted(places[:-1], key=Place.sort_key)
+    assert [r.multiplicity for r in reports] == [1, 1, 1, 3]
+    assert d == Divisor({v: r.multiplicity for v, r in zip(places, reports)})
+
+
+# Z/2 x Z/2 over F_2 with a = (0,1), b = (1,0), c = (1,1): alpha(a,a) =
+# x^2+x+1, alpha(b,b) = x(x+1), alpha(c,c) = x+1 and every other entry 1.
+# The unit indices are {0, a, b} at infinity (chart degrees 1) and
+# {0, a, c} at (x): neither is a subgroup.
+V4 = PGroup(2, (1, 1))
+A, B, C = V4.elt((0, 1)), V4.elt((1, 0)), V4.elt((1, 1))
+TWICE_REFUSED = Cocycle.from_entries(V4, {
+    (A, A): Poly(2, [1, 1, 1]), (B, B): Poly(2, [0, 1, 1]), (C, C): Poly(2, [1, 1]),
+    **{(m, k): Poly.one(2) for m in (A, B, C) for k in (A, B, C) if m != k},
+})
+
+
+def test_raw_product_refusal_at_infinity_comes_before_the_finite_places():
+    with pytest.raises(NotASubgroup, match=r"^unit indices \(0,1\), \(1,1\) with non-unit sum"):
+        ramification_divisor(TWICE_REFUSED)
+    with pytest.raises(NotASubgroup, match=r"^unit indices \(0,1\), \(1,0\) with non-unit sum"):
+        ramification_divisor(TWICE_REFUSED, True, {A: 1, B: 1, C: 1})
+
+
+def test_raw_product_chart_refusal_comes_before_the_stabilizers():
+    # degrees 0 are too small at infinity, and (x) is refused as above
+    with pytest.raises(NonIntegralCocycle, match=r"^entry \(\(0,1\),\(0,1\)\) needs u-exponent -2;"):
+        ramification_divisor(TWICE_REFUSED, True, {A: 0, B: 0, C: 0})
+    with pytest.raises(ValueError, match="^no chart degree given for "):
+        ramification_divisor(TWICE_REFUSED, True, {A: 1})
 
 
 # devissage ------------------------------------------------------------------

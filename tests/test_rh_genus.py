@@ -5,9 +5,9 @@ import pytest
 
 from muram.algebra import AlgebraElt, solve_linear
 from muram.cli import main
-from muram.covering import KummerData
+from muram.covering import Cocycle, KummerData, canonical_infinity_degrees
 from muram.divisors import Divisor
-from muram.errors import HypothesisFailure
+from muram.errors import HypothesisFailure, UnsupportedDecomposition
 from muram.fppoly import Place, Poly, RatFun
 from muram.pgroup import PGroup
 from muram.randgen import random_integral_twist, random_normal_cyclic_kummer
@@ -171,6 +171,25 @@ def test_rank_two_gradings_are_never_normal(tmp_path, capsys):
 def test_chart_consistency_checked():
     gm = GlobalModel(cyclic(3, 2, X3 * X3 * Poly(3, [1, 1])))
     check_chart_consistency(gm)
+
+
+def test_infinity_chart_degrees_are_given_else_canonical():
+    kd = cyclic(3, 2, X3 * X3 * Poly(3, [1, 1]))
+    degrees = {m: 2 * d for m, d in canonical_infinity_degrees(kd).items()}
+    for cov in (kd, kd.to_cocycle()):
+        assert GlobalModel(cov).infinity_chart()._d == canonical_infinity_degrees(kd)
+        assert GlobalModel(cov, degrees).infinity_chart()._d == degrees
+    # a raw cyclic table that does not decompose gets its chart at given degrees
+    g = PGroup(3, (1,))
+    one, two = g.elt(1), g.elt(2)
+    odd = Cocycle.from_entries(g, {(one, one): X3, (one, two): Poly.one(3), (two, two): X3})
+    assert GlobalModel(odd, {one: 1, two: 1}).infinity_chart().u_exponent(one, two) == 2
+    with pytest.raises(UnsupportedDecomposition):
+        GlobalModel(odd).infinity_chart()
+    product = KummerData(PGroup(2, (1, 1)), (X2, Poly(2, [1, 1]))).to_cocycle()
+    with pytest.raises(ValueError) as raised:
+        GlobalModel(product).infinity_chart()
+    assert str(raised.value) == "non-cyclic raw tables need explicit chart degrees at infinity"
 
 
 # (model, detail of its one "charts" failure); `muram genus` prints the
