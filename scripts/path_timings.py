@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Best-of-N wall times of the main paths on z^q = x over F_p.
 
-For each q = p^n in --q, on a model built afresh for every run, it times
+For each q = p^n in --q it times factor on x^(q+1) (x+1)^(2q+1), whose
+multiplicities grow with q, and, on a model built afresh for every run,
 ramification_divisor(include_infinity=True), the two hypothesis checks
 of predict_genus that the divisor does not make (check_chart_consistency,
 and gorenstein_places at the places of the divisor), the Gorenstein rows
@@ -45,7 +46,7 @@ import time
 
 from muram import GlobalModel, KummerData, PGroup, Poly
 from muram.covering import Cocycle, canonical_infinity_degrees, forward_decompose, validate
-from muram.fppoly import Place
+from muram.fppoly import Place, factor
 from muram.ramification import normalize_local_model, ramification_divisor
 from muram.randgen import random_integral_twist
 from muram.rh_genus import check_chart_consistency, gorenstein_places
@@ -136,7 +137,9 @@ def timings(q, repeat):
     twisted = KummerData(group, (Poly.x(p),), random_integral_twist(random.Random(q), group))
     pairs = {(m, k): a for m, k, a in twisted.to_cocycle().pairs()}
 
+    high_powers = Poly.x(p) ** (q + 1) * Poly(p, [1, 1]) ** (2 * q + 1)
     return {
+        "`factor`, x^(q+1)(x+1)^(2q+1)": best_of(repeat, lambda: high_powers, factor),
         "`ramification_divisor` incl. ∞": best_of(
             repeat, kummer, lambda kd: ramification_divisor(kd, include_infinity=True)),
         "`check_chart_consistency`": best_of(

@@ -291,22 +291,35 @@ class KummerData(Record):
     def check_integral(self) -> None:
         """Raise what forming every entry in row order would, forming only
         the first refused one.  A zero twist value is refused at the first
-        such element, as the row of 0 would.  Poles lie only at primes of
-        twist numerators and denominators, each factored once; the first
-        pair with P(m) + P(n) < P(m+n) at one of them has one, and
-        entry(m, n) raises."""
+        such element, as the row of 0 would.  A pair (m, n) can have a pole
+        only at a prime of b(m), b(n) or b(m+n), and none when m or n is 0
+        (b(0) = 1), so the scan factors a twist value's numerator and
+        denominator when it first needs them, each distinct part once; the
+        first pair with P(m) + P(n) < P(m+n) at one of those primes has a
+        pole, and entry(m, n) raises."""
         if not self.twist:
             return
         elements = list(self.group.elements())
-        parts = {part for b in map(self.twist_at, elements) for part in (b.num, b.den)}
-        primes = {irr for part in parts for irr in factor(part)}
-        pots = [self.potential(Place._of_irreducible(irr)) for irr in primes]
-        if not pots:  # no prime, no pole
-            return
-        for m in elements:
-            for n in elements:
+        values = {m: self.twist_at(m) for m in elements}
+        if all(b.num.is_constant() and b.den.is_constant() for b in values.values()):
+            return  # no prime, no pole
+        at_part, at_element = {}, {}  # the potentials at the primes of each
+
+        def pots(m):
+            if m not in at_element:
+                b = values[m]
+                for part in (b.num, b.den):
+                    if part not in at_part:
+                        at_part[part] = [self.potential(Place._of_irreducible(irr))
+                                         for irr in factor(part)]
+                at_element[m] = at_part[b.num] + at_part[b.den]
+            return at_element[m]
+
+        for i, m in enumerate(elements):
+            for j, n in enumerate(elements):
                 k = m + n
-                if any(pot[m] + pot[n] < pot[k] for pot in pots):
+                if i and j and any(pot[m] + pot[n] < pot[k]
+                                   for pot in pots(m) + pots(n) + pots(k)):
                     self.entry(m, n)
 
     def to_cocycle(self) -> Cocycle:
@@ -492,7 +505,14 @@ class InfinityChart:
 
     def __init__(self, table, degrees: dict | None):
         if degrees is None:
-            raise ValueError("non-cyclic raw tables need explicit chart degrees at infinity")
+            raise ValueError(
+                "Kummer data needs chart degrees at infinity; "
+                "canonical_infinity_degrees(kd) gives the default ones"
+                if isinstance(table, KummerData) else
+                "non-cyclic raw tables need explicit chart degrees at infinity"
+                if table.group.rank > 1 else
+                "cyclic raw tables need chart degrees at infinity; "
+                "canonical_infinity_degrees(kummer_form(table)) gives the default ones")
         self.table = table
         self.group = group = table.group
         for m in group.elements():

@@ -330,30 +330,31 @@ def is_pth_power(f: Poly) -> bool:
 # factorization ---------------------------------------------------------
 
 def _squarefree_decomposition(f: Poly) -> dict[Poly, int]:
-    """f monic, non-constant -> {monic squarefree part: multiplicity}."""
+    """f monic, non-constant -> {monic squarefree part: multiplicity}.
+
+    Musser's loop on coefficient tuples, one p-th root level at a time:
+    at step i, w is the product of the primes of multiplicity >= i prime
+    to p.  While w divides c no part has multiplicity i, so c is divided
+    by w without a gcd: one gcd per distinct multiplicity.
+    """
     p = f.p
     out: dict[Poly, int] = {}
-    df = f.derivative()
-    if df.is_zero():
-        for g, m in _squarefree_decomposition(f.pth_root()).items():
-            out[g] = out.get(g, 0) + m * p
-        return out
-    c = poly_gcd(f, df)
-    if c.is_one():
-        return {f: 1}
-    w = f // c
-    i = 1
-    while w.degree() > 0:
-        y = poly_gcd(w, c)
-        z = w // y
-        if z.degree() > 0:
-            out[z] = out.get(z, 0) + i
-        w = y
-        c = c // y
-        i += 1
-    if c.degree() > 0:
-        for g, m in _squarefree_decomposition(c.pth_root()).items():
-            out[g] = out.get(g, 0) + m * p
+    a, scale = f.coeffs, 1
+    while len(a) > 1:
+        da = _trimmed([k * x % p for k, x in enumerate(a)][1:])
+        c = _gcd_coeffs(a, da, p) if da else a
+        w = _divmod_coeffs(a, c, p)[0]
+        i = scale
+        while len(w) > 1:
+            c_over_w, r = _divmod_coeffs(c, w, p)
+            if r:  # some part has multiplicity i: gcd(w, c) = gcd(w, c mod w)
+                y = _gcd_coeffs(w, r, p)
+                z = _poly(p, _divmod_coeffs(w, y, p)[0])
+                out[z] = i
+                w, c_over_w = y, _divmod_coeffs(c, y, p)[0]
+            c = c_over_w
+            i += scale
+        a, scale = c[::p], scale * p
     return out
 
 

@@ -61,9 +61,10 @@ from .fppoly import (
     Place,
     Poly,
     _check_prime,
+    _divmod_coeffs,
+    _gcd_coeffs,
+    _poly,
     factor,
-    is_pth_power,
-    poly_gcd,
     poly_valuation,
 )
 from .pgroup import MAX_ORDER, GElt, PGroup, Subgroup
@@ -163,9 +164,11 @@ def normalize_local_model(kd: KummerData, v: Place) -> LocalModel:
     return _normalize(p, n, f, v)
 
 
-def _reject_pth_power(f: Poly) -> None:
-    if is_pth_power(f):
+def _reject_pth_power(f: Poly) -> Poly:
+    """f', once f is refused if f' = 0 (f is then a p-th power)."""
+    if not (df := f.derivative()):
         raise NonIntegralModel(f"chart equation {f} is a p-th power; the covering is not integral")
+    return df
 
 
 def _normalize(p: int, n: int, f: Poly, v: Place) -> LocalModel:
@@ -305,26 +308,23 @@ def _off_support_normality_sweep(p: int, n: int, f: Poly) -> dict[Poly, int]:
     - a prime of f whose multiplicity p^n divides gets the unit-part
       derivative test (such a pi always divides f');
     - f is a unit at every prime of f' that f does not share, and each
-      of those is singular, so f' is stripped of the primes of f by gcds
-      and factored only when something is left.
+      of those is singular, so f' (formed once) is stripped of the primes
+      of f by tuple gcds and factored only when something is left.
     The least singular place in Place.sort_key order is the one named.
     Without this sweep a cuspidal model (e.g. z^2 = 1 + x^3 over x = 0)
     would sail through with a wrong divisor.
     """
-    _reject_pth_power(f)
+    g = _reject_pth_power(f).coeffs
     q = p ** n
     factors = factor(f)
-    singular = [
-        irr for irr, m in factors.items()
-        if m % q == 0 and not (f // irr ** m).derivative() % irr
-    ]
-    g = f.derivative()
-    h = poly_gcd(g, f)
-    while h.degree() > 0:
-        g = g // h
-        h = poly_gcd(g, h)
-    if g.degree() > 0:
-        singular.extend(factor(g))
+    singular = [irr for irr, m in factors.items()
+                if m % q == 0 and not (f // irr ** m).derivative() % irr]
+    h = _gcd_coeffs(g, f.coeffs, p)
+    while len(h) > 1:
+        g = _divmod_coeffs(g, h, p)[0]
+        h = _gcd_coeffs(g, h, p)
+    if len(g) > 1:
+        singular.extend(factor(_poly(p, g)))
     if singular:
         raise _singular_at(min(map(Place._of_irreducible, singular), key=Place.sort_key))
     return factors

@@ -24,6 +24,7 @@ from muram.fppoly import (
     Place,
     Poly,
     _equal_degree_split,
+    _squarefree_decomposition,
     factor,
     poly_gcd,
     poly_valuation,
@@ -368,3 +369,89 @@ def test_divisor_factors_each_chart_equation_once_and_builds_no_model(monkeypatc
     with pytest.raises(NonNormalModel, match=r"vanishes at \(x\);"):
         normalize_local_model(KummerData(PGroup(3, (1,)), (x ** 4 + Poly.one(3),)),
                               Place.finite(x))
+
+
+# high multiplicities ----------------------------------------------------------
+
+
+def count_gcds(monkeypatch):
+    """Calls of the one Euclid kernel, from fppoly and from the sweep."""
+    from muram import fppoly
+
+    calls = []
+    real = fppoly._gcd_coeffs
+
+    def counted(a, b, p):
+        calls.append(1)
+        return real(a, b, p)
+
+    monkeypatch.setattr(fppoly, "_gcd_coeffs", counted)
+    monkeypatch.setattr(ramification, "_gcd_coeffs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_gcds_for_a_high_power_do_not_grow_with_the_multiplicity(p, n, monkeypatch):
+    # pi^m u for m = 1 .. 4q: a gcd is taken once per distinct multiplicity,
+    # so the count is that of the first few m, where Musser's loop made
+    # one gcd per unit of multiplicity
+    q = p ** n
+    rng = random.Random(101 * p + n)
+    pi = random_irreducible(rng, p, 2)
+    u = Poly(p, [1, 1]) * random_irreducible(rng, p, 3)
+    calls = count_gcds(monkeypatch)
+    counts = []
+    for m in range(1, 4 * q + 1):
+        f = pi ** m * u
+        expected = outcome(lambda: ref_sweep(p, n, f)), list(ref_squarefree(f.monic()).items())
+        calls.clear()
+        got = outcome(lambda: _off_support_normality_sweep(p, n, f))
+        counts.append(len(calls))
+        calls.clear()
+        assert list(_squarefree_decomposition(f.monic()).items()) == expected[1], m
+        assert len(calls) <= 4
+        assert got[0] == expected[0][0] and (got[0] == "ok" or got == expected[0]), m
+    assert max(counts) == max(counts[:2 * p])
+    calls.clear()
+    ref_squarefree((pi ** (4 * q - 1) * u).monic())
+    assert len(calls) >= 4 * q - 1  # the reference takes one per unit of multiplicity
+
+
+def high_multiplicity_inputs(p, rng):
+    """Products of distinct irreducibles with multiplicities in runs of equal
+    ones, divisible by p, and shared by several primes."""
+    def irreducibles(k):
+        out = []
+        while len(out) < k:
+            irr = random_irreducible(rng, p, rng.randrange(1, 4))
+            if irr not in out:
+                out.append(irr)
+        return out
+
+    q = p * p
+    shapes = [
+        [1, 2, 3, 4, 5], [2, 3, 4, 5, 6], [q, q + 1, q + 2],  # runs of equal steps
+        [p, 2 * p, p * p], [p, p + 1, 2 * p], [p * p, p * p + p, 3 * p],  # divisible by p
+        [3, 3, 3], [p, p, 1, 1], [7, 7, 2 * q + 1, 2 * q + 1],  # shared multiplicities
+        [1, 4 * q], [2 * q - 1, 2 * q, 2 * q + 1],
+    ]
+    for mults in shapes:
+        for _ in range(3):
+            f = Poly.const(p, rng.randrange(1, p))
+            for irr, m in zip(irreducibles(len(mults)), mults):
+                f = f * irr ** m
+            yield f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_high_multiplicities_match_the_references(p):
+    rng = random.Random(4099 * p)
+    for f in high_multiplicity_inputs(p, rng):
+        assert list(_squarefree_decomposition(f.monic()).items()) == list(
+            ref_squarefree(f.monic()).items()), f
+        assert list(factor(f).items()) == list(ref_factor(f).items()), f
+        for n in (1, 2):
+            sweep = outcome(lambda: _off_support_normality_sweep(p, n, f))
+            expected = outcome(lambda: ref_sweep(p, n, f))
+            assert sweep[0] == expected[0], (f, n)
+            assert sweep[1] == (factor(f) if sweep[0] == "ok" else expected[1]), (f, n)

@@ -359,11 +359,26 @@ def test_infinity_chart_view_rejects_like_dense_chart():
 
 
 def test_infinity_chart_refuses_missing_degrees():
+    # the refusal names what is missing for the table given: Kummer data and
+    # cyclic tables have canonical degrees, raw product tables have none
     cube = KummerData(PGroup(2, (1,)), (Poly.x(2) ** 3,))
-    for table in (cube, cube.to_cocycle()):
+    product = KummerData(PGroup(2, (1, 1)), (Poly.x(2), Poly(2, [1, 1])))
+    cases = [
+        (cube, "Kummer data needs chart degrees at infinity; "
+               "canonical_infinity_degrees(kd) gives the default ones"),
+        (product, "Kummer data needs chart degrees at infinity; "
+                  "canonical_infinity_degrees(kd) gives the default ones"),
+        (cube.to_cocycle(), "cyclic raw tables need chart degrees at infinity; "
+                            "canonical_infinity_degrees(kummer_form(table)) gives the default ones"),
+        (Cocycle.trivial(PGroup(2, ())), "cyclic raw tables need chart degrees at infinity; "
+         "canonical_infinity_degrees(kummer_form(table)) gives the default ones"),
+        # the text the CLI prints, unchanged
+        (product.to_cocycle(), "non-cyclic raw tables need explicit chart degrees at infinity"),
+    ]
+    for table, message in cases:
         with pytest.raises(ValueError) as raised:
             InfinityChart(table, None)
-        assert str(raised.value) == "non-cyclic raw tables need explicit chart degrees at infinity"
+        assert str(raised.value) == message
 
 
 def _scan_validate(c):

@@ -157,6 +157,7 @@ def test_path_timings_prints_one_row_per_path():
     assert paths[0] == "| path | q=4 | q=8 |"
     rows = [line.split(" | ") for line in paths[2:]]
     assert [row[0] for row in rows] == [
+        "| `factor`, x^(q+1)(x+1)^(2q+1)",
         "| `ramification_divisor` incl. ∞", "| `check_chart_consistency`",
         "| `check_chart_consistency`, twisted Kummer data", "| `gorenstein_places`",
         "| `to_cocycle` + `gorenstein_places`, finite places",

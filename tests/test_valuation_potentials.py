@@ -797,3 +797,63 @@ def test_twisted_tables_form_no_entry_when_built(monkeypatch):
             [(m, n)] = calls
             assert refused_with[1].startswith(f"entry ({m},{n}) = ")
     assert built >= 20 and refused >= 20
+
+
+def eager_potential_scan(kd):
+    """The reference: every distinct twist numerator and denominator
+    factored before any pair is scanned, then the pairs in row order at
+    all of their primes."""
+    if not kd.twist:
+        return
+    elements = list(kd.group.elements())
+    parts = {part for b in map(kd.twist_at, elements) for part in (b.num, b.den)}
+    pots = [kd.potential(Place._of_irreducible(irr))
+            for part in parts for irr in covering.factor(part)]
+    for m in elements:
+        for n in elements:
+            if any(pot[m] + pot[n] < pot[m + n] for pot in pots):
+                kd.entry(m, n)
+
+
+def count_factor_calls(monkeypatch):
+    calls = []
+    real = covering.factor
+    monkeypatch.setattr(covering, "factor", lambda f: calls.append(f) or real(f))
+    return calls
+
+
+def test_check_integral_refuses_like_the_eager_potential_scan(monkeypatch):
+    # seeded integral and non-integral twists: the same first refusal, or
+    # none, with no part factored twice and none the eager scan skips
+    data = [kd for kd in kummer_and_column_data() if kd.twist]
+    expected = [refusal(eager_potential_scan, kd) for kd in data]
+    calls = count_factor_calls(monkeypatch)
+    kinds = set()
+    for kd, refused_with in zip(data, expected):
+        calls.clear()
+        assert refusal(KummerData(kd.group, kd.factors, kd.twist).check_integral) == refused_with
+        parts = {part for b in kd.twist.values() if b for part in (b.num, b.den)}
+        assert len(calls) == len(set(calls)) and set(calls) <= parts | {Poly.one(kd.group.p)}
+        kinds.add(None if refused_with is None else refused_with[0])
+    assert kinds == {None, NonIntegralCocycle, ZeroEntry}
+
+
+def test_check_integral_factors_only_the_values_its_scan_reaches(monkeypatch):
+    # b(2) = g makes alpha(1, 1) = (x + 1) / g a pole, at the first pair of
+    # row 1: only b(1) = 1 and b(2) are factored, not the degree-24
+    # irreducibles at 3..7
+    rng = random.Random(23)
+    group = PGroup(2, (3,))
+    g = random_irreducible(rng, 2, 3)
+    twist = {group.elt(2): RatFun.from_poly(g)}
+    for k in range(3, 8):
+        twist[group.elt(k)] = RatFun.from_poly(random_irreducible(rng, 2, 24))
+    kd = KummerData(group, (Poly(2, [1, 1]),), twist)
+    calls = count_factor_calls(monkeypatch)
+    message = refusal(kd.check_integral)
+    assert message == refusal(entry_scan, kd)
+    assert message[0] is NonIntegralCocycle and message[1].startswith("entry (1,1) = ")
+    assert calls == [Poly.one(2), g]
+    calls.clear()
+    assert refusal(eager_potential_scan, kd) == message
+    assert len(calls) == 7
