@@ -5,22 +5,24 @@ For each q = p^n in --q it times factor on x^(q+1) (x+1)^(2q+1), whose
 multiplicities grow with q, and, on a model built afresh for every run,
 ramification_divisor(include_infinity=True), the two hypothesis checks
 of predict_genus that the divisor does not make (check_chart_consistency,
-and gorenstein_places at the places of the divisor), the Gorenstein rows
-of the benchmark's corpus Kummer op (to_cocycle() plus gorenstein_places
-at the finite places of the divisor), oracle_multiplicity at (x), and
-three paths on z^q = x under a seeded random_integral_twist:
-check_chart_consistency on the Kummer data, with each canonical chart
-degree raised by deg b(m) so that the chart at infinity is integral
-too, and, on its dense table read as a raw table, validate plus
-forward_decompose, and gorenstein_places at the finite places of its
-divisor once validate has decided it (its chart at infinity under the
-canonical degrees need not be integral).  The oracle's setup is timed as
-its own layer: build_presentation at (x), and snf_length on those
-columns with no rows, which returns as soon as it has read them.  For
-q = 2^n it also times the oracle at (x)
-on f = x^5 (x^3 + x + 1) over F_2, whose local exponent there is
-c = 5 mod q.  The oracle rows stop at q = 128, the size ROADMAP.md
-item 4 targets.
+and gorenstein_places at the places of the divisor), the whole of
+predict_genus, the Gorenstein rows of the benchmark's corpus Kummer op
+(to_cocycle() plus gorenstein_places at the finite places of the
+divisor), oracle_multiplicity at (x), and three paths on z^q = x under a
+seeded random_integral_twist: check_chart_consistency on the Kummer
+data, with each canonical chart degree raised by deg b(m) so that the
+chart at infinity is integral too, and, on its dense table read as a raw
+table, validate plus forward_decompose, and gorenstein_places at the
+finite places of its divisor once validate has decided it (its chart at
+infinity under the canonical degrees need not be integral).  A
+GlobalModel keeps its chart at infinity, so every timed call gets a
+GlobalModel of its own, and no row reads a chart that another row or
+run built.  The oracle's setup is timed as its own layer:
+build_presentation at (x), and snf_length on those columns with no rows,
+which returns as soon as it has read them.  For q = 2^n it also times
+the oracle at (x) on f = x^5 (x^3 + x + 1) over F_2, whose local
+exponent there is c = 5 mod q.  The oracle rows stop at q = 128, the
+size ROADMAP.md item 4 targets.
 
 A second table gives cold-start times, each the median over --repeat
 fresh interpreters: the import of muram.serialize, the import of every
@@ -49,7 +51,7 @@ from muram.covering import Cocycle, canonical_infinity_degrees, forward_decompos
 from muram.fppoly import Place, factor
 from muram.ramification import normalize_local_model, ramification_divisor
 from muram.randgen import random_integral_twist
-from muram.rh_genus import check_chart_consistency, gorenstein_places
+from muram.rh_genus import check_chart_consistency, gorenstein_places, predict_genus
 from muram.snf_oracle import (
     PresentationMatrix, build_presentation, oracle_multiplicity, snf_length)
 
@@ -148,6 +150,7 @@ def timings(q, repeat):
             repeat, twisted_model, check_chart_consistency),
         "`gorenstein_places`": best_of(
             repeat, divisor_places, lambda args: list(gorenstein_places(*args))),
+        "`predict_genus`": best_of(repeat, lambda: GlobalModel(kummer()), predict_genus),
         "`to_cocycle` + `gorenstein_places`, finite places": best_of(
             repeat, finite_places, table_rows),
         # a fresh Cocycle per run: the table keeps its decomposition

@@ -88,9 +88,11 @@ def _divmod_coeffs(a, b, p: int) -> tuple[list, list]:
     db = len(b) - 1
     if len(a) <= db:
         return [], list(a)
-    rem = list(a)
     lc = b[-1]
     inv = 1 if lc == 1 else pow(lc, p - 2, p)
+    if not db:  # a constant divides everything: scale by its inverse
+        return [c * inv % p for c in a], []
+    rem = list(a)
     low = b[:db]
     quo = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
@@ -116,6 +118,28 @@ def _gcd_coeffs(a, b, p: int):
     while b:
         a, b = b, _divmod_coeffs(a, b, p)[1]
     return _monic_coeffs(a, p) if a else a
+
+
+def _divide_out(cs, pw, p: int):
+    """(k, cs / pw^k) for the largest k, pw non-constant: divide by pw, pw^2,
+    pw^4, ... while each divides what is left, then step back down."""
+    powers, count = [], 0  # pw^(2^j) for every j that divided
+    while len(pw) <= len(cs):
+        q, r = _divmod_coeffs(cs, pw, p)
+        if r:
+            break
+        cs = q
+        count += 1 << len(powers)
+        powers.append(pw)
+        if 2 * len(pw) - 1 > len(cs):
+            break  # the next power is longer than what is left
+        pw = _mul_coeffs(pw, pw, p)
+    for j in range(len(powers) - 1, -1, -1):
+        q, r = _divmod_coeffs(cs, powers[j], p)
+        if not r:
+            cs = q
+            count += 1 << j
+    return count, cs
 
 
 class Poly:
@@ -334,8 +358,8 @@ def _squarefree_decomposition(f: Poly) -> dict[Poly, int]:
 
     Musser's loop on coefficient tuples, one p-th root level at a time:
     at step i, w is the product of the primes of multiplicity >= i prime
-    to p.  While w divides c no part has multiplicity i, so c is divided
-    by w without a gcd: one gcd per distinct multiplicity.
+    to p.  While w divides c no part has multiplicity i, so c sheds its
+    largest power of w with no gcd: one gcd per distinct multiplicity.
     """
     p = f.p
     out: dict[Poly, int] = {}
@@ -347,13 +371,14 @@ def _squarefree_decomposition(f: Poly) -> dict[Poly, int]:
         i = scale
         while len(w) > 1:
             c_over_w, r = _divmod_coeffs(c, w, p)
+            k = 0
             if r:  # some part has multiplicity i: gcd(w, c) = gcd(w, c mod w)
                 y = _gcd_coeffs(w, r, p)
-                z = _poly(p, _divmod_coeffs(w, y, p)[0])
-                out[z] = i
-                w, c_over_w = y, _divmod_coeffs(c, y, p)[0]
-            c = c_over_w
-            i += scale
+                out[_poly(p, _divmod_coeffs(w, y, p)[0])] = i
+                w, c = y, _divmod_coeffs(c, y, p)[0]
+            else:  # w^(k+1) exactly divides c: no part has multiplicity i, ..., i + k
+                k, c = _divide_out(c_over_w, w, p)
+            i += (k + 1) * scale
         a, scale = c[::p], scale * p
     return out
 
@@ -421,6 +446,8 @@ def factor(f: Poly) -> dict[Poly, int]:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.is_constant():
         return {}
+    if len(f.coeffs) == 2:  # linear: irreducible
+        return {f.monic(): 1}
     rng = None
     out: dict[Poly, int] = {}
     for sqfree, mult in _squarefree_decomposition(f.monic()).items():
@@ -665,27 +692,7 @@ def poly_valuation(f: Poly, v: Place) -> int:
     if v.poly.coeffs == (0, 1):
         # v = (x): count the zero coefficients below the lowest-degree term
         return next(i for i, c in enumerate(f.coeffs) if c)
-    # divide by pi, pi^2, pi^4, ... while each divides what is left; the
-    # valuation left is then below 2^len(powers), so step back down
-    p, cs = f.p, f.coeffs
-    powers = []  # pi^(2^k) for every k that divided
-    pw, count = v.poly.coeffs, 0
-    while len(pw) <= len(cs):
-        q, r = _divmod_coeffs(cs, pw, p)
-        if r:
-            break
-        cs = q
-        count += 1 << len(powers)
-        powers.append(pw)
-        if 2 * len(pw) - 1 > len(cs):
-            break  # the next power is longer than what is left
-        pw = _mul_coeffs(pw, pw, p)
-    for k in range(len(powers) - 1, -1, -1):
-        q, r = _divmod_coeffs(cs, powers[k], p)
-        if not r:
-            cs = q
-            count += 1 << k
-    return count
+    return _divide_out(f.coeffs, v.poly.coeffs, f.p)[0]
 
 
 def valuation(r, v: Place) -> int:

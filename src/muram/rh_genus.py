@@ -71,8 +71,11 @@ class GlobalModel(Record):
     Its Kummer form is decided on first use and kept (a table that does
     not decompose raises each time); the chart degrees, the integrality
     check and the ramification divisor read it, so a raw cyclic table is
-    decomposed once.  The base is the projective line, so there is no
-    base genus to give.
+    decomposed once.  The chart at infinity is kept the same way (a
+    refused chart raises each time), so the chart check and the Gorenstein
+    verdict at infinity share one view and one u-potential.  Both are read
+    off the fields, which must not change after first use.  The base is
+    the projective line, so there is no base genus to give.
     """
 
     _fields = ("covering", "infinity_degrees")  # covering: Cocycle | KummerData
@@ -84,7 +87,12 @@ class GlobalModel(Record):
         return kummer_form(self.covering)
 
     def infinity_chart(self) -> InfinityChart:
-        """At the given chart degrees, else the canonical ones of the Kummer form."""
+        """At the given chart degrees, else the canonical ones of the Kummer
+        form; built on first use and kept, as kummer is."""
+        return self._chart
+
+    @cached_property
+    def _chart(self) -> InfinityChart:
         degrees = self.infinity_degrees
         if degrees is None and self.kummer is not None:
             degrees = canonical_infinity_degrees(self.kummer)

@@ -23,6 +23,7 @@ from muram.errors import (
 from muram.fppoly import (
     Place,
     Poly,
+    _distinct_degree,
     _equal_degree_split,
     _squarefree_decomposition,
     factor,
@@ -330,6 +331,17 @@ def test_factor_matches_the_reference(p):
         assert list(factor(f).items()) == list(ref_factor(f).items()), f
 
 
+def test_factor_of_a_linear_polynomial_is_the_general_path():
+    for p in (2, 3, 5, 7):
+        for a in range(p):
+            for b in range(1, p):
+                f = Poly(p, [a, b])
+                parts = _squarefree_decomposition(f.monic()).items()
+                general = [(irr, mult) for sqfree, mult in parts for irr, _ in _distinct_degree(sqfree)]
+                assert list(factor(f).items()) == general == list(ref_factor(f).items()), f
+                assert general == [(f.monic(), 1)]
+
+
 # work counts ------------------------------------------------------------------
 
 
@@ -415,6 +427,31 @@ def test_gcds_for_a_high_power_do_not_grow_with_the_multiplicity(p, n, monkeypat
     calls.clear()
     ref_squarefree((pi ** (4 * q - 1) * u).monic())
     assert len(calls) >= 4 * q - 1  # the reference takes one per unit of multiplicity
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 5), (3, 2), (5, 1)])
+def test_divisions_for_a_high_power_grow_like_its_logarithm(p, n, monkeypatch):
+    # (x+1)^m for m = 1 .. 4q: the split sheds the largest power of w that
+    # divides c at once, as a valuation is found, so factor's divisions
+    # (Euclid's included) stay within a few per bit of m, where one division
+    # per unit of multiplicity made 132 at q = 32, m = 127
+    from muram import fppoly
+
+    calls = []
+    real = fppoly._divmod_coeffs
+
+    def counted(a, b, p):
+        calls.append(1)
+        return real(a, b, p)
+
+    monkeypatch.setattr(fppoly, "_divmod_coeffs", counted)
+    for m in range(1, 4 * p ** n + 1):
+        f = Poly(p, [1, 1]) ** m
+        calls.clear()
+        got = list(factor(f).items())
+        assert len(calls) <= 5 * m.bit_length(), m
+        assert got == list(ref_factor(f).items()), m
+        assert list(_squarefree_decomposition(f).items()) == list(ref_squarefree(f).items()), m
 
 
 def high_multiplicity_inputs(p, rng):

@@ -5,7 +5,7 @@ import pytest
 
 from muram.algebra import AlgebraElt, solve_linear
 from muram.cli import main
-from muram.covering import Cocycle, KummerData, canonical_infinity_degrees
+from muram.covering import Cocycle, InfinityChart, KummerData, canonical_infinity_degrees
 from muram.divisors import Divisor
 from muram.errors import HypothesisFailure, UnsupportedDecomposition
 from muram.fppoly import Place, Poly, RatFun
@@ -184,12 +184,41 @@ def test_infinity_chart_degrees_are_given_else_canonical():
     one, two = g.elt(1), g.elt(2)
     odd = Cocycle.from_entries(g, {(one, one): X3, (one, two): Poly.one(3), (two, two): X3})
     assert GlobalModel(odd, {one: 1, two: 1}).infinity_chart().u_exponent(one, two) == 2
-    with pytest.raises(UnsupportedDecomposition):
-        GlobalModel(odd).infinity_chart()
-    product = KummerData(PGroup(2, (1, 1)), (X2, Poly(2, [1, 1]))).to_cocycle()
-    with pytest.raises(ValueError) as raised:
-        GlobalModel(product).infinity_chart()
-    assert str(raised.value) == "non-cyclic raw tables need explicit chart degrees at infinity"
+    undecided = GlobalModel(odd)
+    for _ in range(2):  # a refused chart is not kept: every call refuses alike
+        with pytest.raises(UnsupportedDecomposition):
+            undecided.infinity_chart()
+    product = GlobalModel(KummerData(PGroup(2, (1, 1)), (X2, Poly(2, [1, 1]))).to_cocycle())
+    for _ in range(2):
+        with pytest.raises(ValueError) as raised:
+            product.infinity_chart()
+        assert str(raised.value) == "non-cyclic raw tables need explicit chart degrees at infinity"
+
+
+def test_one_chart_at_infinity_per_global_model(tmp_path, capsys, monkeypatch):
+    # the chart check and the Gorenstein verdict at infinity share one view,
+    # for Kummer data and for a raw cyclic table alike
+    built = []
+    real = InfinityChart.__init__
+
+    def counted(self, table, degrees):
+        built.append(table)
+        real(self, table, degrees)
+
+    monkeypatch.setattr(InfinityChart, "__init__", counted)
+    for kd in (cyclic(2, 2, X2), cyclic(3, 2, X3)):
+        raw = Cocycle.from_entries(kd.group, {(m, n): a for m, n, a in kd.to_cocycle().pairs()})
+        for cov in (kd, raw):
+            gm = GlobalModel(cov)
+            built.clear()
+            predict_genus(gm)
+            assert gm.infinity_chart() is gm.infinity_chart() and len(built) == 1
+            path = tmp_path / "cov.json"
+            path.write_text(json.dumps(covering_to_obj(cov)))
+            built.clear()
+            assert main(["gorenstein", "--input", str(path), "--include-infinity"]) == 0
+            assert json.loads(capsys.readouterr().out)["places"][-1]["place"] == {"kind": "infinity"}
+            assert len(built) == 1
 
 
 # (model, detail of its one "charts" failure); `muram genus` prints the
@@ -218,9 +247,10 @@ CHART_REJECTIONS = {
 @pytest.mark.parametrize("case", sorted(CHART_REJECTIONS))
 def test_chart_rejections_keep_their_detail(case):
     gm, detail = CHART_REJECTIONS[case]
-    with pytest.raises(HypothesisFailure) as err:
-        predict_genus(gm)
-    assert err.value.failures == [("charts", detail)]
+    for _ in range(2):  # the model keeps no refusal: a second call refuses alike
+        with pytest.raises(HypothesisFailure) as err:
+            predict_genus(gm)
+        assert err.value.failures == [("charts", detail)]
 
 
 def test_genus_report_per_place_table():

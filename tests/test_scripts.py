@@ -160,6 +160,7 @@ def test_path_timings_prints_one_row_per_path():
         "| `factor`, x^(q+1)(x+1)^(2q+1)",
         "| `ramification_divisor` incl. ∞", "| `check_chart_consistency`",
         "| `check_chart_consistency`, twisted Kummer data", "| `gorenstein_places`",
+        "| `predict_genus`",
         "| `to_cocycle` + `gorenstein_places`, finite places",
         "| `validate` + `forward_decompose`, twisted table",
         "| `gorenstein_places`, twisted table after `validate`",

@@ -15,7 +15,7 @@ import pytest
 
 from muram.algebra import AlgebraElt
 from muram.errors import CharMismatch, ZeroPolynomial
-from muram.fppoly import Place, Poly, RatFun, poly_gcd
+from muram.fppoly import Place, Poly, RatFun, _divmod_coeffs, poly_gcd
 from muram.pgroup import PGroup
 from muram.ramification import normalize_local_model, ramification_divisor
 from muram.randgen import random_cyclic_cocycle, random_normal_cyclic_kummer
@@ -148,6 +148,17 @@ def test_poly_arithmetic_matches_list_reference(p):
         root = rand_coeffs(rng, p, max_deg=3)
         power = ref_pow(root, p, p)
         check(Poly(p, power).pth_root(), p, root)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_divmod_by_a_constant_matches_list_reference(p):
+    # a one-coefficient divisor takes no elimination: a / c, no remainder
+    rng = random.Random(37 * p)
+    dividends = [[], *([c] for c in range(1, p))]
+    dividends += [rand_coeffs(rng, p, nonzero=True) for _ in range(20)]
+    for c in range(1, p):
+        for a in dividends:
+            assert _divmod_coeffs(tuple(a), (c,), p) == ref_divmod(a, [c], p), (a, c)
 
 
 @pytest.mark.parametrize("p", PRIMES)
