@@ -36,7 +36,10 @@ from .serialize import (
 
 def _load_covering(path):
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return covering_from_obj(obj)
 
 
@@ -148,15 +151,16 @@ def _cmd_gorenstein(args):
     if args.search:
         return _gorenstein_search(args)
     from .gorenstein import sign_table
-    from .rh_genus import GlobalModel, gorenstein_places
+    from .rh_genus import GlobalModel, check_chart_consistency, gorenstein_places
 
     cov, degrees = _load_covering(args.input)
     gm = GlobalModel(cov, degrees)
-    if isinstance(cov, KummerData):
+    # the checks of predict_genus, in its order: both charts, then the places
+    if args.include_infinity:
+        check_chart_consistency(gm)
+    else:
         cov.check_integral()
     _, reports = gm.ramification_divisor(args.include_infinity)
-    if args.include_infinity and gm.kummer is not None:  # ramification_divisor checks a raw one
-        gm.infinity_chart().check_integral()
     out = _report_base("gorenstein")
     verdicts = gorenstein_places(gm, [r.place for r in reports])
     out["places"] = rows = [
@@ -450,7 +454,7 @@ def main(argv=None) -> int:
         return 1
     try:
         report, code = _HANDLERS[args.command](args)
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalInvariant as exc:

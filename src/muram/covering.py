@@ -33,8 +33,12 @@ reads never ask.  Its integrality is decided when it is made, from
 potentials (KummerData.check_integral).
 
 A table is anything with ``group``, ``entry(m, n)``,
-``entry_valuation(m, n, place)`` and ``potential(place)``, and
-InfinityChart is a view of any table on the chart at infinity.
+``entry_valuation(m, n, place)``, ``potential(place)`` and
+``check_integral()``, and InfinityChart is a view of any table on the
+chart at infinity.  Every table answers check_integral: KummerData and
+the chart at infinity raise at the first pair that is not a
+polynomial, and a Cocycle, whose entries are polynomials, has nothing
+to check.
 KummerData builds no entry to answer a valuation.  Once per place v it
 forms the integer potential
 
@@ -136,6 +140,10 @@ class Cocycle:
         kd = self._kummer
         return kd.potential(v) if isinstance(kd, KummerData) else None
 
+    def check_integral(self) -> None:
+        """Nothing to check: every stored entry is a polynomial, and the
+        table of KummerData has been checked when it was made."""
+
     def pairs(self):
         """Canonically ordered (m, n, alpha(m,n)) with m <= n."""
         elements = list(self.group.elements())
@@ -156,10 +164,7 @@ class Cocycle:
 
 
 class ValidationReport(Record):
-    _fields = ("failures",)
-
-    def __init__(self, failures: list | None = None):
-        self.failures = [] if failures is None else failures  # (invariant name, offending tuple)
+    _fields = ("failures",)  # failures: [(invariant name, offending tuple)]
 
     @property
     def ok(self) -> bool:

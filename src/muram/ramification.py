@@ -449,12 +449,6 @@ def devissage_check(
     p, n = kd.group.p, kd.group.exponents[0]
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < {n}, got {m}")
-    if f.is_constant():
-        zero = Divisor.zero()
-        return DevissageReport(
-            total=zero, lower=zero, upper=zero, pullback_indices={}, equal=True,
-            oracle_agrees=True if with_oracle else None,
-        )
     e = p ** (n - m)
     exponents = _kummer_exponents(kd, include_infinity)
     total, reports = _kummer_divisor(kd, exponents)

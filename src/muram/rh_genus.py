@@ -11,14 +11,16 @@ are verified first: the covering must be integral (no chart equation of
 its Kummer form a p-th power, for Kummer data and raw cyclic tables
 alike), every place normal-certified, and every place Gorenstein;
 failures are collected into one HypothesisFailure instead of a partial
-answer.  A grading of rank >= 2 is never normal: K = F_p(x) has
-[K : K^p] = p, so the roots its chart equations adjoin lie in K^{1/p^N}
-of degree p^N = max q_k, while its generic fibre has dimension |G| > p^N
-over K and so is not a field.  It fails the normality hypothesis before
-anything is computed.  A non-integral genus is
-reported as a flag, never rounded.  A negative genus is an internal
-invariant violation: the hypothesis checks should have rejected the
-model.
+answer.  The Kummer form is read before any of them, so a raw cyclic
+table that does not decompose is refused as ramify refuses it, with
+UnsupportedDecomposition, whether or not chart degrees are given.  A
+grading of rank >= 2 is never normal: K = F_p(x) has [K : K^p] = p, so
+the roots its chart equations adjoin lie in K^{1/p^N} of degree
+p^N = max q_k, while its generic fibre has dimension |G| > p^N over K
+and so is not a field.  It fails the normality hypothesis before
+anything is computed.  A non-integral genus is reported as a flag,
+never rounded.  A negative genus is an internal invariant violation:
+the hypothesis checks should have rejected the model.
 
 The chart at infinity is a view over the affine table, the two charts
 must glue into an integral model (check_chart_consistency), and every
@@ -48,13 +50,7 @@ from .covering import (
     canonical_infinity_degrees,
     kummer_form,
 )
-from .divisors import Divisor
-from .errors import (
-    HypothesisFailure,
-    InternalInvariant,
-    ModelRejection,
-    UnsupportedDecomposition,
-)
+from .errors import HypothesisFailure, InternalInvariant, ModelRejection
 from .fppoly import is_pth_power
 from .gorenstein import gorenstein_at
 from .ramification import ramification_divisor
@@ -107,13 +103,15 @@ class GlobalModel(Record):
 
 
 def check_chart_consistency(gm: GlobalModel) -> None:
-    """The two charts glue into an integral model: twisted Kummer data is
-    integral on the affine chart, every element has a chart degree, and
+    """The two charts glue into an integral model: the affine table is
+    integral (check_integral), every element has a chart degree, and
     every entry has a nonnegative u-exponent at infinity.  Raises what
-    building both dense tables would raise, at the same first pair."""
-    if isinstance(gm.covering, KummerData):
-        gm.covering.check_integral()
-    gm.infinity_chart().check_integral()
+    building both dense tables would raise, at the same first pair.  A
+    raw product table's chart at infinity is left to its ramification
+    divisor, which checks it."""
+    gm.covering.check_integral()
+    if gm.kummer is not None:
+        gm.infinity_chart().check_integral()
 
 
 def gorenstein_places(gm: GlobalModel, places):
@@ -129,19 +127,7 @@ def gorenstein_places(gm: GlobalModel, places):
 
 class GenusReport(Record):
     _fields = ("group_order", "deg_R", "divisor", "rhs", "g_Y", "non_integer", "per_place",
-               "notes")
-
-    def __init__(self, group_order: int, deg_R: int, divisor: Divisor, rhs: int,
-                 g_Y: int | None, non_integer: bool, per_place: list | None = None,
-                 notes: list | None = None):
-        self.group_order = group_order
-        self.deg_R = deg_R
-        self.divisor = divisor
-        self.rhs = rhs  # deg R - 2|G|
-        self.g_Y = g_Y
-        self.non_integer = non_integer
-        self.per_place = [] if per_place is None else per_place
-        self.notes = [] if notes is None else notes
+               "notes")  # rhs: deg R - 2|G|
 
 
 def total_ram_degree(gm: GlobalModel):
@@ -156,17 +142,16 @@ def predict_genus(gm: GlobalModel) -> GenusReport:
     Collects hypothesis failures (integrality, normality at every place
     of both charts, Gorenstein everywhere) into HypothesisFailure.  A
     grading of rank >= 2 fails normality outright (see the module
-    docstring); ranks 0 and 1 are certified place by place.
+    docstring); ranks 0 and 1 are certified place by place.  A raw table
+    that does not decompose is refused before any of them, as ramify
+    refuses it (UnsupportedDecomposition).
     """
     cov = gm.covering
     group = cov.group
     failures = []
     notes = [BASE_FIELD_NOTE]
 
-    try:
-        kd = gm.kummer
-    except UnsupportedDecomposition:
-        kd = None  # a raw cyclic table that does not decompose fails a later check
+    kd = gm.kummer
     for f in kd.factors if kd is not None else ():
         if is_pth_power(f):
             failures.append(("integrality", f"chart equation {f} is a p-th power"))

@@ -517,10 +517,10 @@ def test_mirror_entry_is_left_to_validate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("form", ["kummer", "raw"])
-def test_constant_chart_equation(tmp_path, capsys, monkeypatch, form):
+def test_constant_chart_equation(tmp_path, capsys, form):
     # z^{p^n} = 1 pinned as answered today: is_pth_power counts a constant as
-    # a p-th power, so the integrality checks refuse it, while ramify certifies it
-    from muram import snf_oracle
+    # a p-th power, so the integrality checks refuse it, while ramify certifies
+    # it; devissage reports what ramify reports, and its oracle refuses as oracle does
     from muram.errors import NonIntegralModel
     from muram.fppoly import Place
     from muram.ramification import multiplicity_at, normalize_local_model
@@ -553,12 +553,17 @@ def test_constant_chart_equation(tmp_path, capsys, monkeypatch, form):
     assert code == 0 and rep["non_gorenstein_places"] == []
     assert [row["place"] for row in rep["places"]] == [{"kind": "infinity"}]
 
-    monkeypatch.setattr(snf_oracle, "oracle_multiplicity", lambda model: pytest.fail("oracle ran"))
     _, path = covering_file(2)
+    code, rep = run(capsys, ["devissage", "-m", "1", "--include-infinity", "--input", path])
+    assert code == 0 and rep["equal"] and "oracle_agrees" not in rep
+    assert rep["total"]["degree"] == rep["lower"]["degree"] == rep["upper"]["degree"] == 0
+    assert rep["pullback_indices"] == [{"place": {"kind": "infinity"}, "index": 2}]
+    _, ramify = run(capsys, ["ramify", "--include-infinity", "--input", path])
+    assert [row["place"] for row in ramify["reports"]] == [{"kind": "infinity"}]
     code, rep = run(capsys, ["devissage", "-m", "1", "--with-oracle", "--include-infinity",
                              "--input", path])
-    assert code == 0 and rep["equal"] and rep["oracle_agrees"] is True
-    assert rep["total"]["degree"] == rep["lower"]["degree"] == rep["upper"]["degree"] == 0
+    assert code == 2 and rep["rejected"] == "NonIntegralModel"
+    assert rep["detail"] == "chart equation 1 is a p-th power; the covering is not integral"
 
 
 @pytest.mark.parametrize("argv", [["gorenstein", "--search", "--count", "-1"],
@@ -669,6 +674,19 @@ def test_trivial_group_gets_a_documented_exit(tmp_path, capsys, command):
     assert_documented_exit(code, captured.out, captured.err)
 
 
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: "_".join(a.lstrip("-") for a in c))
+@pytest.mark.parametrize("source", ["directory", "deep-nesting"])
+def test_unreadable_input_is_exit_1(tmp_path, capsys, command, source):
+    path = tmp_path
+    if source == "deep-nesting":
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+    assert main(command + ["--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and captured.err.startswith("error: ")
+
+
 NO_LOCAL_MODEL = "the trivial group has no cyclic factor Z/p^n with n >= 1, so it has no local models"
 
 
@@ -694,16 +712,41 @@ def test_trivial_group_genus_is_the_base_genus(tmp_path, capsys):
     assert rep["g_Y"] == 0 and rep["deg_R"] == 0
 
 
+def test_undecomposable_raw_table_is_refused_by_genus_as_by_ramify(tmp_path, capsys):
+    # alpha(2, 2) = x + 1 differs from the reconstruction from the column (x, 1)
+    raw = {"group": {"p": 3, "exponents": [1]}, "kind": "cocycle",
+           "entries": [[[1], [1], [0, 1]], [[2], [1], [1]], [[2], [2], [1, 1]]]}
+    want = (2, {"schema_version": 1, "rejected": "UnsupportedDecomposition",
+                "detail": "table is not a valid symmetric cocycle at (2,2)"})
+    path = write_covering(tmp_path, raw)
+    assert run(capsys, ["ramify", "--input", path]) == want
+    assert run(capsys, ["genus", "--input", path]) == want
+    with_degrees = write_covering(tmp_path, dict(raw, infinity_degrees=[0, 1, 1]), "degrees.json")
+    assert run(capsys, ["genus", "--input", with_degrees]) == want
+
+
+def test_genus_and_gorenstein_refuse_the_same_chart_first(tmp_path, capsys):
+    # z^2 = x^3 + 1 is singular at (x + 1), but degrees [0, 0] already fail the chart at infinity
+    path = write_covering(tmp_path, kummer_obj(2, [1], [[1, 0, 0, 1]], infinity_degrees=[0, 0]))
+    detail = "entry (1,1) needs u-exponent -3; increase the chart degrees"
+    code, rep = run(capsys, ["genus", "--input", path])
+    assert code == 2 and rep["rejected"] == "HypothesisFailure"
+    assert rep["detail"] == "charts: " + detail
+    code, rep = run(capsys, ["gorenstein", "--include-infinity", "--input", path])
+    assert code == 2 and rep["rejected"] == "NonIntegralCocycle" and rep["detail"] == detail
+
+
 def test_raw_trivial_group_table_needs_no_chart_degrees(tmp_path, capsys):
     # the one chart degree at infinity, d(0) = 0, is canonical
     raw = {"group": {"p": 3, "exponents": []}, "kind": "cocycle", "entries": []}
     code, rep = run(capsys, ["genus", "--input", write_covering(tmp_path, raw)])
     assert code == 0
     assert rep["g_Y"] == 0 and rep["deg_R"] == 0
-    # a table whose one entry alpha(0, 0) is not 1 is still refused
-    bad = dict(raw, entries=[[[], [], [0, 1]]])
-    code, rep = run(capsys, ["genus", "--input", write_covering(tmp_path, bad, "bad.json")])
-    assert code == 2 and rep["rejected"] == "HypothesisFailure"
+    # a table whose one entry alpha(0, 0) is not 1 is still refused, as ramify refuses it
+    bad = write_covering(tmp_path, dict(raw, entries=[[[], [], [0, 1]]]), "bad.json")
+    code, rep = run(capsys, ["genus", "--input", bad])
+    assert code == 2 and rep["rejected"] == "UnsupportedDecomposition"
+    assert (code, rep) == run(capsys, ["ramify", "--input", bad])
 
 
 # the CLI contract on covering-shaped input: group order <= 9 (the trivial

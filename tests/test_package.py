@@ -13,7 +13,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import pytest
@@ -113,7 +113,7 @@ def test_dir_lists_every_name_and_unknown_names_raise():
 
 @dataclass
 class ValidationReport:
-    failures: list = field(default_factory=list)
+    failures: list
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ class GenusReport:
     rhs: int
     g_Y: int | None
     non_integer: bool
-    per_place: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    per_place: list
+    notes: list
 
 
 @dataclass
