@@ -45,13 +45,14 @@ def _load_covering(path):
 
 def _load_kummer(path) -> KummerData:
     """The covering file at path in Kummer form (see kummer_form); a raw
-    product table has none and is refused."""
-    cov = kummer_form(_load_covering(path)[0])
-    if cov is None:
-        raise UnsupportedDecomposition(
-            "only cyclic tables decompose; present product data as KummerData"
-        )
-    return cov
+    product table has none and is refused as product Kummer data is."""
+    from .ramification import _require_cyclic
+
+    cov = _load_covering(path)[0]
+    kd = kummer_form(cov)
+    if kd is None:
+        _require_cyclic(cov)
+    return kd
 
 
 def _parse_place(text: str, p: int) -> Place:

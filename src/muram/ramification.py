@@ -331,19 +331,16 @@ def _off_support_normality_sweep(p: int, n: int, f: Poly) -> dict[Poly, int]:
 
 
 def _kummer_exponents(kd: KummerData, include_infinity: bool) -> dict[Place, tuple[int, ...]]:
-    """Sweep every non-constant chart equation, then map each place of
-    their supports, in Place.sort_key order, and infinity last if asked,
-    to its certified local exponents, one per factor.  At a finite place
-    they are the sweeps' multiplicities (0 off a support), at infinity
-    they are read off the degrees, where the finite sweep did not look,
-    so the unit part rev(f) is tested there; a constant equation is a
-    unit everywhere."""
+    """Sweep every chart equation, then map each place of their supports,
+    in Place.sort_key order, and infinity last if asked, to its certified
+    local exponents, one per factor.  At a finite place they are the
+    sweeps' multiplicities (0 off a support), at infinity they are read
+    off the degrees, where the finite sweep did not look, so the unit part
+    rev(f) is tested there."""
     p = kd.group.p
     charts = [
-        (n, f, {} if f.is_constant() else {
-            Place._of_irreducible(irr): m
-            for irr, m in _off_support_normality_sweep(p, n, f).items()
-        })
+        (n, f, {Place._of_irreducible(irr): m
+                for irr, m in _off_support_normality_sweep(p, n, f).items()})
         for f, n in zip(kd.factors, kd.group.exponents)
     ]
     places = sorted({v for _, _, mults in charts for v in mults}, key=Place.sort_key)
@@ -355,8 +352,7 @@ def _kummer_exponents(kd: KummerData, include_infinity: bool) -> dict[Place, tup
         # the u-chart equation is u^c0 rev(f), c0 = q ceil(deg f / q) - deg f
         infinity = Place.infinity(p)
         exponents[infinity] = tuple(
-            0 if f.is_constant()
-            else _local_exponent(p, n, -f.degree() % p ** n, infinity, f.reversed_coeffs())
+            _local_exponent(p, n, -f.degree() % p ** n, infinity, f.reversed_coeffs())
             for n, f, _ in charts
         )
     return exponents
@@ -489,7 +485,7 @@ def _stand_in_model(p: int, n: int, c: int) -> LocalModel:
     whose base curve is not the line; lengths only depend on (p, n, c).
     For c = 0 the unit 1 + T stands in."""
     f = Poly(p, [0] * c + [1]) if c else Poly(p, [1, 1])
-    return _normalize(p, n, f, Place.finite(Poly.x(p)))
+    return _normalize(p, n, f, Place._of_irreducible(Poly.x(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .covering import Cocycle, KummerData
+from .covering import Cocycle, KummerData, _column
 from .errors import ModelRejection
 from .fppoly import Place, Poly, RatFun, is_irreducible, poly_valuation
 from .pgroup import PGroup
@@ -110,9 +110,7 @@ def random_cyclic_cocycle(rng: random.Random, p: int, n: int) -> Cocycle:
 def random_integral_column(rng: random.Random, p: int, n: int) -> list[Poly]:
     """The first column of a random integral cyclic table, formed without
     the table."""
-    kd = _random_twisted_kummer(rng, p, n)
-    one = kd.group.elt(1)
-    return [kd.entry(kd.group.elt(i), one) for i in range(1, kd.group.order)]
+    return _column(_random_twisted_kummer(rng, p, n))
 
 
 def random_column(rng: random.Random, p: int, n: int) -> list[Poly]:

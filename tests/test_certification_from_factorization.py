@@ -17,6 +17,7 @@ from muram import ramification
 from muram.covering import KummerData
 from muram.errors import (
     ModelRejection,
+    NonIntegralModel,
     NonNormalModel,
     UnsupportedPartialRamification,
 )
@@ -150,7 +151,7 @@ def ref_sweep(p, n, f):
 def ref_stabilizer(kd, v):
     group = kd.group
     ramified = [
-        not f.is_constant() and ref_normalize(group.p, n_i, f, v).c != 0
+        ref_normalize(group.p, n_i, f, v).c != 0
         for f, n_i in zip(kd.factors, group.exponents)
     ]
     members = [
@@ -165,9 +166,8 @@ def ref_divisor(kd, include_infinity):
     p = kd.group.p
     support = set()
     for f, n in zip(kd.factors, kd.group.exponents):
-        if not f.is_constant():
-            ref_sweep(p, n, f)
-            support.update(Place.finite(irr) for irr in ref_factor(f))
+        ref_sweep(p, n, f)
+        support.update(Place.finite(irr) for irr in ref_factor(f))
     places = sorted(support, key=Place.sort_key)
     if include_infinity:
         places.append(Place.infinity(p))
@@ -265,10 +265,11 @@ def test_certification_matches_the_local_model_reference(p, n):
 
 @pytest.mark.parametrize("p,exps", [(2, (1, 1)), (3, (1, 1)), (2, (2, 1))])
 def test_product_certification_matches_the_reference(p, exps):
-    # factor by factor, place by place: the first rejection in that order wins
+    # factor by factor, place by place: the first rejection in that order wins;
+    # a constant factor is a p-th power and is refused
     rng = random.Random(31 * p + sum(exps))
-    accepted = 0
-    for _ in range(12):
+    accepted = constant_refusals = 0
+    for _ in range(16):
         factors = tuple(
             random_normal_cyclic_kummer(rng, p, n, max_deg=4).factors[0]
             if rng.random() < 0.6 else random_poly(rng, p, rng.randrange(0, 5))
@@ -278,12 +279,15 @@ def test_product_certification_matches_the_reference(p, exps):
         got = outcome(lambda: ramification_divisor(kd, True))
         want = outcome(lambda: ref_divisor(kd, True))
         assert got[0] == want[0], factors
+        if any(f.is_constant() for f in factors):
+            assert got[0] != "ok", factors
+            constant_refusals += got[0] is NonIntegralModel
         if got[0] == "ok":
             accepted += 1
             assert [(r.place, r.stabilizer) for r in got[1][1]] == want[1], factors
         else:
             assert got[1] == want[1], factors
-    assert accepted >= 3
+    assert accepted >= 3 and constant_refusals >= 1
 
 
 @pytest.mark.parametrize("p,n,m", [(2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2)])
@@ -362,7 +366,6 @@ def test_divisor_factors_each_chart_equation_once_and_builds_no_model(monkeypatc
     cases = [
         (KummerData(PGroup(3, (2,)), (f1,)), 1),
         (KummerData(PGroup(3, (1, 1)), (f1, f2)), 2),
-        (KummerData(PGroup(3, (1, 1)), (Poly.one(3), f2)), 1),
         (KummerData(PGroup(3, (2,)), (f1,)).to_cocycle(), 1),
     ]
     for cov, equations in cases:
@@ -371,6 +374,13 @@ def test_divisor_factors_each_chart_equation_once_and_builds_no_model(monkeypatc
             divisor, reports = ramification_divisor(cov, include_infinity)
             assert not divisor.is_zero()
             assert calls == {"factor": equations, "normalize": 0}
+    # a constant chart equation is a p-th power, refused before any factorization
+    for include_infinity in (False, True):
+        calls.update(factor=0, normalize=0)
+        with pytest.raises(NonIntegralModel, match="^chart equation 1 is a p-th power;"):
+            ramification_divisor(KummerData(PGroup(3, (1, 1)), (Poly.one(3), f2)),
+                                 include_infinity)
+        assert calls == {"factor": 0, "normalize": 0}
     # a single place still gets its local model, built and certified
     for v in [r.place for r in reports]:
         calls.update(factor=0, normalize=0)

@@ -172,7 +172,8 @@ def test_devissage_refuses_a_raw_product_table_as_oracle_does(tmp_path, capsys):
         assert main(argv + ["--input", path]) == 2
         refusals.append(json.loads(capsys.readouterr().out))
     assert refusals[0] == refusals[1]
-    assert refusals[0]["rejected"] == "UnsupportedDecomposition"
+    assert refusals[0] == {"schema_version": 1, "rejected": "UnsupportedGroup",
+                           "detail": "local models are cyclic-only; split product data per factor"}
 
 
 def test_devissage_oracle_at_a_split_place(tmp_path, capsys):
@@ -518,13 +519,16 @@ def test_mirror_entry_is_left_to_validate(tmp_path, capsys):
 
 @pytest.mark.parametrize("form", ["kummer", "raw"])
 def test_constant_chart_equation(tmp_path, capsys, form):
-    # z^{p^n} = 1 pinned as answered today: is_pth_power counts a constant as
-    # a p-th power, so the integrality checks refuse it, while ramify certifies
-    # it; devissage reports what ramify reports, and its oracle refuses as oracle does
+    # z^{p^n} = 1 is (z - 1)^{p^n}: a p-th power, so not integral; every
+    # subcommand but validate refuses it, genus by its integrality check and
+    # the others with ramify's NonIntegralModel, at every place
     from muram.errors import NonIntegralModel
     from muram.fppoly import Place
     from muram.ramification import multiplicity_at, normalize_local_model
     from muram.serialize import covering_from_obj
+
+    refused = {"schema_version": 1, "rejected": "NonIntegralModel",
+               "detail": "chart equation 1 is a p-th power; the covering is not integral"}
 
     def covering_file(n):
         obj = (kummer_obj(2, [n], [[1]]) if form == "kummer"
@@ -534,36 +538,23 @@ def test_constant_chart_equation(tmp_path, capsys, form):
     obj, path = covering_file(1)
     code, rep = run(capsys, ["validate", "--input", path])
     assert code == 0 and rep["ok"]
-    code, rep = run(capsys, ["ramify", "--include-infinity", "--input", path])
-    assert code == 0 and rep["degree"] == 0
-    assert [(r["place"], r["multiplicity"], r["normality"]) for r in rep["reports"]] == [
-        ({"kind": "infinity"}, 0, "verified")]
+    for flags in ([], ["--include-infinity"]):
+        for command in (["ramify"], ["gorenstein"]):
+            assert run(capsys, command + flags + ["--input", path]) == (2, refused)
     kd = covering.kummer_form(covering_from_obj(obj)[0])
     for text, place in [("0,1", Place.finite(Poly.x(2))), ("infinity", Place.infinity(2))]:
-        code, rep = run(capsys, ["oracle", "--place", text, "--input", path])
-        assert code == 2 and rep["rejected"] == "NonIntegralModel"
-        assert rep["detail"] == "chart equation 1 is a p-th power; the covering is not integral"
-        assert multiplicity_at(kd, place) == 0  # the formula answers before the oracle refuses
-        with pytest.raises(NonIntegralModel):
-            normalize_local_model(kd, place)
+        assert run(capsys, ["oracle", "--place", text, "--input", path]) == (2, refused)
+        for refuse in (multiplicity_at, normalize_local_model):
+            with pytest.raises(NonIntegralModel, match=refused["detail"]):
+                refuse(kd, place)
     code, rep = run(capsys, ["genus", "--input", path])
     assert code == 2 and rep["rejected"] == "HypothesisFailure"
     assert rep["detail"] == "integrality: chart equation 1 is a p-th power"
-    code, rep = run(capsys, ["gorenstein", "--include-infinity", "--input", path])
-    assert code == 0 and rep["non_gorenstein_places"] == []
-    assert [row["place"] for row in rep["places"]] == [{"kind": "infinity"}]
 
     _, path = covering_file(2)
-    code, rep = run(capsys, ["devissage", "-m", "1", "--include-infinity", "--input", path])
-    assert code == 0 and rep["equal"] and "oracle_agrees" not in rep
-    assert rep["total"]["degree"] == rep["lower"]["degree"] == rep["upper"]["degree"] == 0
-    assert rep["pullback_indices"] == [{"place": {"kind": "infinity"}, "index": 2}]
-    _, ramify = run(capsys, ["ramify", "--include-infinity", "--input", path])
-    assert [row["place"] for row in ramify["reports"]] == [{"kind": "infinity"}]
-    code, rep = run(capsys, ["devissage", "-m", "1", "--with-oracle", "--include-infinity",
-                             "--input", path])
-    assert code == 2 and rep["rejected"] == "NonIntegralModel"
-    assert rep["detail"] == "chart equation 1 is a p-th power; the covering is not integral"
+    for flags in ([], ["--include-infinity"], ["--with-oracle"],
+                  ["--with-oracle", "--include-infinity"]):
+        assert run(capsys, ["devissage", "-m", "1", *flags, "--input", path]) == (2, refused)
 
 
 @pytest.mark.parametrize("argv", [["gorenstein", "--search", "--count", "-1"],
@@ -712,10 +703,13 @@ def test_trivial_group_genus_is_the_base_genus(tmp_path, capsys):
     assert rep["g_Y"] == 0 and rep["deg_R"] == 0
 
 
+# alpha(2, 2) = x + 1 differs from the reconstruction from the column (x, 1)
+UNDECOMPOSABLE_TABLE = {"group": {"p": 3, "exponents": [1]}, "kind": "cocycle",
+                        "entries": [[[1], [1], [0, 1]], [[2], [1], [1]], [[2], [2], [1, 1]]]}
+
+
 def test_undecomposable_raw_table_is_refused_by_genus_as_by_ramify(tmp_path, capsys):
-    # alpha(2, 2) = x + 1 differs from the reconstruction from the column (x, 1)
-    raw = {"group": {"p": 3, "exponents": [1]}, "kind": "cocycle",
-           "entries": [[[1], [1], [0, 1]], [[2], [1], [1]], [[2], [2], [1, 1]]]}
+    raw = UNDECOMPOSABLE_TABLE
     want = (2, {"schema_version": 1, "rejected": "UnsupportedDecomposition",
                 "detail": "table is not a valid symmetric cocycle at (2,2)"})
     path = write_covering(tmp_path, raw)
@@ -734,6 +728,52 @@ def test_genus_and_gorenstein_refuse_the_same_chart_first(tmp_path, capsys):
     assert rep["detail"] == "charts: " + detail
     code, rep = run(capsys, ["gorenstein", "--include-infinity", "--input", path])
     assert code == 2 and rep["rejected"] == "NonIntegralCocycle" and rep["detail"] == detail
+
+
+def all_ones_table(n):
+    return covering_to_obj(covering.Cocycle.trivial(PGroup(2, (n,))))
+
+
+PRODUCT = covering.KummerData(PGroup(2, (1, 1)), (Poly(2, [0, 1]), Poly(2, [1, 1])))
+REFUSAL_CORPUS = {
+    "z2=1": kummer_obj(2, [1], [[1]]),
+    "z2=1-raw": all_ones_table(1),
+    "z4=1": kummer_obj(2, [2], [[1]]),
+    "z4=1-raw": all_ones_table(2),
+    "product-x-1": kummer_obj(2, [1, 1], [[0, 1], [1]]),
+    "z2=x^2": kummer_obj(2, [1], [[0, 0, 1]]),
+    "cusp-z2=1+x^3": kummer_obj(2, [1], [[1, 0, 0, 1]]),
+    "partial-at-x-z4=x^2(x+1)": kummer_obj(2, [2], [[0, 0, 1, 1]]),
+    "partial-at-infinity-z4=x+x^2": kummer_obj(2, [2], [[0, 1, 1]]),
+    "undecomposable-raw": UNDECOMPOSABLE_TABLE,
+    "product-x-x+1": covering_to_obj(PRODUCT),
+    "product-x-x+1-raw": covering_to_obj(PRODUCT.to_cocycle()),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--include-infinity"]], ids=["affine", "infinity"])
+@pytest.mark.parametrize("name", list(REFUSAL_CORPUS))
+def test_one_refusal_per_input_across_subcommands(tmp_path, capsys, name, flags):
+    # gorenstein, devissage and oracle answer with ramify's exit code and
+    # refuse with its rejection; only local models of rank != 1 are refused
+    # otherwise, by name; genus refuses whatever ramify refuses at infinity
+    obj = REFUSAL_CORPUS[name]
+    exponents = obj["group"]["exponents"]
+    path = write_covering(tmp_path, obj)
+    code, want = run(capsys, ["ramify", *flags, "--input", path])
+    commands = [["gorenstein", *flags], ["oracle", "--place", "infinity" if flags else "0,1"]]
+    if sum(exponents) >= 2:
+        commands.append(["devissage", "-m", "1", *flags])
+    for command in commands:
+        got_code, got = run(capsys, command + ["--input", path])
+        if (len(exponents) != 1 and command[0] != "gorenstein"
+                and got_code == 2 and got["rejected"] == "UnsupportedGroup"):
+            continue
+        assert got_code == code, command
+        if code == 2:
+            assert (got["rejected"], got["detail"]) == (want["rejected"], want["detail"]), command
+    if flags and code == 2:
+        assert run(capsys, ["genus", "--input", path])[0] == 2
 
 
 def test_raw_trivial_group_table_needs_no_chart_degrees(tmp_path, capsys):

@@ -304,9 +304,12 @@ def test_ramification_divisor_with_infinity():
 
 
 def test_ramification_divisor_trivial():
+    # the all-ones table is z^2 = 1 = (z - 1)^2: a p-th power, not integral
     g = PGroup(2, (1,))
-    d, reports = ramification_divisor(Cocycle.trivial(g))
-    assert d.is_zero() and reports == []
+    for include_infinity in (False, True):
+        with pytest.raises(NonIntegralModel,
+                           match="^chart equation 1 is a p-th power; the covering is not integral$"):
+            ramification_divisor(Cocycle.trivial(g), include_infinity)
 
 
 def test_raw_cyclic_cocycle_goes_through_normalization():
@@ -447,9 +450,10 @@ def test_devissage_sweeps_once(monkeypatch):
 
 
 def test_devissage_trivial_equation():
-    rep = devissage_check(cyclic(2, 2, Poly.one(2)), 1)
-    assert rep.total.is_zero() and rep.lower.is_zero() and rep.upper.is_zero()
-    assert rep.equal
+    # z^4 = 1 is a p-th power: refused as ramification_divisor refuses it
+    for include_infinity in (False, True):
+        with pytest.raises(NonIntegralModel, match="^chart equation 1 is a p-th power;"):
+            devissage_check(cyclic(2, 2, Poly.one(2)), 1, include_infinity)
 
 
 def test_devissage_bad_layer():

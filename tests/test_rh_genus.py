@@ -7,7 +7,7 @@ from muram.algebra import AlgebraElt, solve_linear
 from muram.cli import main
 from muram.covering import Cocycle, InfinityChart, KummerData, canonical_infinity_degrees
 from muram.divisors import Divisor
-from muram.errors import HypothesisFailure, UnsupportedDecomposition
+from muram.errors import HypothesisFailure, NonIntegralModel, UnsupportedDecomposition
 from muram.fppoly import Place, Poly, RatFun
 from muram.pgroup import PGroup
 from muram.randgen import random_integral_twist, random_normal_cyclic_kummer
@@ -35,8 +35,9 @@ def test_total_ram_degree_examples():
 
 
 def test_total_ram_degree_constant_equation_is_zero():
-    deg, div, _ = total_ram_degree(GlobalModel(cyclic(2, 1, Poly.one(2))))
-    assert deg == 0 and div.is_zero()
+    # z^2 = 1 is a p-th power: the divisor is refused, not reported as zero
+    with pytest.raises(NonIntegralModel, match="^chart equation 1 is a p-th power;"):
+        total_ram_degree(GlobalModel(cyclic(2, 1, Poly.one(2))))
 
 
 def as_form(kd, form):
