@@ -108,12 +108,14 @@ def _cmd_ramify(args):
 
 
 def _cmd_oracle(args):
-    from .ramification import multiplicity_at, normalize_local_model
+    from .ramification import _require_cyclic, multiplicity_at, normalize_local_model
     from .snf_oracle import oracle_multiplicity
 
     cov = _load_kummer(args.input)
     place = _parse_place(args.place, cov.group.p)
-    # the formula first: a model that ramify refuses gets ramify's rejection
+    # local models are cyclic, and devissage refuses other groups first too;
+    # then the formula: a model that ramify refuses gets ramify's rejection
+    _require_cyclic(cov)
     formula = multiplicity_at(cov, place)
     oracle = oracle_multiplicity(normalize_local_model(cov, place))
     out = _report_base("oracle")

@@ -12,7 +12,7 @@ A * 1, leaving the augmentation module presented by
 
 The multiplicity of the ramification divisor at y is the A-length of
 that cokernel.  This module computes it by Smith-style pivoting with
-exact arithmetic in the graded algebra: pick a nonzero entry of
+exact arithmetic over F_p on graded cells: pick a nonzero entry of
 globally minimal valuation, clear its row by column operations (the
 quotients stay integral because the pivot valuation is minimal), split
 off A/(pivot), and recurse; the length is the sum of pivot valuations.
@@ -23,10 +23,15 @@ alpha(m,-m) e_0, a polynomial in pi of the local model's table.
 
 The presentation is graded: column (k, l) holds only +-e_k, a unit
 multiple of the one basis element e_k.  Pivoting keeps it so on a local
-model's table, which is a normalized symmetric cocycle.  A pivot u e_k
-scales an entry b e_k of its column to -pivot^{-1} b e_k = -(b/u) e_0,
-and a column of grade k' with entry c e_{k'} in the pivot row gets
-c (-(b/u)) alpha(k', 0) e_{k'} = -(cb/u) e_{k'} added.  So every entry
+model's table, which is a normalized symmetric cocycle, and so
+snf_length keeps each column as its grade k and cells {row: c} with
+c in F_p^x, and eliminates on ints mod p.  A pivot u e_k has the inverse
+w e_{-k}, and it scales an entry b e_k of its column to
+-pivot^{-1} b e_k = -(w alpha(-k, k)) b e_0 = s_i e_0; a column of grade
+k' with entry c e_{k'} in the pivot row gets c s_i alpha(k', 0) e_{k'}
+added.  Both factors are checked exactly: s = w alpha(-k, k) must be a
+constant (u^{-1} on a symmetric table), and so must alpha(k', 0) (1 on
+a normalized one), else snf_length raises ValueError.  So every entry
 stays c e_k with c in F_p^x (a sum of two is again one, or zero and
 dropped), of valuation v_A(e_k), and one valuation per column decides
 every pivot; snf_length refuses any other column.
@@ -52,7 +57,7 @@ from collections import defaultdict
 from ._record import Record
 from .algebra import AlgebraElt, _elt, algebra_inverse
 from .errors import CancellationRisk, NotTorsion, ZeroElement
-from .fppoly import Place, RatFun, valuation
+from .fppoly import Place, Poly, RatFun, valuation
 from .ramification import LocalModel
 
 
@@ -110,6 +115,14 @@ def algebra_valuation(a: AlgebraElt, model: LocalModel) -> int:
     return min(q * valuation(coeff, place) + vA[m.residues[0]] for m, coeff in a.comps.items())
 
 
+def _constant(f: RatFun, factor: str, k: int) -> int:
+    """The c in F_p^x that the table factor f at grade k is; ValueError
+    otherwise."""
+    if len(f.num.coeffs) == 1 and f.den.coeffs == (1,):
+        return f.num.coeffs[0]
+    raise ValueError(f"{factor} at k = {k} is {f}, not a nonzero constant")
+
+
 def _unit_multiple(entry: AlgebraElt) -> tuple[int, int]:
     """(s, c) with entry = c e_k, k of residue s and c in F_p^x;
     ValueError otherwise."""
@@ -126,14 +139,14 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
 
     Every column must be graded: each of its entries is c e_k with
     c in F_p^x, for one k per column, as ``build_presentation`` makes
-    them; anything else raises ValueError.  Elimination keeps columns
-    graded (see the module docstring), so every entry of a column has the
-    valuation v_A(e_k) of its grade for as long as it lives, and nothing
-    is valued after setup, which reads each column once: an entry
-    object's (grade, coefficient) once by id (the matrix keeps it alive),
-    the one grade checked as the entries are read, and the grade with the
-    sorted (row, coefficient) pairs as the column's key.  Invariant under
-    column permutation, duplication, and unit scaling; additive over
+    them; anything else raises ValueError.  Setup reads each column once:
+    an entry object's (grade, coefficient) once by id (the matrix keeps it
+    alive), the one grade checked as the entries are read, and the grade
+    with the sorted (row, coefficient) pairs as the column's key.  A live
+    column is then its grade k and its cells {row: c}, and elimination
+    runs on ints mod p, so every cell keeps the valuation v_A(e_k) of its
+    grade and nothing is valued after setup.  Invariant under column
+    permutation, duplication, and unit scaling; additive over
     block-diagonal presentations.  Raises NotTorsion when rows remain but
     no nonzero entries are left.
 
@@ -142,17 +155,26 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     gives that column.  A column equal to an earlier one is dropped
     before pivoting: it never wins that tie, and once the earlier copy is
     the pivot it clears to zero.  A row index lists the columns meeting
-    each row, so a step visits only those.  The pivot column is scaled
-    once, s_i = -pivot^{-1} b_i, and a column with entry c in the pivot
-    row gets a_i + c s_i, one product per other entry of the pivot
-    column, and c s_i itself where it had no entry; the rows only it has
-    keep their entries, and an entry that cancels is dropped.
+    each row, so a step visits only those.  Each pivot u e_k is inverted
+    once by algebra_inverse, as the matrix's own entry when it has one of
+    that grade and coefficient.  When the pivot column has other entries
+    b_i, the inverse's coefficient times alpha(-k, k) must be a constant
+    s (u^{-1} on a symmetric table), the pivot column scales to
+    s_i = -s b_i, and a column of grade k' with entry c in the pivot row
+    gets c s_i alpha(k', 0) added mod p, where alpha(k', 0) is read once
+    per grade and must be a nonzero constant; either factor failing
+    raises ValueError.  The rows only that column has keep their cells,
+    and a cell that reaches 0 is dropped.
     """
     vA = _basis_valuations(model)
-    # live columns by original index, each {row: entry}; (grade,
-    # coefficient) by entry id; the keys of the columns kept
-    columns: dict[int, dict[int, AlgebraElt]] = {}
+    p, group = model.p, model.group
+    # live columns by original index, each {row: coefficient}, and their
+    # grades; (grade, coefficient) by entry id, and an entry by (grade,
+    # coefficient) for the pivots; the keys of the columns kept
+    columns: dict[int, dict[int, int]] = {}
+    grades: dict[int, int] = {}
     known: dict[int, tuple[int, int]] = {}
+    entries: dict[tuple[int, int], AlgebraElt] = {}
     seen: set[tuple] = set()
     # (valuation, column) of every column kept; the live columns per row
     heap: list[tuple[int, int]] = []
@@ -160,25 +182,31 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     for j, col in enumerate(matrix.columns):
         if not col:
             continue
-        grade, cells = None, []
+        grade, cells, pairs = None, {}, []
         for i, entry in col.items():
-            cell = known.get(id(entry)) or known.setdefault(id(entry), _unit_multiple(entry))
+            cell = known.get(id(entry))
+            if cell is None:
+                cell = known[id(entry)] = _unit_multiple(entry)
+                entries.setdefault(cell, entry)
             if cell[0] != grade:
                 if grade is not None:
-                    grades = {_unit_multiple(e)[0] for e in col.values()}
-                    raise ValueError(f"column {j} mixes {len(grades)} grades")
+                    mixed = {_unit_multiple(e)[0] for e in col.values()}
+                    raise ValueError(f"column {j} mixes {len(mixed)} grades")
                 grade = cell[0]
-            cells.append((i, cell[1]))
-        cells.sort()
-        key = (grade, *cells)
+            cells[i] = cell[1]
+            pairs.append((i, cell[1]))
+        pairs.sort()
+        key = (grade, *pairs)
         if key in seen:
             continue
         seen.add(key)
-        columns[j] = col
+        columns[j], grades[j] = cells, grade
         heap.append((vA[grade], j))
-        for i in col:
+        for i in cells:
             meets[i].add(j)
     heapq.heapify(heap)
+    # alpha(k', 0) by grade k', read when first needed
+    factors: dict[int, int] = {}
     remaining = len(matrix.rows)
     total = 0
     while remaining:
@@ -191,29 +219,44 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
                 f"{remaining} generators admit no further relations; "
                 "the module is not torsion"
             )
-        pivot_col = columns.pop(cj)
+        pivot_col, k = columns.pop(cj), grades[cj]
         ri = next(iter(pivot_col))
         for i in pivot_col:
             meets[i].discard(cj)
-        neg_inv = -algebra_inverse(pivot_col[ri], model)
-        scaled = {i: neg_inv.mul(b, model) for i, b in pivot_col.items() if i != ri}
+        u = pivot_col[ri]
+        pivot = entries.get((k, u))
+        if pivot is None:
+            pivot = entries[k, u] = _elt(group, {group.elt(k): RatFun.from_poly(Poly.const(p, u))})
+        ((neg_k, w),) = algebra_inverse(pivot, model).comps.items()
+        scaled: dict[int, int] = {}
+        if len(pivot_col) > 1:
+            (e_k,) = pivot.comps
+            s = _constant(w * model.entry(neg_k, e_k), "pivot^-1 alpha(-k, k)", k)
+            scaled = {i: -s * b for i, b in pivot_col.items() if i != ri}
+        pivot_rows = set(pivot_col)
         for j in meets.pop(ri):
             col = columns[j]
-            c = col[ri]
-            updated: dict[int, AlgebraElt] = {}
-            # this set's order becomes the column's row order, which picks
-            # later pivot rows; it is the order a full rescan builds
-            touched = set(col) | set(pivot_col)
+            if scaled:
+                grade = grades[j]
+                factor = factors.get(grade)
+                if factor is None:
+                    alpha = RatFun.from_poly(model.entry(group.elt(grade), group.zero()))
+                    factor = factors[grade] = _constant(alpha, "alpha(k, 0)", grade)
+                t = col[ri] * factor
+            updated: dict[int, int] = {}
+            # set(col) | set(pivot_col), built in place: this set's order
+            # becomes the column's row order, which picks later pivot rows;
+            # it is the order a full rescan builds
+            touched = set(col)
+            touched |= pivot_rows
             touched.discard(ri)
             for i in touched:
                 if i not in scaled:
                     updated[i] = col[i]
                     continue
-                w = c.mul(scaled[i], model)
-                if i in col:
-                    w = col[i] + w
-                if w:
-                    updated[i] = w
+                c = (col.get(i, 0) + t * scaled[i]) % p
+                if c:
+                    updated[i] = c
                     meets[i].add(j)
                 else:
                     meets[i].discard(j)

@@ -755,8 +755,9 @@ REFUSAL_CORPUS = {
 @pytest.mark.parametrize("name", list(REFUSAL_CORPUS))
 def test_one_refusal_per_input_across_subcommands(tmp_path, capsys, name, flags):
     # gorenstein, devissage and oracle answer with ramify's exit code and
-    # refuse with its rejection; only local models of rank != 1 are refused
-    # otherwise, by name; genus refuses whatever ramify refuses at infinity
+    # refuse with its rejection, except that oracle and devissage refuse
+    # local models of rank != 1 first, with one UnsupportedGroup; genus
+    # refuses whatever ramify refuses at infinity
     obj = REFUSAL_CORPUS[name]
     exponents = obj["group"]["exponents"]
     path = write_covering(tmp_path, obj)
@@ -764,14 +765,17 @@ def test_one_refusal_per_input_across_subcommands(tmp_path, capsys, name, flags)
     commands = [["gorenstein", *flags], ["oracle", "--place", "infinity" if flags else "0,1"]]
     if sum(exponents) >= 2:
         commands.append(["devissage", "-m", "1", *flags])
+    cyclic_only = []
     for command in commands:
         got_code, got = run(capsys, command + ["--input", path])
-        if (len(exponents) != 1 and command[0] != "gorenstein"
-                and got_code == 2 and got["rejected"] == "UnsupportedGroup"):
+        if len(exponents) != 1 and command[0] != "gorenstein":
+            assert (got_code, got["rejected"]) == (2, "UnsupportedGroup"), command
+            cyclic_only.append(got)
             continue
         assert got_code == code, command
         if code == 2:
             assert (got["rejected"], got["detail"]) == (want["rejected"], want["detail"]), command
+    assert all(got == cyclic_only[0] for got in cyclic_only)
     if flags and code == 2:
         assert run(capsys, ["genus", "--input", path])[0] == 2
 

@@ -9,7 +9,12 @@ from muram.covering import KummerData
 from muram.errors import CancellationRisk, NotTorsion
 from muram.fppoly import Place, Poly, RatFun
 from muram.pgroup import GElt, PGroup
-from muram.ramification import multiplicity_at, normalize_local_model, ramification_divisor
+from muram.ramification import (
+    LocalModel,
+    multiplicity_at,
+    normalize_local_model,
+    ramification_divisor,
+)
 from muram.randgen import random_normal_cyclic_kummer
 from muram.snf_oracle import (
     PresentationMatrix,
@@ -43,8 +48,6 @@ def test_presentation_shape_z2():
 
 
 def test_presentation_trivial_group_is_empty():
-    from muram.ramification import LocalModel
-
     trivial = LocalModel(p=2, n=0, place=AT_X2, pi=X2, f_red=Poly.one(2), c=0)
     pm = build_presentation(trivial)
     assert pm.shape == (0, 1)
@@ -99,8 +102,6 @@ PN_UP_TO_64 = [(p, n) for p in range(2, 65) if all(p % d for d in range(2, p))
 
 @pytest.mark.parametrize("p,n", [(2, 0)] + PN_UP_TO_64)
 def test_presentation_by_residue_matches_group_arithmetic(p, n):
-    from muram.ramification import LocalModel
-
     lm = LocalModel(p=p, n=n, place=Place.finite(Poly.x(p)), pi=Poly.x(p),
                     f_red=Poly.one(p), c=min(n, 1))
     pm, ref = build_presentation(lm), reference_presentation(lm)
@@ -366,31 +367,71 @@ def test_snf_dense_rescan_agree_when_no_column_remains():
             length_fn(pm, m)
 
 
-def _count_products(monkeypatch):
+def _count_steps(monkeypatch):
+    """Count the pivots' algebra_inverse calls and the table reads."""
     calls = []
-    real = AlgebraElt.mul
+    inverse, entry = snf_oracle.algebra_inverse, LocalModel.entry
 
-    def counting(self, other, table):
-        calls.append(1)
-        return real(self, other, table)
+    def counting_inverse(a, table):
+        calls.append("inverse")
+        return inverse(a, table)
 
-    monkeypatch.setattr(AlgebraElt, "mul", counting)
+    def counting_entry(self, i, j):
+        calls.append("entry")
+        return entry(self, i, j)
+
+    monkeypatch.setattr(snf_oracle, "algebra_inverse", counting_inverse)
+    monkeypatch.setattr(LocalModel, "entry", counting_entry)
     return calls
 
 
 def test_duplicate_columns_cost_no_products(monkeypatch):
     # in characteristic 2, -e_k = e_k already duplicates columns; doubling
-    # the whole presentation must not add a single product
+    # the whole presentation must not add a single inverse or factor read
     m = model(2, 3, [0, 0, 0, 1])  # z^8 = x^3: c = 3, so pivots meet other entries
     pm = build_presentation(m)
     doubled = PresentationMatrix(rows=pm.rows, labels=pm.labels * 2, columns=pm.columns * 2)
-    calls = _count_products(monkeypatch)
+    calls = _count_steps(monkeypatch)
     assert snf_length(pm, m) == 7
-    once = len(calls)
-    assert once > 0
+    once = sorted(calls)
+    # one inverse per pivot, and factors read besides the inverses' own
+    assert once.count("inverse") == 7
+    assert once.count("entry") > 7
     calls.clear()
     assert snf_length(doubled, m) == 7
-    assert len(calls) == once
+    assert sorted(calls) == once
+
+
+@pytest.mark.parametrize("p,n,f,c", [
+    (3, 3, [0, 0, 1, 1], 2),  # z^27 = x^2 (x + 1)
+    (5, 2, [0, 0, 0, 1, 2, 1], 3),  # z^25 = x^3 (x + 1)^2
+])
+def test_snf_matches_dense_rescan_at_odd_p(p, n, f, c, monkeypatch):
+    # c >= 2 makes pivot columns meet other entries, and at odd p the cells
+    # carry -1 = p - 1, which p = 2 cannot tell from 1 (coefficients other
+    # than +-1 come from the random sparse matrices above)
+    m = model(p, n, f)
+    assert m.c == c
+    assert _assert_same_run(monkeypatch, build_presentation(m), m) == p ** n - 1
+
+
+class _UngradedTable:
+    """A local model whose alpha(k, 0) is x instead of 1."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def entry(self, i, j):
+        return Poly.x(self._model.p) if j.is_zero() else self._model.entry(i, j)
+
+
+def test_snf_refuses_tables_that_do_not_keep_columns_graded():
+    m = model(2, 3, [0, 0, 0, 1])
+    with pytest.raises(ValueError, match="alpha"):
+        snf_length(build_presentation(m), _UngradedTable(m))
 
 
 def _random_rational_monomial(rng, lm):
