@@ -19,10 +19,11 @@ GlobalModel keeps its chart at infinity, so every timed call gets a
 GlobalModel of its own, and no row reads a chart that another row or
 run built.  The oracle's setup is timed as its own layer:
 build_presentation at (x), and snf_length on those columns with no rows,
-which returns as soon as it has read them.  For q = 2^n it also times
-the oracle at (x) on f = x^5 (x^3 + x + 1) over F_2, whose local
-exponent there is c = 5 mod q.  The oracle rows stop at q = 128, the
-size ROADMAP.md item 4 targets.
+which runs only its read pass, checking every column's grade, and forms
+no grade.  For q = 2^n it also times the oracle at (x) on
+f = x^5 (x^3 + x + 1) over F_2, whose local exponent there is c = 5
+mod q.  The oracle rows stop at q = 256, the largest order at which the
+CI workflow's oracle smoke runs check the oracle.
 
 A second table gives cold-start times, each the median over --repeat
 fresh interpreters: the import of muram.serialize, the import of every
@@ -32,7 +33,7 @@ src/muram with no bytecode, which is compiled from source with -B, then
 once more after an untimed run has written its .pyc files.  The output
 is the markdown tables of measurements kept in ROADMAP.md:
 
-    PYTHONPATH=src python scripts/path_timings.py --q 16,27,32,64,128 --repeat 3
+    PYTHONPATH=src python scripts/path_timings.py --q 16,27,32,64,128,256 --repeat 3
 """
 
 import argparse
@@ -56,7 +57,7 @@ from muram.snf_oracle import (
     PresentationMatrix, build_presentation, oracle_multiplicity, snf_length)
 
 C5_FAMILY = [0, 0, 0, 0, 0, 1, 1, 0, 1]  # x^5 (x^3 + x + 1) over F_2
-ORACLE_MAX_Q = 128
+ORACLE_MAX_Q = 256
 PACKAGE = os.path.dirname(os.path.abspath(sys.modules["muram"].__file__))
 TIMED_IMPORT = ("import time; t = time.perf_counter(); import {}; "
                 "print(time.perf_counter() - t)")
@@ -104,7 +105,7 @@ def timings(q, repeat):
         return best_of(repeat, lambda: prepare(normalize_local_model(kummer(coeffs), place)), run)
 
     def columns_only(model):
-        # no rows: snf_length returns right after its setup has read every column
+        # no rows: snf_length runs its read pass over every column, forming no grade
         pm = build_presentation(model)
         return PresentationMatrix(rows=(), labels=pm.labels, columns=pm.columns), model
 

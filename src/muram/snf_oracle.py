@@ -31,7 +31,9 @@ w e_{-k}, and it scales an entry b e_k of its column to
 k' with entry c e_{k'} in the pivot row gets c s_i alpha(k', 0) e_{k'}
 added.  Both factors are checked exactly: s = w alpha(-k, k) must be a
 constant (u^{-1} on a symmetric table), and so must alpha(k', 0) (1 on
-a normalized one), else snf_length raises ValueError.  So every entry
+a normalized one), else snf_length raises ValueError; alpha(k', 0) is
+read for every grade that may still need it, formed or not, at the first
+pivot with a second entry.  So every entry
 stays c e_k with c in F_p^x (a sum of two is again one, or zero and
 dropped), of valuation v_A(e_k), and one valuation per column decides
 every pivot; snf_length refuses any other column.
@@ -39,8 +41,20 @@ Elimination does only the work that can change the answer (details at
 snf_length).  The pivot column is scaled once by minus the pivot's
 inverse, which reassociates (c pivot^{-1}) b as c (pivot^{-1} b); that is
 exact because the table is a symmetric cocycle.  build_presentation
-places entries by residue, with no group arithmetic, and setup reads
-each column once, dropping any equal to an earlier one (-e_k = e_k at p = 2).
+places entries by residue, with no group arithmetic.
+
+snf_length works grade by grade.  Distinct grades have distinct
+valuations, and elimination never changes a column's grade, so every
+pivot of one grade comes before any pivot of a grade of higher
+valuation.  Setup only reads each column once, checks its grade and
+lists its index under that grade.  A grade's columns are formed (cells,
+duplicate keys, row index) only when every column formed so far is
+spent, least valuation first; on the local models seen so far every
+pivot comes from the first grade, so the others are never formed.  A
+newly formed column replays, in order, the earlier pivots whose rows it
+meets, with the same update as the elimination, which is exactly what
+those pivots would have done to it: column operations act on each column
+on its own.
 
 algebra_valuation values any element; snf_length never calls it.  The
 basis valuations, which the local model derives from its exponent
@@ -51,7 +65,6 @@ snf_length checks the same condition, which a split place (c = 0) fails.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 
 from ._record import Record
@@ -133,6 +146,27 @@ def _unit_multiple(entry: AlgebraElt) -> tuple[int, int]:
     raise ValueError(f"entry {entry} is not a unit multiple of one basis element")
 
 
+def _cleared(col: dict[int, int], ri: int, t: int, scaled: dict[int, int],
+             pivot_rows: set[int], p: int) -> dict[int, int]:
+    """col with row ri cleared by the pivot: t times the scaled pivot
+    column s_i added mod p, and a cell that reaches 0 dropped."""
+    updated: dict[int, int] = {}
+    # set(col) | pivot_rows, built in place: this set's order becomes the
+    # column's row order, which picks later pivot rows; it is the order a
+    # full rescan builds
+    touched = set(col)
+    touched |= pivot_rows
+    touched.discard(ri)
+    for i in touched:
+        if i not in scaled:
+            updated[i] = col[i]
+            continue
+        c = (col.get(i, 0) + t * scaled[i]) % p
+        if c:
+            updated[i] = c
+    return updated
+
+
 def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     """Length of the cokernel of a graded presentation by minimal-valuation
     pivoting.
@@ -141,49 +175,50 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     c in F_p^x, for one k per column, as ``build_presentation`` makes
     them; anything else raises ValueError.  Setup reads each column once:
     an entry object's (grade, coefficient) once by id (the matrix keeps it
-    alive), the one grade checked as the entries are read, and the grade
-    with the sorted (row, coefficient) pairs as the column's key.  A live
-    column is then its grade k and its cells {row: c}, and elimination
-    runs on ints mod p, so every cell keeps the valuation v_A(e_k) of its
-    grade and nothing is valued after setup.  Invariant under column
+    alive), the one grade checked as the entries are read, and the
+    column's index listed under its grade; nothing else is formed.  A live
+    column is its cells {row: c} of the grade k being eliminated, and
+    elimination runs on ints mod p, so every cell keeps the valuation
+    v_A(e_k) of its grade and nothing is valued.  Invariant under column
     permutation, duplication, and unit scaling; additive over
     block-diagonal presentations.  Raises NotTorsion when rows remain but
     no nonzero entries are left.
 
     The pivot is the first row, in the column's own order, of the first
-    live column of minimal valuation; a heap keyed by (valuation, column)
-    gives that column.  A column equal to an earlier one is dropped
-    before pivoting: it never wins that tie, and once the earlier copy is
-    the pivot it clears to zero.  A row index lists the columns meeting
-    each row, so a step visits only those.  Each pivot u e_k is inverted
+    live column, by index, of minimal valuation.  Grades have distinct
+    valuations and a column keeps its grade, so that column is the next
+    live one of grade k in index order, and when grade k has none left
+    the grade of next least valuation is formed: its columns are read into
+    cells, each replays the logged (pivot row, scaled pivot column, pivot
+    rows) of the earlier pivots whose rows it meets, in pivot order, and
+    the columns left nonzero become live.  A column equal to an earlier
+    one of its grade is dropped when the grade is formed: it never wins
+    the index tie, and once the earlier copy is the pivot it clears to
+    zero.  A row index lists the live columns meeting each row, so a step
+    visits only those.  Each pivot u e_k is inverted
     once by algebra_inverse, as the matrix's own entry when it has one of
     that grade and coefficient.  When the pivot column has other entries
     b_i, the inverse's coefficient times alpha(-k, k) must be a constant
     s (u^{-1} on a symmetric table), the pivot column scales to
     s_i = -s b_i, and a column of grade k' with entry c in the pivot row
-    gets c s_i alpha(k', 0) added mod p, where alpha(k', 0) is read once
-    per grade and must be a nonzero constant; either factor failing
-    raises ValueError.  The rows only that column has keep their cells,
-    and a cell that reaches 0 is dropped.
+    gets c s_i alpha(k', 0) added mod p.  alpha(k', 0) must be a nonzero
+    constant; it is read at the first pivot with a second entry, for the
+    pivot's grade and every grade not yet formed, whose columns may meet
+    pivot rows when they replay, so the check holds for grades that are
+    never formed too.  Either factor failing raises ValueError.  The rows
+    only that column has keep their cells, and a cell that reaches 0 is
+    dropped.
     """
     vA = _basis_valuations(model)
     p, group = model.p, model.group
-    # live columns by original index, each {row: coefficient}, and their
-    # grades; (grade, coefficient) by entry id, and an entry by (grade,
-    # coefficient) for the pivots; the keys of the columns kept
-    columns: dict[int, dict[int, int]] = {}
-    grades: dict[int, int] = {}
+    # read pass: (grade, coefficient) by entry id, an entry by (grade,
+    # coefficient) for the pivots, and the column indices of each grade
     known: dict[int, tuple[int, int]] = {}
     entries: dict[tuple[int, int], AlgebraElt] = {}
-    seen: set[tuple] = set()
-    # (valuation, column) of every column kept; the live columns per row
-    heap: list[tuple[int, int]] = []
-    meets: defaultdict[int, set[int]] = defaultdict(set)
+    pending: defaultdict[int, list[int]] = defaultdict(list)
     for j, col in enumerate(matrix.columns):
-        if not col:
-            continue
-        grade, cells, pairs = None, {}, []
-        for i, entry in col.items():
+        grade = None
+        for entry in col.values():
             cell = known.get(id(entry))
             if cell is None:
                 cell = known[id(entry)] = _unit_multiple(entry)
@@ -193,33 +228,56 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
                     mixed = {_unit_multiple(e)[0] for e in col.values()}
                     raise ValueError(f"column {j} mixes {len(mixed)} grades")
                 grade = cell[0]
-            cells[i] = cell[1]
-            pairs.append((i, cell[1]))
-        pairs.sort()
-        key = (grade, *pairs)
-        if key in seen:
-            continue
-        seen.add(key)
-        columns[j], grades[j] = cells, grade
-        heap.append((vA[grade], j))
-        for i in cells:
-            meets[i].add(j)
-    heapq.heapify(heap)
-    # alpha(k', 0) by grade k', read when first needed
+        if grade is not None:
+            pending[grade].append(j)
+    # the grades still to form, the next (least valuation) last
+    order = sorted(pending, key=vA.__getitem__, reverse=True)
+    # the live columns, all of grade k, by index, each {row: coefficient},
+    # taken as pivots in index order from queue; the live columns per row
+    columns: dict[int, dict[int, int]] = {}
+    queue = iter(())
+    meets: defaultdict[int, set[int]] = defaultdict(set)
+    # (pivot number, scaled, pivot rows) of every pivot, by its row
+    pivots: dict[int, tuple[int, dict[int, int], set[int]]] = {}
+    # alpha(k', 0) by grade k', read at the first pivot with a second entry
     factors: dict[int, int] = {}
     remaining = len(matrix.rows)
     total = 0
     while remaining:
-        while heap:
-            pivot_val, cj = heapq.heappop(heap)
-            if cj in columns:
-                break
-        else:
-            raise NotTorsion(
-                f"{remaining} generators admit no further relations; "
-                "the module is not torsion"
-            )
-        pivot_col, k = columns.pop(cj), grades[cj]
+        cj = next((j for j in queue if j in columns), None)
+        if cj is None:
+            if not order:
+                raise NotTorsion(
+                    f"{remaining} generators admit no further relations; "
+                    "the module is not torsion"
+                )
+            k = order.pop()
+            factor = factors.get(k)  # None until a pivot has a second entry
+            kept, seen = [], set()
+            for j in pending.pop(k):
+                cells = {i: known[id(entry)][1] for i, entry in matrix.columns[j].items()}
+                key = tuple(sorted(cells.items()))
+                if key in seen:
+                    continue
+                seen.add(key)
+                # the earlier pivots whose rows it meets, in pivot order: a
+                # pivot adds only rows that no earlier pivot took, so the
+                # earliest pivot among the column's rows is the next to act
+                while cells:
+                    ri = min((i for i in cells if i in pivots), key=pivots.get, default=None)
+                    if ri is None:
+                        break
+                    _, scaled, pivot_rows = pivots[ri]
+                    cells = _cleared(cells, ri, cells[ri] * factor if scaled else 0,
+                                     scaled, pivot_rows, p)
+                if cells:
+                    columns[j] = cells
+                    kept.append(j)
+                    for i in cells:
+                        meets[i].add(j)
+            queue = iter(kept)
+            continue
+        pivot_col = columns.pop(cj)
         ri = next(iter(pivot_col))
         for i in pivot_col:
             meets[i].discard(cj)
@@ -233,30 +291,19 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
             (e_k,) = pivot.comps
             s = _constant(w * model.entry(neg_k, e_k), "pivot^-1 alpha(-k, k)", k)
             scaled = {i: -s * b for i, b in pivot_col.items() if i != ri}
+            if not factors:
+                # grade k and every grade not yet formed, once
+                for grade in (k, *order):
+                    alpha = RatFun.from_poly(model.entry(group.elt(grade), group.zero()))
+                    factors[grade] = _constant(alpha, "alpha(k, 0)", grade)
+            factor = factors[k]
         pivot_rows = set(pivot_col)
+        pivots[ri] = (len(pivots), scaled, pivot_rows)
         for j in meets.pop(ri):
             col = columns[j]
-            if scaled:
-                grade = grades[j]
-                factor = factors.get(grade)
-                if factor is None:
-                    alpha = RatFun.from_poly(model.entry(group.elt(grade), group.zero()))
-                    factor = factors[grade] = _constant(alpha, "alpha(k, 0)", grade)
-                t = col[ri] * factor
-            updated: dict[int, int] = {}
-            # set(col) | set(pivot_col), built in place: this set's order
-            # becomes the column's row order, which picks later pivot rows;
-            # it is the order a full rescan builds
-            touched = set(col)
-            touched |= pivot_rows
-            touched.discard(ri)
-            for i in touched:
-                if i not in scaled:
-                    updated[i] = col[i]
-                    continue
-                c = (col.get(i, 0) + t * scaled[i]) % p
-                if c:
-                    updated[i] = c
+            updated = _cleared(col, ri, col[ri] * factor if scaled else 0, scaled, pivot_rows, p)
+            for i in scaled:
+                if i in updated:
                     meets[i].add(j)
                 else:
                     meets[i].discard(j)
@@ -265,7 +312,7 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
             else:
                 del columns[j]
         remaining -= 1
-        total += pivot_val
+        total += vA[k]
     return total
 
 

@@ -434,6 +434,73 @@ def test_snf_refuses_tables_that_do_not_keep_columns_graded():
         snf_length(build_presentation(m), _UngradedTable(m))
 
 
+def _grades_of(pivots):
+    return [next(iter(entry.comps)).residues[0] for entry, _ in pivots]
+
+
+def test_snf_matches_dense_rescan_across_grades(monkeypatch):
+    # z^5 = x at (x): grade k has valuation k.  Grade 1 spends its columns
+    # on rows 0 and 2 while rows 1 and 3 remain; the grade-2 column meets
+    # row 0, whose pivot column also holds row 1, so it is formed only
+    # after that pivot and must replay it (a nonzero scaled column) before
+    # it can pivot; the grade-3 column then replays the grade-2 pivot
+    m = model(5, 1, [0, 1])
+    assert m.vA == (0, 1, 2, 3, 4)
+    g = m.group
+
+    def cell(k, c):
+        return AlgebraElt(g, {g.elt(k): RatFun.from_poly(Poly.const(5, c))})
+
+    columns = [
+        {3: cell(3, 2), 1: cell(3, 1)},
+        {0: cell(1, 1), 1: cell(1, 2)},
+        {0: cell(2, 3), 3: cell(2, 1)},
+        {2: cell(1, 4)},
+        {0: cell(2, 3), 3: cell(2, 1)},  # a duplicate, dropped with its grade
+    ]
+    pm = PresentationMatrix(rows=tuple(g.elements())[1:], labels=((g.zero(), g.zero()),) * 5,
+                            columns=columns)
+    pivots = _spy_pivots(monkeypatch)
+    assert _assert_same_run(monkeypatch, pm, m) == 1 + 1 + 2 + 3
+    assert _grades_of(pivots) == [1, 1, 2, 3]
+
+
+def test_snf_refuses_mixed_columns_of_grades_never_formed():
+    m = model(2, 3, [0, 0, 0, 1])  # every pivot has grade 3, of least valuation
+    pm = build_presentation(m)
+    g = m.group
+    mixed = {0: AlgebraElt.basis(g, g.elt(1)), 1: AlgebraElt.basis(g, g.elt(2))}
+    pm = PresentationMatrix(rows=pm.rows, labels=pm.labels + ((g.zero(), g.zero()),),
+                            columns=pm.columns + [mixed])
+    with pytest.raises(ValueError, match="mixes"):
+        snf_length(pm, m)
+
+
+class _UngradedAwayFrom(_UngradedTable):
+    """A local model whose alpha(k, 0) is x at every grade k but one."""
+
+    def __init__(self, model, keep):
+        super().__init__(model)
+        self._keep = keep
+
+    def entry(self, i, j):
+        if i.residues[0] == self._keep:
+            return self._model.entry(i, j)
+        return super().entry(i, j)
+
+
+def test_snf_refuses_tables_ungraded_only_where_no_pivot_is(monkeypatch):
+    # the pivots all come from grade 3, so no column of another grade is
+    # ever formed; alpha(k, 0) = x there must still be refused
+    m = model(2, 3, [0, 0, 0, 1])
+    pm = build_presentation(m)
+    pivots = _spy_pivots(monkeypatch)
+    assert snf_length(pm, m) == 7
+    assert set(_grades_of(pivots)) == {3}
+    with pytest.raises(ValueError, match="alpha"):
+        snf_length(pm, _UngradedAwayFrom(m, 3))
+
+
 def _random_rational_monomial(rng, lm):
     g = lm.group
     coeff = RatFun(Poly(lm.p, [rng.randrange(1, lm.p), rng.randrange(lm.p)]),
