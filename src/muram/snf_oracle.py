@@ -32,11 +32,11 @@ k' with entry c e_{k'} in the pivot row gets c s_i alpha(k', 0) e_{k'}
 added.  Both factors are checked exactly: s = w alpha(-k, k) must be a
 constant (u^{-1} on a symmetric table), and so must alpha(k', 0) (1 on
 a normalized one), else snf_length raises ValueError; alpha(k', 0) is
-read for every grade that may still need it, formed or not, at the first
-pivot with a second entry.  So every entry
-stays c e_k with c in F_p^x (a sum of two is again one, or zero and
-dropped), of valuation v_A(e_k), and one valuation per column decides
-every pivot; snf_length refuses any other column.
+read at the first pivot with a second entry, for every grade that may
+still need it, formed or not.  So every entry stays c e_k with
+c in F_p^x (a sum of two is again one, or zero and dropped), of
+valuation v_A(e_k), and one valuation per column decides every pivot;
+snf_length refuses any other column.
 Elimination does only the work that can change the answer (details at
 snf_length).  The pivot column is scaled once by minus the pivot's
 inverse, which reassociates (c pivot^{-1}) b as c (pivot^{-1} b); that is
@@ -49,8 +49,9 @@ pivot of one grade comes before any pivot of a grade of higher
 valuation.  Setup only reads each column once, checks its grade and
 lists its index under that grade.  A grade's columns are formed (cells,
 duplicate keys, row index) only when every column formed so far is
-spent, least valuation first; on the local models seen so far every
-pivot comes from the first grade, so the others are never formed.  A
+spent, least valuation first; on the presentations of local models
+tried so far every pivot came from the first grade, so no other grade
+was ever formed.  A
 newly formed column replays, in order, the earlier pivots whose rows it
 meets, with the same update as the elimination, which is exactly what
 those pivots would have done to it: column operations act on each column
