@@ -51,11 +51,13 @@ lists its index under that grade.  A grade's columns are formed (cells,
 duplicate keys, row index) only when every column formed so far is
 spent, least valuation first; on the presentations of local models
 tried so far every pivot came from the first grade, so no other grade
-was ever formed.  A
-newly formed column replays, in order, the earlier pivots whose rows it
-meets, with the same update as the elimination, which is exactly what
-those pivots would have done to it: column operations act on each column
-on its own.
+was ever formed.  A newly formed column replays, in order, the earlier
+pivots whose rows it meets, with the same update as the elimination,
+which is exactly what those pivots would have done to it: column
+operations act on each column on its own.  Reading alpha(k', 0) for
+grades never formed makes snf_length refuse some hand-made matrices on
+which eliminating every column at once returns a length (see
+snf_length).
 
 algebra_valuation values any element; snf_length never calls it.  The
 basis valuations, which the local model derives from its exponent
@@ -209,6 +211,13 @@ def snf_length(matrix: PresentationMatrix, model: LocalModel) -> int:
     never formed too.  Either factor failing raises ValueError.  The rows
     only that column has keep their cells, and a cell that reaches 0 is
     dropped.
+
+    On a matrix that build_presentation did not make, a grade not yet
+    formed whose alpha(k', 0) is not a nonzero constant is refused even
+    where eliminating every column at once would never read it (its
+    columns meet no row of a scaled pivot column, or all duplicate
+    earlier ones), so such a matrix can raise ValueError where that
+    elimination returns a length.
     """
     vA = _basis_valuations(model)
     p, group = model.p, model.group

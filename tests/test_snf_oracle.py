@@ -501,6 +501,27 @@ def test_snf_refuses_tables_ungraded_only_where_no_pivot_is(monkeypatch):
         snf_length(pm, _UngradedAwayFrom(m, 3))
 
 
+def test_snf_refuses_pending_grades_a_dense_rescan_never_reads(monkeypatch):
+    # z^5 = x at (x): the first grade-1 pivot column has a second entry,
+    # so alpha(2, 0) is read for the pending grade 2, although no grade-2
+    # column meets a pivot row.  The dense rescan never reads it and
+    # returns a length where snf_length refuses the table.
+    m = model(5, 1, [0, 1])
+    g = m.group
+
+    def cell(k, c):
+        return AlgebraElt(g, {g.elt(k): RatFun.from_poly(Poly.const(5, c))})
+
+    columns = [{0: cell(1, 1), 1: cell(1, 2)}, {1: cell(1, 1)}, {2: cell(2, 1)}, {3: cell(2, 1)}]
+    pm = PresentationMatrix(rows=tuple(g.elements())[1:], labels=((g.zero(), g.zero()),) * 4,
+                            columns=columns)
+    assert _assert_same_run(monkeypatch, pm, m) == 1 + 1 + 2 + 2
+    ungraded = _UngradedAwayFrom(m, 1)
+    assert dense_snf_length(pm, ungraded) == 6
+    with pytest.raises(ValueError, match="alpha"):
+        snf_length(pm, ungraded)
+
+
 def _random_rational_monomial(rng, lm):
     g = lm.group
     coeff = RatFun(Poly(lm.p, [rng.randrange(1, lm.p), rng.randrange(lm.p)]),
